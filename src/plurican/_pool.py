@@ -1,50 +1,16 @@
-"""Deterministic chunked filtering, optionally fanned out over processes.
+"""Validation of the ``workers`` argument.
 
-Results are identical for every worker count: the input order is preserved
-by filtering fixed chunks and concatenating them in chunk order.
+Every computation in the package runs in one process; ``workers`` is still
+accepted and validated so that callers passing it keep working, and the
+output never depends on it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Callable, Sequence, TypeVar
-
 from .errors import ValidationError
-
-T = TypeVar("T")
-
-_CHUNKS_PER_WORKER = 8
 
 
 def check_workers(workers: int) -> int:
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     return workers
-
-
-def _filter_chunk(args) -> list:
-    predicate, chunk = args
-    return [item for item in chunk if predicate(item)]
-
-
-def filter_deterministic(
-    items: Sequence[T], predicate: Callable[[T], bool], workers: int = 1
-) -> list[T]:
-    """Filter ``items`` by ``predicate`` preserving order, on ``workers`` processes."""
-    check_workers(workers)
-    if workers == 1 or len(items) < 2 * workers:
-        return [item for item in items if predicate(item)]
-    n_chunks = workers * _CHUNKS_PER_WORKER
-    step = (len(items) + n_chunks - 1) // n_chunks
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_filter_chunk, [(predicate, c) for c in chunks])
-    except (OSError, ValueError):
-        # no usable process pool in this environment; fall back sequentially
-        parts = [_filter_chunk((predicate, c)) for c in chunks]
-    out: list[T] = []
-    for part in parts:
-        out.extend(part)
-    return out

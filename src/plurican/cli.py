@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a mathematical hypothesis or validity check
 fails (a machine-readable error object is still printed), 2 on malformed
-input.  Identical inputs produce byte-identical output regardless of the
-worker count.
+input.  Identical inputs produce byte-identical output.  Every command runs
+in one process; ``--workers N`` is accepted and validated (N < 1 is
+malformed input) and does not change the output.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for internal enumeration (output is identical "
-             "for every value)",
+        help="accepted for compatibility and validated (must be >= 1); the "
+             "work is single-process and the output is identical for every value",
     )
     common.add_argument("--out", type=Path, default=None, help="write JSON here instead of stdout")
 
@@ -373,6 +374,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise MalformedInputError(
+                f"--workers must be a positive integer, got {args.workers}"
+            )
         payload, code = _HANDLERS[args.command](args)
     except MalformedInputError as exc:
         _emit({"error": exc.as_json()}, args.out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from ._pool import check_workers, filter_deterministic
+from ._pool import check_workers
 from .errors import ValidationError
 from .f2geom import (
     Hyperplane,
@@ -26,7 +26,7 @@ from .f2geom import (
     num_points,
     pointset_to_json,
 )
-from .glgroup import OrbitCensus, act, burnside_orbit_count, enumerate_gl, orbit_census
+from .glgroup import OrbitCensus, burnside_orbit_count, enumerate_gl, orbit_census, orbit_masks
 
 K = 4
 
@@ -60,7 +60,7 @@ def _mask_totally_even(mask: int) -> bool:
     return all((mask & m).bit_count() % 2 == 0 for m in masks[1:])
 
 
-def enumerate_totally_even(size: int, workers: int = 1) -> list[PointSet]:
+def enumerate_totally_even(size: int) -> list[PointSet]:
     """All totally even subsets of PG(3, F2) of the given cardinality.
 
     Brute force over all point subsets of that size; the result is sorted by
@@ -69,12 +69,10 @@ def enumerate_totally_even(size: int, workers: int = 1) -> list[PointSet]:
     n = num_points(K)
     if not isinstance(size, int) or not 0 <= size <= n:
         raise ValidationError(f"size must be an integer in 0..{n}, got {size!r}")
-    check_workers(workers)
-    candidates = [
+    candidates = (
         sum(1 << c for c in comb) for comb in combinations(range(1, n + 1), size)
-    ]
-    keep = filter_deterministic(candidates, _mask_totally_even, workers)
-    return [PointSet(K, mask) for mask in sorted(keep)]
+    )
+    return [PointSet(K, mask) for mask in sorted(filter(_mask_totally_even, candidates))]
 
 
 def classify_type(s: PointSet) -> EvenSetType:
@@ -151,10 +149,12 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
 
     Asserts that there are exactly two orbits, that the type I orbit has
     size 15, that the classification is constant on orbits, and that the
-    independent Burnside recount agrees with the partition.
+    independent Burnside recount agrees with the partition.  ``workers`` is
+    validated and otherwise unused: the work is single-process.
     """
-    sets = enumerate_totally_even(8, workers=workers)
-    group = enumerate_gl(K, workers=workers)
+    check_workers(workers)
+    sets = enumerate_totally_even(8)
+    group = enumerate_gl(K)
     census = orbit_census(sets, group)
     burnside = burnside_orbit_count(sets, group)
 
@@ -190,7 +190,7 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
 
     for idx, orbit in enumerate(census.orbits):
         # regenerate the orbit and check the classification is constant on it
-        tags = {rep_by_mask[act(m, orbit.representative).mask] for m in group}
+        tags = {rep_by_mask[mask] for mask in orbit_masks(orbit.representative, group)}
         if tags != {group_of[idx]}:
             _fail(
                 "classification is not constant on an orbit",

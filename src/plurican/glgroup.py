@@ -1,23 +1,26 @@
 """The group GL(k, F2) = PGL(k, F2) for k <= 4, acting on PG(k-1, F2).
 
-The whole group is materialized (at most 20160 matrices, each a tuple of
-k packed rows); orbit partitioning, canonical forms and stabilizer orders
-are computed by applying every group element, which at these sizes is the
-most auditable approach.  Canonical forms are lexicographic minima of
-orbits under the integer encoding of point-set bit masks, so they are
-independent of traversal order.
+The whole group is one table per k, built once per process: every
+invertible matrix (at most 20160) with the permutation it induces on point
+codes.  The table is built by linearity, one basis image at a time: the
+image of basis code 2^b is picked outside the span of the earlier ones, and
+the images of the codes below 2^(b+1) follow as XORs of basis images, so no
+singular candidate is ever tried.  Orbit partitioning, canonical forms and
+stabilizer orders apply every permutation of the group, which at these
+sizes is the most auditable approach.  Canonical forms are lexicographic
+minima of orbits under the integer encoding of point-set bit masks, so they
+are independent of traversal order.  The Burnside recount is a different
+algorithm: it counts, per group element, the unions of its cycles that lie
+in the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
-import numpy as np
-
-from ._pool import check_workers, filter_deterministic
 from .errors import ValidationError
-from .f2geom import F2Point, PointSet, _check_dim, num_points, pointset_to_json
+from .f2geom import F2Point, PointSet, _check_dim, pointset_to_json
 
 
 def _rows_invertible(rows: tuple[int, ...]) -> bool:
@@ -43,6 +46,7 @@ class F2Matrix:
 
     def __post_init__(self):
         _check_dim(self.k)
+        object.__setattr__(self, "rows", tuple(self.rows))  # table key
         if len(self.rows) != self.k:
             raise ValidationError(f"expected {self.k} rows, got {len(self.rows)}")
         top = 1 << self.k
@@ -68,8 +72,42 @@ class F2Matrix:
         return F2Point(self.k, self.apply_code(p.code))
 
     def point_permutation(self) -> tuple[int, ...]:
-        """Image of every code 0 .. 2^k - 1 (index 0 maps to 0)."""
-        return tuple(self.apply_code(c) for c in range(num_points(self.k) + 1))
+        """Image of every code 0 .. 2^k - 1 (index 0 maps to 0), by linearity."""
+        perm = (0,)
+        for b in range(self.k):
+            perm = _extend(perm, self.apply_code(1 << b))
+        return perm
+
+
+def _extend(perm: tuple[int, ...], image: int) -> tuple[int, ...]:
+    """Images of the codes below 2m from those below m = 2^b and the image
+    of 2^b: code m + c maps to the XOR of the images of m and c."""
+    return perm + tuple([p ^ image for p in perm])
+
+
+@lru_cache(maxsize=None)
+def _gl_table(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Packed rows -> point permutation for every matrix of GL(k, F2), in
+    ascending packed row order (row 0 most significant)."""
+    _check_dim(k)
+    # bit j of the image of basis code 2^b is bit b of row k-1-j, which
+    # sits at bit k*j + b of the packed rows
+    spread = [sum(((x >> j) & 1) << (k * j) for j in range(k)) for x in range(1 << k)]
+    entries = [(0, (0,))]
+    for b in range(k):
+        # the images so far are exactly the span of the basis images so far
+        entries = [
+            (packed | spread[image] << b, _extend(perm, image))
+            for packed, perm in entries
+            for image in range(1, 1 << k)
+            if image not in perm
+        ]
+    entries.sort()
+    low = (1 << k) - 1
+    return {
+        tuple((packed >> (k * (k - 1 - i))) & low for i in range(k)): perm
+        for packed, perm in entries
+    }
 
 
 @dataclass(frozen=True)
@@ -118,40 +156,10 @@ class OrbitCensus:
         }
 
 
-def _decode_candidate(packed: int, k: int) -> tuple[int, ...]:
-    mask = (1 << k) - 1
-    return tuple((packed >> (k * (k - 1 - i))) & mask for i in range(k))
-
-
-def _candidate_invertible(packed: int, k: int) -> bool:
-    return _rows_invertible(_decode_candidate(packed, k))
-
-
-def enumerate_gl(k: int, workers: int = 1) -> list[F2Matrix]:
-    """All invertible k x k matrices over F2.
-
-    Every one of the 2^(k*k) candidate matrices is tested for invertibility;
-    the order is ascending in the packed row encoding (row 0 most
-    significant), hence deterministic.
-    """
-    _check_dim(k)
-    check_workers(workers)
-    candidates = range(1 << (k * k))
-    keep = filter_deterministic(candidates, partial(_candidate_invertible, k=k), workers)
-    return [F2Matrix(k, _decode_candidate(p, k)) for p in keep]
-
-
-def act(m: F2Matrix, s: PointSet) -> PointSet:
-    """Image point set {m * p : p in s}; cardinality is preserved."""
-    if m.k != s.k:
-        raise ValidationError(f"dimension mismatch: matrix k={m.k}, set k={s.k}")
-    out = 0
-    mask = s.mask
-    while mask:
-        low = mask & -mask
-        out |= 1 << m.apply_code(low.bit_length() - 1)
-        mask ^= low
-    return PointSet(s.k, out)
+def enumerate_gl(k: int) -> list[F2Matrix]:
+    """All invertible k x k matrices over F2, in ascending packed row order
+    (row 0 most significant), hence deterministic."""
+    return [F2Matrix(k, rows) for rows in _gl_table(k)]
 
 
 def _act_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -163,21 +171,34 @@ def _act_mask(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def act(m: F2Matrix, s: PointSet) -> PointSet:
+    """Image point set {m * p : p in s}; cardinality is preserved."""
+    if m.k != s.k:
+        raise ValidationError(f"dimension mismatch: matrix k={m.k}, set k={s.k}")
+    return PointSet(s.k, _act_mask(_gl_table(m.k)[m.rows], s.mask))
+
+
 def _group_permutations(group: list[F2Matrix]) -> list[tuple[int, ...]]:
     if not group:
         raise ValidationError("empty matrix group")
     k = group[0].k
     if any(m.k != k for m in group):
         raise ValidationError("matrices of mixed dimensions in group")
-    return [m.point_permutation() for m in group]
+    table = _gl_table(k)
+    return [table[m.rows] for m in group]
+
+
+def orbit_masks(s: PointSet, group: list[F2Matrix]) -> list[int]:
+    """Bit set of the image of s under each element of ``group``, in order."""
+    perms = _group_permutations(group)
+    if group[0].k != s.k:
+        raise ValidationError("dimension mismatch between set and group")
+    return [_act_mask(perm, s.mask) for perm in perms]
 
 
 def canonical_form(s: PointSet, group: list[F2Matrix]) -> PointSet:
     """Minimum bit-set encoding over the orbit of s; constant on orbits."""
-    perms = _group_permutations(group)
-    if group[0].k != s.k:
-        raise ValidationError("dimension mismatch between set and group")
-    return PointSet(s.k, min(_act_mask(p, s.mask) for p in perms))
+    return PointSet(s.k, min(orbit_masks(s, group)))
 
 
 def orbit_census(sets: list[PointSet], group: list[F2Matrix]) -> OrbitCensus:
@@ -197,61 +218,66 @@ def orbit_census(sets: list[PointSet], group: list[F2Matrix]) -> OrbitCensus:
     for code in codes:
         if code in assigned:
             continue
-        orbit_masks = set()
-        stab = 0
-        for perm in perms:
-            img = _act_mask(perm, code)
-            orbit_masks.add(img)
-            if img == code:
-                stab += 1
-        stray = orbit_masks - code_set
+        images = [_act_mask(perm, code) for perm in perms]
+        orbit, stab = set(images), images.count(code)
+        stray = orbit - code_set
         if stray:
             raise ValidationError(
                 "input family is not closed under the group action",
                 missing_mask=min(stray),
             )
-        assigned |= orbit_masks
-        if len(orbit_masks) * stab != len(group):
+        assigned |= orbit
+        if len(orbit) * stab != len(group):
             raise ValidationError(
                 "orbit-stabilizer identity violated; is the group a full group "
                 "without duplicates?",
-                orbit_size=len(orbit_masks),
+                orbit_size=len(orbit),
                 stabilizer_order=stab,
             )
-        orbits.append(Orbit(PointSet(k, min(orbit_masks)), len(orbit_masks), stab))
+        orbits.append(Orbit(PointSet(k, min(orbit)), len(orbit), stab))
     orbits.sort(key=lambda o: o.representative.mask)
     return OrbitCensus(tuple(orbits), len(group))
 
 
-def _image_code_matrix(codes: list[int], perms: list[tuple[int, ...]], k: int) -> np.ndarray:
-    """Image masks of every set under every permutation, shape (sets, group)."""
-    n = num_points(k)
-    inv = np.zeros((len(perms), n + 1), dtype=np.int64)
-    for j, perm in enumerate(perms):
-        for x in range(1, n + 1):
-            inv[j, perm[x]] = x
-    arr = np.asarray(codes, dtype=np.int64)[:, None]
-    img = np.zeros((len(codes), len(perms)), dtype=np.int64)
-    for y in range(1, n + 1):
-        img |= ((arr >> inv[None, :, y]) & 1) << y
-    return img
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(length, point bit set) of every cycle of a point permutation."""
+    seen = 1  # code 0 is not a point
+    cycles = []
+    for start in range(1, len(perm)):
+        if (seen >> start) & 1:
+            continue
+        mask, length, x = 0, 0, start
+        while not (mask >> x) & 1:
+            mask |= 1 << x
+            length += 1
+            x = perm[x]
+        seen |= mask
+        cycles.append((length, mask))
+    return cycles
 
 
 def burnside_orbit_count(sets: list[PointSet], group: list[F2Matrix]) -> int:
     """Orbit count as the average number of fixed sets per group element.
 
-    Independent recount for cross-checking :func:`orbit_census`; requires the
-    family to be closed under the action.
+    A set is fixed by g exactly when it is a union of cycles of g, so each
+    element contributes the unions of its cycles that lie in the family.
+    Independent recount for cross-checking :func:`orbit_census`; requires
+    the family to be closed under the action.
     """
     perms = _group_permutations(group)
     k = group[0].k
     if any(s.k != k for s in sets):
         raise ValidationError("dimension mismatch between sets and group")
-    codes = sorted({s.mask for s in sets})
-    if not codes:
+    family = {s.mask for s in sets}
+    if not family:
         return 0
-    img = _image_code_matrix(codes, perms, k)
-    total_fixed = int((img == np.asarray(codes, dtype=np.int64)[:, None]).sum())
+    top = max(mask.bit_count() for mask in family)
+    total_fixed = 0
+    for perm in perms:
+        unions = [0]  # every union of the cycles so far with at most top points
+        for length, cycle in _cycles(perm):
+            unions += [u | cycle for u in unions if u.bit_count() + length <= top]
+        total_fixed += sum(u in family for u in unions)
     count, rem = divmod(total_fixed, len(group))
     if rem:
         raise ValidationError(

@@ -13,7 +13,7 @@ smooth curve numerically equivalent to d*m times the canonical class:
     q(Y)   = q(X)
 
 and the three formulas are mutually consistent with Noether's identity
-K2 + e = 12 * p_a, which is asserted on every output.
+K2 + e = 12 * p_a, which is checked on every output.
 """
 
 from __future__ import annotations
@@ -95,8 +95,11 @@ def covering_invariants(X: SurfaceInvariants, c: CoveringParams) -> SurfaceInvar
     p_a_Y = d * X.p_a + num // 12
     K2_Y = d * (d * m - m + 1) ** 2 * X.K2
     e_Y = 12 * d * X.p_a + d * ((d - 1) * (d * m + 1) * m - 1) * X.K2
-    # mutual consistency of the three formulas
-    assert K2_Y + e_Y == 12 * p_a_Y
+    if K2_Y + e_Y != 12 * p_a_Y:
+        raise ValidationError(
+            "covering formulas violate Noether's identity K2 + e = 12 p_a",
+            K2=K2_Y, e=e_Y, pa=p_a_Y,
+        )
     return SurfaceInvariants(p_g=p_a_Y + X.q - 1, q=X.q, K2=K2_Y)
 
 
@@ -104,7 +107,8 @@ def branch_curve_genus(K2: int, c: CoveringParams) -> int:
     """Genus of a smooth branch curve numerically equivalent to d*m*K:
     g = 1 + d*m*(d*m + 1)*K2 / 2 by adjunction."""
     t = c.d * c.m * (c.d * c.m + 1) * K2
-    assert t % 2 == 0  # dm(dm+1) is even
+    if t % 2:  # dm(dm+1) is even
+        raise ValidationError("adjunction gives a non-integral genus", K2=K2, d=c.d, m=c.m)
     return 1 + t // 2
 
 
@@ -124,7 +128,12 @@ def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
         raise ValidationError(f"canonical multiple must be an integer >= 1, got {m!r}")
     value = 1 + m * (m + 1) // 2 * X.K2
     # the covering formulas must give the same number
-    assert value == covering_invariants(X, CoveringParams(2, m)).p_g
+    p_g = covering_invariants(X, CoveringParams(2, m)).p_g
+    if value != p_g:
+        raise ValidationError(
+            "double-cover p_g disagrees with the covering formulas",
+            pg=value, covering_pg=p_g,
+        )
     return value
 
 

@@ -16,8 +16,6 @@ from .errors import HypothesisError, ValidationError
 
 GroupElement = tuple[int, ...]
 
-_BURNSIDE_GROUP_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
@@ -68,34 +66,6 @@ class FiniteAbelianGroup:
             tuple(1 if j == i else 0 for j in range(self.rank))
             for i in range(self.rank)
         ]
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factor form d_1 | d_2 | ... of the same group (optional
-        normalization; the factors as given are used everywhere else)."""
-        primes: dict[int, list[int]] = {}
-        for n in self.cyclic_orders:
-            rest = n
-            p = 2
-            while p * p <= rest:
-                if rest % p == 0:
-                    e = 0
-                    while rest % p == 0:
-                        rest //= p
-                        e += 1
-                    primes.setdefault(p, []).append(p**e)
-                p += 1
-            if rest > 1:
-                primes.setdefault(rest, []).append(rest)
-        depth = max((len(v) for v in primes.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for p, powers in primes.items():
-                powers_sorted = sorted(powers, reverse=True)
-                if i < len(powers_sorted):
-                    f *= powers_sorted[i]
-            factors.append(f)
-        return tuple(sorted(factors))
 
     def as_json(self) -> dict:
         return {"cyclic_orders": list(self.cyclic_orders), "order": self.order}
@@ -296,43 +266,6 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     return sum(1 for i in range(len(elements)) if find(i) == i)
-
-
-def burnside_orbit_count(G: FiniteAbelianGroup, generators) -> int:
-    """Orbit recount via the average number of fixed elements.
-
-    Materializes the generated automorphism group as permutations of the
-    element list; intended as an independent cross-check of
-    :func:`orbit_count` for groups of moderate size.
-    """
-    gens = _check_generators(G, generators)
-    elements = G.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    identity = tuple(range(len(elements)))
-    gen_perms = [tuple(index[gen(e)] for e in elements) for gen in gens]
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for gp in gen_perms:
-                comp = tuple(gp[i] for i in perm)
-                if comp not in group:
-                    group.add(comp)
-                    nxt.append(comp)
-                    if len(group) > _BURNSIDE_GROUP_CAP:
-                        raise ValidationError(
-                            "generated automorphism group exceeds the recount cap",
-                            cap=_BURNSIDE_GROUP_CAP,
-                        )
-        frontier = nxt
-    total_fixed = sum(
-        sum(1 for i, img in enumerate(perm) if i == img) for perm in group
-    )
-    count, rem = divmod(total_fixed, len(group))
-    if rem:
-        raise ValidationError("fixed-point total is not a multiple of the group order")
-    return count
 
 
 def cnew_component_count(G: FiniteAbelianGroup, generators, d: int, m: int) -> int:

@@ -2,12 +2,17 @@
 
 These deliberately avoid the production code paths: totally even sets are
 characterized through the null space of the point-hyperplane incidence
-matrix over F2, and divisibility questions in finite abelian groups are
-decided by exhaustive search over all elements.
+matrix over F2, divisibility questions in finite abelian groups are
+decided by exhaustive search over all elements, automorphism orbits are
+recounted by Burnside's lemma over the whole generated group (the package
+merges orbits by union-find), and invariant factors come from prime-power
+decompositions.
 """
 
 from itertools import product
 from math import gcd
+
+BURNSIDE_GROUP_CAP = 100_000
 
 
 def parity(x: int) -> int:
@@ -95,3 +100,66 @@ def gcd_tor_d_order(orders, d: int) -> int:
     for n in orders:
         out *= gcd(d, n)
     return out
+
+
+def invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factor form d_1 | d_2 | ... of Z/n_1 x ... x Z/n_r."""
+    primes: dict[int, list[int]] = {}
+    for n in orders:
+        rest = n
+        p = 2
+        while p * p <= rest:
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                primes.setdefault(p, []).append(p**e)
+            p += 1
+        if rest > 1:
+            primes.setdefault(rest, []).append(rest)
+    depth = max((len(v) for v in primes.values()), default=0)
+    factors = []
+    for i in range(depth):
+        f = 1
+        for powers in primes.values():
+            powers_sorted = sorted(powers, reverse=True)
+            if i < len(powers_sorted):
+                f *= powers_sorted[i]
+        factors.append(f)
+    return tuple(sorted(factors))
+
+
+def burnside_orbit_count(G, generators) -> int:
+    """Orbit count of the automorphism group generated by ``generators`` on
+    G, as the average number of fixed elements.
+
+    Materializes the generated group as permutations of the element list,
+    up to ``BURNSIDE_GROUP_CAP`` elements.
+    """
+    elements = G.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    identity = tuple(range(len(elements)))
+    gen_perms = [tuple(index[gen(e)] for e in elements) for gen in generators]
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for gp in gen_perms:
+                comp = tuple(gp[i] for i in perm)
+                if comp not in group:
+                    group.add(comp)
+                    nxt.append(comp)
+                    if len(group) > BURNSIDE_GROUP_CAP:
+                        raise ValueError(
+                            f"generated group exceeds the recount cap {BURNSIDE_GROUP_CAP}"
+                        )
+        frontier = nxt
+    total_fixed = sum(
+        sum(1 for i, img in enumerate(perm) if i == img) for perm in group
+    )
+    count, rem = divmod(total_fixed, len(group))
+    if rem:
+        raise ValueError("fixed-point total is not a multiple of the group order")
+    return count

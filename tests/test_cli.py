@@ -99,6 +99,13 @@ def test_components_malformed_group(capsys):
     assert data["error"]["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_malformed_input(capsys, workers):
+    code, data = run_cli(capsys, "verify-lemma-ev", "--workers", workers)
+    assert code == 2
+    assert data["error"]["kind"] == "malformed-input"
+
+
 def test_check_arrangement_pass_and_fail(capsys):
     code, data = run_cli(
         capsys, "check-arrangement", fixture_path("campedelli-generic.json")

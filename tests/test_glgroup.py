@@ -7,6 +7,7 @@ from plurican.evenclass import TYPE_II_REPRESENTATIVE
 from plurican.f2geom import F2Point, PointSet, all_hyperplanes, all_points, incident, is_totally_even
 from plurican.glgroup import (
     F2Matrix,
+    _group_permutations,
     burnside_orbit_count,
     act,
     canonical_form,
@@ -34,13 +35,25 @@ def test_unsupported_dimension():
         enumerate_gl(5)
 
 
-def test_enumeration_order_is_ascending_packed():
-    for k in (2, 3):
-        group = enumerate_gl(k)
+def test_enumeration_order_is_ascending_packed(gl4):
+    for k in (2, 3, 4):
+        group = gl4 if k == 4 else enumerate_gl(k)
         packed = [
             sum(m.rows[i] << (k * (k - 1 - i)) for i in range(k)) for m in group
         ]
         assert packed == sorted(packed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_point_permutations_by_linearity_match_apply_code(k, gl3, gl4):
+    group = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
+    table = _group_permutations(group)
+    for m, from_table in zip(group, table):
+        direct = tuple(m.apply_code(c) for c in range(1 << k))
+        assert m.point_permutation() == from_table == direct
+        assert sorted(direct) == list(range(1 << k))
+    # any list of matrices reads the same table, in its own order
+    assert _group_permutations(group[::-7]) == table[::-7]
 
 
 def test_singular_matrix_rejected():
@@ -64,6 +77,7 @@ def test_swap_matrix_action():
     src = PointSet.from_points([F2Point.from_coords((1, 0, 0, 0))])
     dst = PointSet.from_points([F2Point.from_coords((0, 1, 0, 0))])
     assert act(swap, src) == dst
+    assert act(F2Matrix(4, list(swap.rows)), src) == dst  # rows given as a list
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,6 +121,9 @@ def test_census_of_hyperplane_complements(gl4):
 def test_census_closure_violation(gl4):
     with pytest.raises(ValidationError):
         orbit_census([TYPE_II_REPRESENTATIVE], gl4)
+    # Burnside: the lone set is fixed 48 times, not a multiple of 20160
+    with pytest.raises(ValidationError):
+        burnside_orbit_count([TYPE_II_REPRESENTATIVE], gl4)
 
 
 def test_burnside_matches_census_on_complements(gl4):
@@ -115,6 +132,13 @@ def test_burnside_matches_census_on_complements(gl4):
 
 def test_burnside_matches_census_on_totally_even_family(te8, gl4, lemma_report):
     assert burnside_orbit_count(te8, gl4) == lemma_report.census.orbit_count
+
+
+def test_burnside_matches_census_on_mixed_sizes(gl3):
+    # every subset of PG(2, F2): orbits of all sizes 0..7 at once
+    family = [PointSet(3, mask) for mask in range(0, 1 << 8, 2)]
+    assert burnside_orbit_count(family, gl3) == orbit_census(family, gl3).orbit_count
+    assert burnside_orbit_count([], gl3) == 0
 
 
 def test_orbit_sizes_divide_group_order(lemma_report):

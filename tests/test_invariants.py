@@ -1,9 +1,13 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plurican
+from plurican import invariants
 from plurican.errors import HypothesisError, ValidationError
 from plurican.invariants import (
     CATALOG,
@@ -105,6 +109,22 @@ def test_pg_of_double_cover_pg0(k2, value):
     X = SurfaceInvariants(p_g=0, q=0, K2=k2)
     assert pg_of_double_cover_pg0(X, 1) == value
     assert h0_K_plus_C(X, 1) == value
+
+
+def test_pg_cross_check_raises_on_disagreement(monkeypatch):
+    def wrong_cover(X, c):
+        return SurfaceInvariants(p_g=99, q=0, K2=16)
+
+    monkeypatch.setattr(invariants, "covering_invariants", wrong_cover)
+    with pytest.raises(ValidationError):
+        pg_of_double_cover_pg0(CAMPEDELLI, 1)
+
+
+def test_package_checks_survive_optimize_flag():
+    # `python -O` strips assert statements, so no check may be one
+    for path in Path(plurican.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 def test_pg0_hypothesis_enforced():
