@@ -8,15 +8,22 @@ must be grouped exactly.
 
 Lines are projective classes of coefficient triples, normalized so that the
 first nonzero coefficient is 1; two lines intersect in the projective point
-given by the exact cross product of their coefficient vectors.  Genericity
-is never assumed: the incidence report states the actual multiplicities.
+given by the cross product of their coefficient vectors.  Genericity is
+never assumed: the incidence report states the actual multiplicities.
+
+`ExactScalar` is the input and output form.  The incidence pass clears each
+line's denominators once and groups intersection points by primitive
+integer keys (Eisenstein integers over Q(omega)), so no field division
+happens per line pair; each distinct point is converted back to leading-1
+`ExactScalar` coordinates once, for the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import gcd, lcm
 
 from .errors import MalformedInputError, ValidationError
 from .evenclass import EvenSetType, classify_type
@@ -46,8 +53,9 @@ class ExactScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # Fractions are immutable, so one given as a component is kept as is
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
@@ -242,27 +250,103 @@ def _cross(u, v):
     )
 
 
+def _coincide() -> ValidationError:
+    return ValidationError("lines coincide; no unique intersection")
+
+
 def intersection(l1: ProjLine, l2: ProjLine) -> tuple[ExactScalar, ...]:
     """Normalized intersection point of two distinct lines."""
     if l1 == l2:
-        raise ValidationError("lines coincide; no unique intersection")
+        raise _coincide()
     return _normalize(_cross(l1.coeffs, l2.coeffs))
 
 
+def _integer_line(line: ProjLine, omega: bool) -> tuple[int, ...]:
+    """The line's coefficients with denominators cleared, made primitive:
+    (a0, a1, a2) over Q, (a0, b0, a1, b1, a2, b2) over Q(omega)."""
+    parts = [x for c in line.coeffs for x in ((c.a, c.b) if omega else (c.a,))]
+    den = lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (den // x.denominator) for x in parts]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _q_point(u, v) -> tuple[int, int, int]:
+    """Primitive integer key of the intersection of two integer lines: the
+    cross product over its gcd, first nonzero entry positive."""
+    x = u[1] * v[2] - u[2] * v[1]
+    y = u[2] * v[0] - u[0] * v[2]
+    z = u[0] * v[1] - u[1] * v[0]
+    g = gcd(x, y, z)
+    if g == 0:
+        raise _coincide()
+    if (x or y or z) < 0:
+        g = -g
+    return (x // g, y // g, z // g)
+
+
+def _qw_point(u, v) -> tuple[int, ...]:
+    """Primitive key of the intersection of two Eisenstein-integer lines.
+
+    The cross product (a + b*omega per coordinate, omega^2 = -1 - omega) is
+    multiplied by the conjugate (a - b) - b*omega of its leading coordinate,
+    which becomes the norm a^2 - ab + b^2 > 0; the 6 integers are then
+    divided by their gcd.  Proportional vectors get the same key.
+    """
+    u0a, u0b, u1a, u1b, u2a, u2b = u
+    v0a, v0b, v1a, v1b, v2a, v2b = v
+    p = (
+        u1a * v2a - u1b * v2b - u2a * v1a + u2b * v1b,
+        u1a * v2b + u1b * v2a - u1b * v2b - u2a * v1b - u2b * v1a + u2b * v1b,
+        u2a * v0a - u2b * v0b - u0a * v2a + u0b * v2b,
+        u2a * v0b + u2b * v0a - u2b * v0b - u0a * v2b - u0b * v2a + u0b * v2b,
+        u0a * v1a - u0b * v1b - u1a * v0a + u1b * v0b,
+        u0a * v1b + u0b * v1a - u0b * v1b - u1a * v0b - u1b * v0a + u1b * v0b,
+    )
+    k = 0
+    while k < 6 and p[k] == 0 and p[k + 1] == 0:
+        k += 2
+    if k == 6:
+        raise _coincide()
+    ca, cb = p[k] - p[k + 1], -p[k + 1]
+    key = [0] * k
+    for m in range(k, 6, 2):
+        a, b = p[m], p[m + 1]
+        key += (a * ca - b * cb, a * cb + b * ca - b * cb)
+    g = gcd(*key)
+    return tuple(x // g for x in key)
+
+
 def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
-    """Intersect all line pairs and group equal points exactly."""
+    """Intersect all line pairs and group equal points exactly.
+
+    Points are grouped by primitive integer keys (see `_q_point` and
+    `_qw_point`); their leading-1 coordinates are key / lead, lead > 0 the
+    first nonzero entry of the key.  Points are listed in lexicographic
+    order of those coordinates, (a, b) per coordinate.
+    """
     lines = arr.lines
     if len(lines) < 2:
         raise ValidationError("need at least two lines to intersect")
-    by_point: dict[tuple, set[int]] = {}
-    for i, j in combinations(range(len(lines)), 2):
-        p = intersection(lines[i], lines[j])
-        by_point.setdefault(p, set()).update((i, j))
-    points = [
-        IncidencePoint(coords, tuple(sorted(idx)))
-        for coords, idx in by_point.items()
-    ]
-    points.sort(key=lambda p: tuple(c.sort_key() for c in p.coords))
+    omega = not all(line.is_rational() for line in lines)
+    point_key = _qw_point if omega else _q_point
+    vecs = [_integer_line(line, omega) for line in lines]
+    by_key: dict[tuple[int, ...], set[int]] = {}
+    for i, j in combinations(range(len(vecs)), 2):
+        by_key.setdefault(point_key(vecs[i], vecs[j]), set()).update((i, j))
+    leads = {key: next(x for x in key if x) for key in by_key}
+    # Distinct fractions x / L and y / M with L, M <= max lead differ by at
+    # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
+    # 2 * max_lead^2 orders the coordinates exactly, using integers only.
+    shift = 2 * max(leads.values()).bit_length() + 1
+    order = sorted(by_key, key=lambda key: tuple((x << shift) // leads[key] for x in key))
+    zero = Fraction(0)
+    points = []
+    for key in order:
+        q = [Fraction(x, leads[key]) for x in key]
+        parts = zip(q[::2], q[1::2]) if omega else zip(q, repeat(zero))
+        coords = tuple(ExactScalar(a, b) for a, b in parts)
+        points.append(IncidencePoint(coords, tuple(sorted(by_key[key]))))
     histogram: dict[int, int] = {}
     for p in points:
         histogram[p.multiplicity] = histogram.get(p.multiplicity, 0) + 1
@@ -383,17 +467,18 @@ def analyze_extension(arr: LabeledArrangement) -> ExtensionReport:
 #
 # A coefficient is [[a_num, a_den]] over Q and
 # [[a_num, a_den], [b_num, b_den]] over Q(omega); bare integers and
-# [num, den] pairs are accepted on input.
+# [num, den] pairs are accepted on input.  Every number is a JSON integer:
+# booleans and floats are rejected, not coerced.
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # bool is a subclass of int
 
 
 def _fraction_from_json(value) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, int) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
         if value[1] == 0:
             raise MalformedInputError(f"zero denominator in {value!r}")
         return Fraction(value[0], value[1])
@@ -401,11 +486,11 @@ def _fraction_from_json(value) -> Fraction:
 
 
 def _scalar_from_json(value, allow_omega: bool) -> ExactScalar:
-    if isinstance(value, int):
+    if _is_int(value):
         return ExactScalar(value)
     if not isinstance(value, list):
         raise MalformedInputError(f"cannot parse coefficient {value!r}")
-    if len(value) == 2 and all(isinstance(x, int) for x in value):
+    if len(value) == 2 and all(map(_is_int, value)):
         return ExactScalar(_fraction_from_json(value))
     if len(value) == 1:
         return ExactScalar(_fraction_from_json(value[0]))

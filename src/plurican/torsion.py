@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 
-from .errors import HypothesisError, ValidationError
+from .errors import HypothesisError, MalformedInputError, ValidationError
 
 GroupElement = tuple[int, ...]
 
@@ -71,6 +71,15 @@ class FiniteAbelianGroup:
         return {"cyclic_orders": list(self.cyclic_orders), "order": self.order}
 
 
+def _is_array(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_int_array(value) -> bool:
+    # bool is a subclass of int, so compare types exactly
+    return _is_array(value) and all(type(x) is int for x in value)
+
+
 def _int_det(rows: list[list[int]]) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination)."""
     n = len(rows)
@@ -116,15 +125,26 @@ class AutAction:
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, entries) -> "AutAction":
-        matrix = tuple(tuple(int(x) for x in row) for row in entries)
-        return cls(group, "matrix", matrix=matrix)
+        """Matrix form: an array of rows of integers (no booleans or floats)."""
+        if not _is_array(entries) or not all(map(_is_int_array, entries)):
+            raise MalformedInputError(
+                f"automorphism matrix must be an array of integer rows, got {entries!r}"
+            )
+        return cls(group, "matrix", matrix=tuple(tuple(row) for row in entries))
 
     @classmethod
     def from_table(cls, group: FiniteAbelianGroup, mapping) -> "AutAction":
-        if isinstance(mapping, dict):
-            pairs = mapping.items()
-        else:
-            pairs = [(a, b) for a, b in mapping]
+        """Table form: a dict, or an array of [element, image] pairs, each
+        element an array of integers."""
+        pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
+        if not _is_array(pairs) or not all(
+            _is_array(pair) and len(pair) == 2 and all(map(_is_int_array, pair))
+            for pair in pairs
+        ):
+            raise MalformedInputError(
+                "permutation table must be an array of [element, image] pairs of "
+                "integer arrays"
+            )
         table = {group.element(a): group.element(b) for a, b in pairs}
         return cls(group, "permutation", table=table)
 

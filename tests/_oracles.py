@@ -5,11 +5,12 @@ characterized through the null space of the point-hyperplane incidence
 matrix over F2, divisibility questions in finite abelian groups are
 decided by exhaustive search over all elements, automorphism orbits are
 recounted by Burnside's lemma over the whole generated group (the package
-merges orbits by union-find), and invariant factors come from prime-power
-decompositions.
+merges orbits by union-find), invariant factors come from prime-power
+decompositions, and arrangement points are grouped by their leading-1
+Fraction coordinates (the package groups by primitive integer keys).
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 BURNSIDE_GROUP_CAP = 100_000
@@ -163,3 +164,56 @@ def burnside_orbit_count(G, generators) -> int:
     if rem:
         raise ValueError("fixed-point total is not a multiple of the group order")
     return count
+
+
+# Scalars of Q(omega) as pairs (a, b) of Fractions meaning a + b*omega,
+# omega^2 = -1 - omega.
+
+
+def _qw_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0] - x[1] * y[1])
+
+
+def _qw_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _qw_inv(x):
+    n = x[0] * x[0] - x[0] * x[1] + x[1] * x[1]
+    return ((x[0] - x[1]) / n, -x[1] / n)
+
+
+def leading_one_incidences(lines) -> dict:
+    """The JSON form of the incidence report of ``lines``, each a triple of
+    (a, b) Fraction pairs: every pairwise cross product is divided by its
+    first nonzero coordinate, points are grouped by those leading-1
+    coordinates and listed in their lexicographic order."""
+    by_point: dict[tuple, set[int]] = {}
+    for i, j in combinations(range(len(lines)), 2):
+        u, v = lines[i], lines[j]
+        p = (
+            _qw_sub(_qw_mul(u[1], v[2]), _qw_mul(u[2], v[1])),
+            _qw_sub(_qw_mul(u[2], v[0]), _qw_mul(u[0], v[2])),
+            _qw_sub(_qw_mul(u[0], v[1]), _qw_mul(u[1], v[0])),
+        )
+        inv = _qw_inv(next(c for c in p if c != (0, 0)))
+        by_point.setdefault(tuple(_qw_mul(c, inv) for c in p), set()).update((i, j))
+    histogram: dict[int, int] = {}
+    for idx in by_point.values():
+        histogram[len(idx)] = histogram.get(len(idx), 0) + 1
+    return {
+        "line_count": len(lines),
+        "point_count": len(by_point),
+        "histogram": [[m, c] for m, c in sorted(histogram.items(), reverse=True)],
+        "points": [
+            {
+                "coords": [
+                    [[a.numerator, a.denominator]] + ([[b.numerator, b.denominator]] if b else [])
+                    for a, b in point
+                ],
+                "lines": sorted(idx),
+                "multiplicity": len(idx),
+            }
+            for point, idx in sorted(by_point.items())
+        ],
+    }

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from _oracles import leading_one_incidences
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plurican.errors import MalformedInputError, ValidationError
@@ -186,6 +188,112 @@ def test_projective_invariance_of_histogram():
         assert compute_incidences(moved).histogram == base
 
 
+def cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def move(matrix, coeffs) -> ProjLine:
+    """The line with coefficient row vector ``coeffs`` times ``matrix``."""
+    return ProjLine(tuple(
+        sum((coeffs[i] * matrix[i][j] for i in range(3)), ExactScalar(0)) for j in range(3)
+    ))
+
+
+def oracle_json(arr: LabeledArrangement) -> dict:
+    return leading_one_incidences([tuple((c.a, c.b) for c in line.coeffs) for line in arr.lines])
+
+
+@st.composite
+def moved_arrangements(draw, omega: bool) -> LabeledArrangement:
+    """Free lines and concurrent pencils with small (Eisenstein) integer
+    coefficients, moved by a random invertible map with fractional entries."""
+    ints = st.integers(-3, 3)
+    planted_scalar = st.builds(ExactScalar, ints, ints if omega else st.just(0))
+    triple = st.tuples(planted_scalar, planted_scalar, planted_scalar)
+    planted = draw(st.lists(triple, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        centre = draw(triple)
+        planted += [cross(centre, draw(triple)) for _ in range(draw(st.integers(2, 4)))]
+    fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    entry = st.builds(ExactScalar, fractions, fractions if omega else st.just(0))
+    row = st.lists(entry, min_size=3, max_size=3)
+    matrix = draw(st.lists(row, min_size=3, max_size=3))
+    assume(not sum(cross(matrix[1], matrix[2])[i] * matrix[0][i] for i in range(3)).is_zero())
+    lines: list[ProjLine] = []
+    for coeffs in planted:
+        if any(not c.is_zero() for c in coeffs):
+            line = move(matrix, coeffs)
+            if line not in lines:
+                lines.append(line)
+    assume(len(lines) >= 2)
+    return LabeledArrangement(tuple(lines))
+
+
+@pytest.mark.parametrize("omega", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_incidences_match_leading_one_oracle(omega, data):
+    arr = data.draw(moved_arrangements(omega))
+    assert compute_incidences(arr).as_json() == oracle_json(arr)
+
+
+def test_point_reached_as_v_and_omega_v():
+    # four lines through (1 : 1 : 0); pair (0, 1) gives the cross product v,
+    # pair (2, 3) gives omega * v
+    coeffs = [(0, 0, 1), (1, -1, 0), (1, -1, 1 + OMEGA), (1, -1, 1), (1, 1, 1)]
+    lines = tuple(ProjLine(t) for t in coeffs)
+    v = cross(lines[0].coeffs, lines[1].coeffs)
+    assert cross(lines[2].coeffs, lines[3].coeffs) == tuple(OMEGA * c for c in v)
+    arr = LabeledArrangement(lines)
+    report = compute_incidences(arr)
+    assert report.histogram == {4: 1, 2: 4}
+    (quadruple,) = [p for p in report.points if p.multiplicity == 4]
+    assert quadruple.coords == (ExactScalar(1), ExactScalar(1), ExactScalar(0))
+    assert quadruple.lines == (0, 1, 2, 3)
+    assert report.as_json() == oracle_json(arr)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2, 3), (OMEGA, 1, 0)])
+def test_coincident_lines_are_a_validation_error(coeffs):
+    line = ProjLine(coeffs)
+    arr = object.__new__(LabeledArrangement)  # bypasses the duplicate check
+    object.__setattr__(arr, "lines", (line, line))
+    object.__setattr__(arr, "labels", ())
+    with pytest.raises(ValidationError, match="lines coincide"):
+        compute_incidences(arr)
+
+
+@pytest.mark.parametrize("omega", [False, True])
+def test_incidences_do_no_per_pair_field_arithmetic(monkeypatch, omega):
+    # pencils x = i, y = j, x + y = k of 14 lines each: 861 pairs, 297 points
+    side = range(14)
+    planted = (
+        [(1, 0, -i) for i in side] + [(0, 1, -j) for j in side]
+        + [(1, 1, -k - 7) for k in side]
+    )
+    matrix = [[1, 2, 0], [0, 1, OMEGA if omega else Fraction(1, 2)], [3, 0, 1]]
+    arr = LabeledArrangement(tuple(move(matrix, t) for t in planted))
+    calls = 0
+
+    def counted(method):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "inverse"):
+        monkeypatch.setattr(ExactScalar, name, counted(getattr(ExactScalar, name)))
+    report = compute_incidences(arr)
+    budget = len(arr.lines) + len(report.points)
+    assert 2 * budget < comb(len(arr.lines), 2)
+    assert calls <= budget
+
+
 # --- covering-data checks ---------------------------------------------------
 
 
@@ -313,3 +421,11 @@ def test_arrangement_json_rejections():
         load_arrangement({"field": "Q", "lines": [[[[1, 0]], 1, 0], [0, 1, 0]]})
     with pytest.raises(MalformedInputError):
         load_arrangement({"field": "Q", "lines": [[1, 0, 0], [0, 1, 0]], "labels": [[1, 2, 0], [0, 1, 0]]})
+    # booleans are not integers, whatever the coefficient form
+    for field, coeff in (
+        ("Q", True), ("Q", False), ("Q", [1, True]), ("Q", [True]), ("Q", [[True, 1]]),
+        ("Q(omega)", [1, True]), ("Q(omega)", [[1, 1], [False, 1]]),
+        ("Q(omega)", [[1, 1], True]),
+    ):
+        with pytest.raises(MalformedInputError):
+            load_arrangement({"field": field, "lines": [[coeff, 0, 1], [0, 1, 0]]})

@@ -99,6 +99,44 @@ def test_components_malformed_group(capsys):
     assert data["error"]["kind"] == "malformed-input"
 
 
+def run_cli_malformed(capsys, *argv) -> dict:
+    """Run a command on bad input: exit 2, one JSON error document, no stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["schema"] == "plurican/1"
+    assert data["error"]["kind"] == "malformed-input"
+    return data
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "permutation", "pairs": [[1]]},
+    {"kind": "permutation", "pairs": "x"},
+    {"kind": "permutation", "pairs": [[[1.5], [1]]]},
+    {"kind": "permutation", "pairs": [[[0], [True]]]},
+    {"kind": "matrix", "entries": [[1.5]]},
+    {"kind": "matrix", "entries": [[True]]},
+    {"kind": "matrix", "entries": "x"},
+    {"kind": "matrix", "entries": ["x"]},
+])
+def test_components_malformed_automorphism(capsys, tmp_path, spec):
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps({"generators": [spec]}), encoding="utf-8")
+    run_cli_malformed(capsys, "components", "--group", "5", "--d", "2", "--aut", str(aut))
+
+
+@pytest.mark.parametrize("coeff", [True, [1, True], [False], [[1, True]], [[1, 1], [True, 1]]])
+def test_incidences_rejects_boolean_coefficients(capsys, tmp_path, coeff):
+    arr = tmp_path / "arr.json"
+    arr.write_text(
+        json.dumps({"field": "Q(omega)", "lines": [[coeff, 0, 1], [0, 1, 0]]}),
+        encoding="utf-8",
+    )
+    run_cli_malformed(capsys, "incidences", str(arr))
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_malformed_input(capsys, workers):
     code, data = run_cli(capsys, "verify-lemma-ev", "--workers", workers)
