@@ -135,9 +135,6 @@ class ExactScalar:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
-
     def __repr__(self):
         if self.b == 0:
             return f"ExactScalar({self.a})"

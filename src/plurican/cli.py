@@ -191,10 +191,12 @@ def cmd_components(args) -> tuple[dict, int]:
     }
     if args.aut is not None:
         gens = _load_generators(G, args.aut)
-        payload["orbit_count"] = torsion.orbit_count(G, gens)
-        if args.m is not None:
-            payload["m"] = args.m
-            payload["cnew_count"] = torsion.cnew_component_count(G, gens, args.d, args.m)
+        if args.m is None:
+            payload["orbit_count"] = torsion.orbit_count(G, gens)
+        else:
+            # the component count is the orbit count, once its hypotheses hold
+            count = torsion.cnew_component_count(G, gens, args.d, args.m)
+            payload.update(orbit_count=count, m=args.m, cnew_count=count)
     return payload, 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, ValidationError
+from .errors import ValidationError
 
 SUPPORTED_DIMS = (2, 3, 4)
 
@@ -62,7 +62,8 @@ class F2Point:
         _check_dim(k)
         code = 0
         for bit in coords:
-            if bit not in (0, 1):
+            # bool is a subclass of int, so compare types exactly
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValidationError(f"coordinate {bit!r} is not an F2 value")
             code = (code << 1) | bit
         return cls(k, code)
@@ -227,34 +228,3 @@ def is_totally_even(s: PointSet) -> bool:
 def pointset_to_json(s: PointSet) -> list[list[int]]:
     """Coordinate arrays of the members, ascending encoding order."""
     return [list(p.coords) for p in s.points()]
-
-
-def pointset_from_json(data, k: int | None = None) -> PointSet:
-    """Parse a point set given as coordinate arrays or integer encodings."""
-    if not isinstance(data, list):
-        raise MalformedInputError("point set must be a JSON array")
-    codes = []
-    try:
-        for item in data:
-            if isinstance(item, int):
-                if k is None:
-                    raise MalformedInputError(
-                        "dimension k is required when points are integer encodings"
-                    )
-                codes.append(item)
-            elif isinstance(item, list):
-                p = F2Point.from_coords(item)
-                if k is None:
-                    k = p.k
-                elif p.k != k:
-                    raise MalformedInputError("mixed point dimensions in point set")
-                codes.append(p.code)
-            else:
-                raise MalformedInputError(f"cannot parse point {item!r}")
-        if k is None:
-            raise MalformedInputError("dimension k is required for an empty point set")
-        return PointSet.from_codes(k, codes)
-    except MalformedInputError:
-        raise
-    except ValidationError as exc:
-        raise MalformedInputError(str(exc)) from exc

@@ -2,8 +2,8 @@
 
 Groups are given by explicit cyclic factors (not necessarily in invariant
 factor form); elements are coordinate tuples reduced modulo the factor
-orders.  Everything is small enough that orbit counting works directly on
-the full element list.
+orders and numbered in lexicographic order.  An automorphism is a permutation
+of those numbers, so orbit counting never forms an element tuple.
 """
 
 from __future__ import annotations
@@ -42,17 +42,28 @@ class FiniteAbelianGroup:
 
     def element(self, coords) -> GroupElement:
         coords = tuple(coords)
+        if not _is_int_array(coords):
+            raise MalformedInputError(f"element coordinates must be integers, got {coords!r}")
         if len(coords) != self.rank:
             raise ValidationError(
                 f"element has {len(coords)} coordinates, group rank is {self.rank}"
             )
-        return tuple(int(c) % n for c, n in zip(coords, self.cyclic_orders))
+        return tuple(c % n for c, n in zip(coords, self.cyclic_orders))
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders))
+    def index(self, a: GroupElement) -> int:
+        """Position of the reduced element a in `elements()` (mixed radix)."""
+        i = 0
+        for x, n in zip(a, self.cyclic_orders):
+            i = i * n + x
+        return i
 
-    def negate(self, a: GroupElement) -> GroupElement:
-        return tuple((-x) % n for x, n in zip(a, self.cyclic_orders))
+    def element_at(self, i: int) -> GroupElement:
+        """The element at position i of `elements()`; inverse of `index`."""
+        coords = []
+        for n in reversed(self.cyclic_orders):
+            i, x = divmod(i, n)
+            coords.append(x)
+        return tuple(reversed(coords))
 
     def scale(self, factor: int, a: GroupElement) -> GroupElement:
         return tuple((factor * x) % n for x, n in zip(a, self.cyclic_orders))
@@ -60,12 +71,6 @@ class FiniteAbelianGroup:
     def elements(self) -> list[GroupElement]:
         """All elements in lexicographic coordinate order."""
         return list(product(*(range(n) for n in self.cyclic_orders)))
-
-    def generators(self) -> list[GroupElement]:
-        return [
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        ]
 
     def as_json(self) -> dict:
         return {"cyclic_orders": list(self.cyclic_orders), "order": self.order}
@@ -83,7 +88,7 @@ def _is_int_array(value) -> bool:
 def _int_det(rows: list[list[int]]) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination)."""
     n = len(rows)
-    m = [list(map(int, r)) for r in rows]
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -103,100 +108,98 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 class AutAction:
-    """An automorphism of a finite abelian group.
+    """An automorphism of a finite abelian group: element i of `elements()`
+    maps to element perm[i].
 
-    Two forms are accepted: an explicit permutation table on all elements
-    (validated to be a bijection preserving addition), or an integer matrix
-    acting coordinatewise, which is only meaningful when all cyclic factors
-    have the same order.
+    `perm` is built by additivity from the images f_j of the basis elements
+    e_j, (x_1, ..., x_r) -> x_1 f_1 + ... + x_r f_r, well defined exactly
+    when n_j f_j = 0.  `from_matrix` and `from_table` parse the two file
+    forms into basis images.
     """
 
-    def __init__(self, group: FiniteAbelianGroup, kind: str, *, matrix=None, table=None):
+    def __init__(self, group: FiniteAbelianGroup, basis_images):
         self.group = group
-        self.kind = kind
-        self.matrix = matrix
-        self.table = table
-        if kind == "matrix":
-            self._validate_matrix()
-        elif kind == "permutation":
-            self._validate_table()
-        else:
-            raise ValidationError(f"unknown automorphism kind {kind!r}")
+        images = [group.element(f) for f in basis_images]
+        if len(images) != group.rank:
+            raise ValidationError(f"{len(images)} basis images for a rank {group.rank} group")
+        orders = group.cyclic_orders
+        for j, (f, n) in enumerate(zip(images, orders)):
+            if group.scale(n, f) != group.zero():
+                raise ValidationError(
+                    f"map does not preserve the group operation: {n} * f_{j} != 0",
+                    basis=j, image=list(f),
+                )
+        perm = [0] * group.order
+        for i, n in enumerate(orders):
+            # coordinate i of every image; x + c e_j maps to phi(x) + c f_j
+            col = [0]
+            for f, m in zip(images, orders):
+                steps = [c * f[i] % n for c in range(m)]
+                col = [(v + s) % n for v in col for s in steps]
+            perm = [p * n + v for p, v in zip(perm, col)]
+        self.perm = tuple(perm)
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, entries) -> "AutAction":
-        """Matrix form: an array of rows of integers (no booleans or floats)."""
+        """Matrix form: integer rows (no booleans or floats); column j is the image of e_j."""
         if not _is_array(entries) or not all(map(_is_int_array, entries)):
             raise MalformedInputError(
                 f"automorphism matrix must be an array of integer rows, got {entries!r}"
             )
-        return cls(group, "matrix", matrix=tuple(tuple(row) for row in entries))
+        if len(set(group.cyclic_orders)) > 1:
+            raise ValidationError(
+                "matrix automorphisms require all cyclic factors equal; "
+                "use a permutation table instead",
+                cyclic_orders=list(group.cyclic_orders),
+            )
+        r = group.rank
+        if len(entries) != r or any(len(row) != r for row in entries):
+            raise ValidationError(f"automorphism matrix must be {r} x {r}")
+        if r:
+            n = group.cyclic_orders[0]
+            det = _int_det(entries)
+            if gcd(det % n, n) != 1:
+                raise ValidationError(
+                    f"matrix is not invertible modulo {n} (det = {det})", det=det, n=n
+                )
+        return cls(group, zip(*entries))
 
     @classmethod
     def from_table(cls, group: FiniteAbelianGroup, mapping) -> "AutAction":
-        """Table form: a dict, or an array of [element, image] pairs, each
-        element an array of integers."""
+        """Table form: a dict, or an array of [element, image] pairs of integer
+        arrays; it must be a bijection equal to the additive extension of its e_j."""
         pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
         if not _is_array(pairs) or not all(
-            _is_array(pair) and len(pair) == 2 and all(map(_is_int_array, pair))
-            for pair in pairs
+            _is_array(pair) and len(pair) == 2 and all(map(_is_array, pair)) for pair in pairs
         ):
             raise MalformedInputError(
                 "permutation table must be an array of [element, image] pairs of "
                 "integer arrays"
             )
-        table = {group.element(a): group.element(b) for a, b in pairs}
-        return cls(group, "permutation", table=table)
-
-    def _validate_matrix(self):
-        g = self.group
-        orders = set(g.cyclic_orders)
-        if len(orders) > 1:
-            raise ValidationError(
-                "matrix automorphisms require all cyclic factors equal; "
-                "use a permutation table instead",
-                cyclic_orders=list(g.cyclic_orders),
-            )
-        r = g.rank
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise ValidationError(f"automorphism matrix must be {r} x {r}")
-        if r == 0:
-            return
-        n = g.cyclic_orders[0]
-        det = _int_det([list(row) for row in self.matrix])
-        if gcd(det % n, n) != 1:
-            raise ValidationError(
-                f"matrix is not invertible modulo {n} (det = {det})", det=det, n=n
-            )
-
-    def _validate_table(self):
-        g = self.group
-        elements = g.elements()
-        if set(self.table.keys()) != set(elements):
+        table = {group.index(group.element(a)): group.index(group.element(b)) for a, b in pairs}
+        # every position is in range(order), so counting decides totality
+        if len(table) != group.order:
             raise ValidationError("permutation table must be defined on every element")
-        if set(self.table.values()) != set(elements):
+        if len(set(table.values())) != group.order:
             raise ValidationError("permutation table is not a bijection")
-        if self.table[g.zero()] != g.zero():
+        if table[0] != 0:
             raise ValidationError("permutation table does not fix the identity")
-        # additivity on generator translates suffices: phi(e_i + b) =
-        # phi(e_i) + phi(b) for all b extends to all pairs by induction
-        for e in g.generators():
-            fe = self.table[e]
-            for b in elements:
-                if self.table[g.add(e, b)] != g.add(fe, self.table[b]):
-                    raise ValidationError(
-                        "permutation table does not preserve the group operation",
-                        generator=list(e), at=list(b),
-                    )
+        orders = group.cyclic_orders
+        # e_j sits at position n_(j+1) * ... * n_r
+        basis = [table[prod(orders[j + 1:])] for j in range(len(orders))]
+        message = "permutation table does not preserve the group operation"
+        try:
+            aut = cls(group, map(group.element_at, basis))
+        except ValidationError as exc:  # some n_j f_j != 0
+            raise ValidationError(message, **exc.details) from exc
+        for i, p in enumerate(aut.perm):
+            if table[i] != p:
+                raise ValidationError(message, at=list(group.element_at(i)))
+        return aut
 
     def __call__(self, a: GroupElement) -> GroupElement:
-        if self.kind == "matrix":
-            g = self.group
-            return tuple(
-                sum(row[j] * a[j] for j in range(g.rank)) % n
-                for row, n in zip(self.matrix, g.cyclic_orders)
-            )
-        return self.table[a]
+        g = self.group
+        return g.element_at(self.perm[g.index(g.element(a))])
 
 
 def tor_d_order(G: FiniteAbelianGroup, d: int) -> int:
@@ -253,26 +256,13 @@ def theorem_mod_component_bound(G: FiniteAbelianGroup, d: int) -> int:
     return 1
 
 
-def _check_generators(G: FiniteAbelianGroup, generators) -> list[AutAction]:
-    gens = list(generators)
-    for gen in gens:
-        if not isinstance(gen, AutAction):
-            raise ValidationError("generators must be AutAction instances")
-        if gen.group != G:
-            raise ValidationError("generator acts on a different group")
-    return gens
-
-
 def orbit_count(G: FiniteAbelianGroup, generators) -> int:
     """Number of orbits of the generated automorphism subgroup on G.
 
-    Union-find over the element graph with an edge a -> phi(a) for every
-    generator phi; with no generators every element is its own orbit.
+    Union-find over element positions with an edge i -> perm[i] for every
+    generator; with no generators every element is its own orbit.
     """
-    gens = _check_generators(G, generators)
-    elements = G.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    parent = list(range(len(elements)))
+    parent = list(range(G.order))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -280,12 +270,17 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
             i = parent[i]
         return i
 
-    for gen in gens:
-        for i, e in enumerate(elements):
-            ri, rj = find(i), find(index[gen(e)])
+    for gen in generators:
+        if not isinstance(gen, AutAction):
+            raise ValidationError("generators must be AutAction instances")
+        if gen.group != G:
+            raise ValidationError("generator acts on a different group")
+        for i, j in enumerate(gen.perm):
+            ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
-    return sum(1 for i in range(len(elements)) if find(i) == i)
+    # the roots are exactly the positions that are their own parent
+    return sum(1 for i, p in enumerate(parent) if i == p)
 
 
 def cnew_component_count(G: FiniteAbelianGroup, generators, d: int, m: int) -> int:

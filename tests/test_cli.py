@@ -2,10 +2,14 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from plurican import torsion
 from plurican.cli import main
+
+GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -125,6 +129,32 @@ def test_components_malformed_automorphism(capsys, tmp_path, spec):
     aut = tmp_path / "aut.json"
     aut.write_text(json.dumps({"generators": [spec]}), encoding="utf-8")
     run_cli_malformed(capsys, "components", "--group", "5", "--d", "2", "--aut", str(aut))
+
+
+def test_components_counts_orbits_once(capsys, monkeypatch):
+    calls = []
+    real = torsion.orbit_count
+
+    def counted(G, generators):
+        calls.append(G)
+        return real(G, generators)
+
+    monkeypatch.setattr(torsion, "orbit_count", counted)
+    code, data = run_cli(
+        capsys, "components", "--group", "3,3", "--d", "2", "--m", "3",
+        "--aut", str(GOLDEN_AUT),
+    )
+    assert code == 0 and data["orbit_count"] == data["cnew_count"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", [[True, 0, 0], [1.0, 0, 0], [0, 0.0, 1]])
+def test_check_arrangement_rejects_non_integer_label_bits(capsys, tmp_path, label):
+    data = json.loads(Path(fixture_path("campedelli-generic.json")).read_text(encoding="utf-8"))
+    data["labels"][3] = label
+    arr = tmp_path / "arr.json"
+    arr.write_text(json.dumps(data), encoding="utf-8")
+    run_cli_malformed(capsys, "check-arrangement", str(arr))
 
 
 @pytest.mark.parametrize("coeff", [True, [1, True], [False], [[1, True]], [[1, 1], [True, 1]]])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import incidence_rows, null_space_masks, parity
-from plurican.errors import MalformedInputError, ValidationError
+from plurican.errors import ValidationError
 from plurican.f2geom import (
     F2Point,
     Hyperplane,
@@ -13,7 +13,6 @@ from plurican.f2geom import (
     hyperplane_profile,
     incident,
     is_totally_even,
-    pointset_from_json,
     pointset_to_json,
 )
 
@@ -138,18 +137,6 @@ def test_profile_sum_is_seven_times_size(mask):
 def test_pointset_json_roundtrip():
     data = pointset_to_json(TYPE_II_SET)
     assert data == [list(p.coords) for p in TYPE_II_SET.points()]
-    assert pointset_from_json(data) == TYPE_II_SET
-    # integer encodings are accepted on input
-    assert pointset_from_json(list(TYPE_II_SET.codes()), k=4) == TYPE_II_SET
-
-
-def test_pointset_json_rejects_garbage():
-    with pytest.raises(MalformedInputError):
-        pointset_from_json({"not": "a list"})
-    with pytest.raises(MalformedInputError):
-        pointset_from_json([1, 2])  # no dimension given
-    with pytest.raises(MalformedInputError):
-        pointset_from_json([[0, 0, 0, 0]])  # zero vector is not a point
 
 
 def test_pointset_validation():

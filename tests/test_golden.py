@@ -49,6 +49,10 @@ CASES = {
     "components-aut": (
         ["components", "--group", "3,3", "--d", "2", "--m", "3",
          "--aut", str(GOLDEN / "aut-z3-squared.json")], 0),
+    # mixed cyclic orders: only the table form applies
+    "components-aut-z2-z4": (
+        ["components", "--group", "2,4", "--d", "2", "--m", "3",
+         "--aut", str(GOLDEN / "aut-z2-z4.json")], 0),
 }
 
 

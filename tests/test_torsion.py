@@ -1,4 +1,6 @@
 import random
+from itertools import permutations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from _oracles import (
     burnside_orbit_count,
     invariant_factors,
 )
-from plurican.errors import HypothesisError, ValidationError
+from plurican.errors import HypothesisError, MalformedInputError, ValidationError
 from plurican.torsion import (
     AutAction,
     FiniteAbelianGroup,
@@ -41,6 +43,9 @@ def test_group_basics():
         FiniteAbelianGroup((1,))
     with pytest.raises(ValidationError):
         Z2_CUBED.element((1, 0))
+    for coords in [(1.5, 0, 0), (True, 0, 0), (0, 1.0, 0)]:
+        with pytest.raises(MalformedInputError):
+            Z2_CUBED.element(coords)
 
 
 def test_invariant_factors():
@@ -165,6 +170,56 @@ def test_permutation_table_automorphism():
     assert orbit_count(G, [inv]) == 3
 
 
+def _det(m) -> int:
+    """Leibniz determinant of a small square matrix."""
+    n = len(m)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][p[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 3), st.data())
+def test_matrix_and_table_permutations_match_matrix_product(n, r, data):
+    matrix = data.draw(st.lists(
+        st.lists(st.integers(-2 * n, 2 * n), min_size=r, max_size=r), min_size=r, max_size=r))
+    if gcd(_det(matrix) % n, n) != 1:
+        with pytest.raises(ValidationError):
+            AutAction.from_matrix(FiniteAbelianGroup((n,) * r), matrix)
+        return
+    G = FiniteAbelianGroup((n,) * r)
+    elements = list(product(range(n), repeat=r))
+    position = {e: i for i, e in enumerate(elements)}
+    images = [
+        tuple(sum(row[j] * x[j] for j in range(r)) % n for row in matrix) for x in elements
+    ]
+    expected = tuple(position[y] for y in images)
+    assert AutAction.from_matrix(G, matrix).perm == expected
+    pairs = [[list(x), list(y)] for x, y in zip(elements, images)]
+    assert AutAction.from_table(G, pairs).perm == expected
+
+
+def test_positions_follow_element_order():
+    for orders in [(2, 3), (4, 2, 3), ()]:
+        G = FiniteAbelianGroup(orders)
+        assert [G.index(e) for e in G.elements()] == list(range(G.order))
+        assert [G.element_at(i) for i in range(G.order)] == G.elements()
+
+
+def test_orbit_count_applies_no_generator_per_element(monkeypatch):
+    G = FiniteAbelianGroup((3, 3))
+    negate = [[list(x), [(-c) % 3 for c in x]] for x in G.elements()]
+    gens = [AutAction.from_matrix(G, [[0, 1], [1, 0]]), AutAction.from_table(G, negate)]
+    calls = []
+    real = AutAction.__call__
+    monkeypatch.setattr(AutAction, "__call__", lambda self, a: calls.append(a) or real(self, a))
+    # {0}, {(1, 0), (0, 1), (2, 0), (0, 2)}, {(1, 1), (2, 2)}, {(1, 2), (2, 1)}
+    assert orbit_count(G, gens) == 4
+    assert calls == []
+
+
 def test_permutation_table_rejections():
     G = FiniteAbelianGroup((5,))
     with pytest.raises(ValidationError):  # not defined everywhere
@@ -177,6 +232,24 @@ def test_permutation_table_rejections():
     with pytest.raises(ValidationError):  # does not fix the identity
         shift = {x: (x + 1) % 5 for x in range(5)}
         AutAction.from_table(G, [[[x], [y]] for x, y in shift.items()])
+    with pytest.raises(ValidationError, match="group operation") as err:
+        swap12 = {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
+        AutAction.from_table(G, [[[x], [y]] for x, y in swap12.items()])
+    # first element where the table leaves x -> 2x, the extension of 1 -> 2
+    assert err.value.details == {"at": [2]}
+
+
+def test_permutation_table_needs_basis_images_of_right_order():
+    # (c0, c1) -> (c0, c1 + c0) on Z/2 x Z/4 is a bijection fixing 0 that
+    # equals its own extension from f_0 = (1, 1), but 2 * f_0 = (0, 2) != 0:
+    # (1, 0) + (1, 0) = 0 while f_0 + f_0 != 0
+    G = FiniteAbelianGroup((2, 4))
+    pairs = [[[a, b], [a, (a + b) % 4]] for a in range(2) for b in range(4)]
+    with pytest.raises(ValidationError, match="permutation table does not preserve") as err:
+        AutAction.from_table(G, pairs)
+    assert err.value.details == {"basis": 0, "image": [1, 1]}
+    with pytest.raises(ValidationError):
+        AutAction(G, [(1, 0)])  # one basis image for a rank 2 group
 
 
 def test_matrix_action_rejections():
