@@ -7,10 +7,8 @@ output never depends on it.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import check_int
 
 
 def check_workers(workers: int) -> int:
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    return workers
+    return check_int(workers, "workers must be a positive integer", lo=1)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd, lcm
 
-from .errors import MalformedInputError, ValidationError
+from .errors import MalformedInputError, ValidationError, is_int
 from .evenclass import EvenSetType, classify_type
 from .f2geom import F2Point, PointSet, is_totally_even
 from .invariants import k2_from_heavy_points
@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _rational(x) -> Fraction:
+    if is_int(x) or isinstance(x, Fraction):
+        return Fraction(x)
+    raise ValidationError(f"ExactScalar components must be integers or Fractions, got {x!r}")
+
+
 class ExactScalar:
     """An element a + b*omega of Q(omega), with exact rational a and b."""
 
@@ -54,8 +60,8 @@ class ExactScalar:
 
     def __init__(self, a=0, b=0):
         # Fractions are immutable, so one given as a component is kept as is
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else _rational(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else _rational(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
@@ -68,7 +74,7 @@ class ExactScalar:
     def _coerce(value) -> "ExactScalar":
         if isinstance(value, ExactScalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if is_int(value) or isinstance(value, Fraction):
             return ExactScalar(value)
         return NotImplemented
 
@@ -464,18 +470,14 @@ def analyze_extension(arr: LabeledArrangement) -> ExtensionReport:
 #
 # A coefficient is [[a_num, a_den]] over Q and
 # [[a_num, a_den], [b_num, b_den]] over Q(omega); bare integers and
-# [num, den] pairs are accepted on input.  Every number is a JSON integer:
-# booleans and floats are rejected, not coerced.
-
-
-def _is_int(value) -> bool:
-    return type(value) is int  # bool is a subclass of int
+# [num, den] pairs are accepted on input.  Every number is a JSON integer
+# (errors.is_int): booleans and floats are rejected, not coerced.
 
 
 def _fraction_from_json(value) -> Fraction:
-    if _is_int(value):
+    if is_int(value):
         return Fraction(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(is_int, value)):
         if value[1] == 0:
             raise MalformedInputError(f"zero denominator in {value!r}")
         return Fraction(value[0], value[1])
@@ -483,11 +485,11 @@ def _fraction_from_json(value) -> Fraction:
 
 
 def _scalar_from_json(value, allow_omega: bool) -> ExactScalar:
-    if _is_int(value):
+    if is_int(value):
         return ExactScalar(value)
     if not isinstance(value, list):
         raise MalformedInputError(f"cannot parse coefficient {value!r}")
-    if len(value) == 2 and all(map(_is_int, value)):
+    if len(value) == 2 and all(map(is_int, value)):
         return ExactScalar(_fraction_from_json(value))
     if len(value) == 1:
         return ExactScalar(_fraction_from_json(value[0]))

@@ -1,7 +1,10 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the integer rule.
 
 The CLI maps these onto exit codes: any :class:`DomainError` is exit 1,
 except :class:`MalformedInputError` which is exit 2.
+
+For library arguments and JSON input alike, an integer is exactly an ``int``,
+never a ``bool`` (:func:`is_int`; :func:`check_int` for parameters).
 """
 
 from __future__ import annotations
@@ -40,3 +43,15 @@ class MalformedInputError(DomainError):
     """Input file or value cannot be parsed against its documented schema."""
 
     kind = "malformed-input"
+
+
+def is_int(x) -> bool:
+    """True iff x is exactly an int: bool and other int subclasses are not."""
+    return type(x) is int
+
+
+def check_int(x, message: str, lo: int | None = None, hi: int | None = None) -> int:
+    """x if it is an integer in lo..hi (bounds optional), else ValidationError."""
+    if not is_int(x) or (lo is not None and x < lo) or (hi is not None and x > hi):
+        raise ValidationError(f"{message}, got {x!r}")
+    return x

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import combinations
 
 from ._pool import check_workers
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .f2geom import (
     Hyperplane,
     PointSet,
@@ -67,8 +67,7 @@ def enumerate_totally_even(size: int) -> list[PointSet]:
     ascending bit-set encoding.
     """
     n = num_points(K)
-    if not isinstance(size, int) or not 0 <= size <= n:
-        raise ValidationError(f"size must be an integer in 0..{n}, got {size!r}")
+    check_int(size, f"size must be an integer in 0..{n}", lo=0, hi=n)
     candidates = (
         sum(1 << c for c in comb) for comb in combinations(range(1, n + 1), size)
     )

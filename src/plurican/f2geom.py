@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 
 SUPPORTED_DIMS = (2, 3, 4)
 
 
 def _check_dim(k: int) -> None:
-    if k not in SUPPORTED_DIMS:
+    if not is_int(k) or k not in SUPPORTED_DIMS:
         raise ValidationError(
             f"unsupported dimension parameter k={k}; supported: {SUPPORTED_DIMS}",
             k=k,
@@ -50,7 +50,7 @@ class F2Point:
 
     def __post_init__(self):
         _check_dim(self.k)
-        if not 1 <= self.code <= num_points(self.k):
+        if not is_int(self.code) or not 1 <= self.code <= num_points(self.k):
             raise ValidationError(
                 f"point code {self.code} out of range for k={self.k}",
                 code=self.code, k=self.k,
@@ -62,8 +62,7 @@ class F2Point:
         _check_dim(k)
         code = 0
         for bit in coords:
-            # bool is a subclass of int, so compare types exactly
-            if type(bit) is not int or bit not in (0, 1):
+            if not is_int(bit) or bit not in (0, 1):
                 raise ValidationError(f"coordinate {bit!r} is not an F2 value")
             code = (code << 1) | bit
         return cls(k, code)
@@ -85,7 +84,7 @@ class Hyperplane:
 
     def __post_init__(self):
         _check_dim(self.k)
-        if not 1 <= self.normal <= num_points(self.k):
+        if not is_int(self.normal) or not 1 <= self.normal <= num_points(self.k):
             raise ValidationError(
                 f"hyperplane normal {self.normal} out of range for k={self.k}",
                 normal=self.normal, k=self.k,
@@ -118,7 +117,7 @@ class PointSet:
     def __post_init__(self):
         _check_dim(self.k)
         limit = 1 << (num_points(self.k) + 1)
-        if self.mask & 1 or not 0 <= self.mask < limit:
+        if not is_int(self.mask) or self.mask & 1 or not 0 <= self.mask < limit:
             raise ValidationError(
                 f"mask {self.mask} is not a valid point bit set for k={self.k}",
                 mask=self.mask, k=self.k,
@@ -132,7 +131,7 @@ class PointSet:
     def from_codes(cls, k: int, codes: Iterable[int]) -> "PointSet":
         mask = 0
         for c in codes:
-            if not 1 <= c <= num_points(k):
+            if not is_int(c) or not 1 <= c <= num_points(k):
                 raise ValidationError(f"point code {c} out of range for k={k}")
             mask |= 1 << c
         return cls(k, mask)

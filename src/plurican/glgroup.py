@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .f2geom import F2Point, PointSet, _check_dim, pointset_to_json
 
 
@@ -50,7 +50,7 @@ class F2Matrix:
         if len(self.rows) != self.k:
             raise ValidationError(f"expected {self.k} rows, got {len(self.rows)}")
         top = 1 << self.k
-        if any(not 0 <= r < top for r in self.rows):
+        if any(not is_int(r) or not 0 <= r < top for r in self.rows):
             raise ValidationError(f"row out of range for k={self.k}", rows=self.rows)
         if not _rows_invertible(self.rows):
             raise ValidationError("matrix is singular over F2", rows=self.rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisError, ValidationError
+from .errors import HypothesisError, ValidationError, check_int
 from .torsion import FiniteAbelianGroup
 
 
@@ -40,8 +40,7 @@ class SurfaceInvariants:
 
     def __post_init__(self):
         for name in ("p_g", "q", "K2"):
-            if not isinstance(getattr(self, name), int):
-                raise ValidationError(f"{name} must be an integer")
+            check_int(getattr(self, name), f"{name} must be an integer")
         if self.p_g < 0 or self.q < 0:
             raise ValidationError(
                 f"p_g and q must be non-negative, got p_g={self.p_g}, q={self.q}"
@@ -49,6 +48,7 @@ class SurfaceInvariants:
 
     @classmethod
     def from_pa(cls, p_a: int, q: int, K2: int) -> "SurfaceInvariants":
+        check_int(p_a, "p_a must be an integer")
         return cls(p_g=p_a + q - 1, q=q, K2=K2)
 
     @property
@@ -76,10 +76,8 @@ class CoveringParams:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValidationError(f"covering degree must be an integer >= 2, got {self.d!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValidationError(f"canonical multiple must be an integer >= 1, got {self.m!r}")
+        check_int(self.d, "covering degree must be an integer >= 2", lo=2)
+        check_int(self.m, "canonical multiple must be an integer >= 1", lo=1)
 
 
 def covering_invariants(X: SurfaceInvariants, c: CoveringParams) -> SurfaceInvariants:
@@ -124,8 +122,7 @@ def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
     """Geometric genus of a double cover of a p_g = 0 surface branched along
     a curve numerically equivalent to 2m*K: 1 + m(m+1)/2 * K2."""
     _require_pg0(X)
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"canonical multiple must be an integer >= 1, got {m!r}")
+    check_int(m, "canonical multiple must be an integer >= 1", lo=1)
     value = 1 + m * (m + 1) // 2 * X.K2
     # the covering formulas must give the same number
     p_g = covering_invariants(X, CoveringParams(2, m)).p_g
@@ -145,16 +142,14 @@ def h0_K_plus_C(X: SurfaceInvariants, m: int) -> int:
     the canonical map of the double cover factors through the covering.
     """
     _require_pg0(X)
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError(f"canonical multiple must be an integer >= 0, got {m!r}")
+    check_int(m, "canonical multiple must be an integer >= 0", lo=0)
     return m * (m + 1) // 2 * X.K2 + 1
 
 
 def composed_canonical_degree(base_degree: int) -> int:
     """Degree of the canonical map of the double cover: twice the degree of
     the bicanonical-type map of the base onto its image."""
-    if not isinstance(base_degree, int) or base_degree < 1:
-        raise ValidationError(f"base degree must be a positive integer, got {base_degree!r}")
+    check_int(base_degree, "base degree must be a positive integer", lo=1)
     return 2 * base_degree
 
 
@@ -165,12 +160,9 @@ def generic_pluricanonical_smooth(d: int, K2: int, m: int) -> bool:
     True whenever d*m >= 5; for m = 1 the low-degree cases d = 4, 3, 2 hold
     under K2 >= 2, 3, 5 respectively.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValidationError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
-    if not isinstance(K2, int) or K2 < 1:
-        raise ValidationError(f"K2 must be an integer >= 1, got {K2!r}")
+    check_int(d, "d must be an integer >= 2", lo=2)
+    check_int(m, "m must be an integer >= 1", lo=1)
+    check_int(K2, "K2 must be an integer >= 1", lo=1)
     if d * m >= 5:
         return True
     if m == 1:
@@ -184,8 +176,7 @@ def moduli_dimension(m: int, X: SurfaceInvariants) -> int:
 
     Requires 2m >= 5; rigidity of X is the caller's responsibility.
     """
-    if not isinstance(m, int):
-        raise ValidationError(f"m must be an integer, got {m!r}")
+    check_int(m, "m must be an integer")
     if 2 * m < 5:
         raise HypothesisError(f"2m >= 5 required, got m = {m}", m=m)
     return m * (2 * m - 1) * X.K2 + X.p_g
@@ -201,10 +192,7 @@ def moduli_dimension_lower_bound(c: CoveringParams, X: SurfaceInvariants) -> int
 def k2_from_heavy_points(n_heavy: int) -> int:
     """Canonical self-intersection of the surface built from a plane line
     arrangement with ``n_heavy`` points of multiplicity at least 3: 9 - n."""
-    if not isinstance(n_heavy, int) or not 0 <= n_heavy <= 6:
-        raise ValidationError(
-            f"number of heavy points must be an integer in 0..6, got {n_heavy!r}"
-        )
+    check_int(n_heavy, "number of heavy points must be an integer in 0..6", lo=0, hi=6)
     return 9 - n_heavy
 
 

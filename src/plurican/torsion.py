@@ -12,9 +12,19 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 
-from .errors import HypothesisError, MalformedInputError, ValidationError
+from .errors import HypothesisError, MalformedInputError, ValidationError, check_int, is_int
 
 GroupElement = tuple[int, ...]
+
+# Automorphism actions and orbit counts hold one entry per group element, so
+# a group of larger order is refused before anything is allocated.
+MAX_ACTION_ORDER = 1 << 20
+
+
+def _check_action_order(G: "FiniteAbelianGroup") -> None:
+    if G.order > MAX_ACTION_ORDER:
+        raise ValidationError(f"group order {G.order} is above the limit {MAX_ACTION_ORDER} "
+                              "for automorphism actions", order=G.order, limit=MAX_ACTION_ORDER)
 
 
 @dataclass(frozen=True)
@@ -26,8 +36,7 @@ class FiniteAbelianGroup:
     def __post_init__(self):
         object.__setattr__(self, "cyclic_orders", tuple(self.cyclic_orders))
         for n in self.cyclic_orders:
-            if not isinstance(n, int) or n < 2:
-                raise ValidationError(f"cyclic factor orders must be integers >= 2, got {n!r}")
+            check_int(n, "cyclic factor orders must be integers >= 2", lo=2)
 
     @property
     def order(self) -> int:
@@ -81,8 +90,7 @@ def _is_array(value) -> bool:
 
 
 def _is_int_array(value) -> bool:
-    # bool is a subclass of int, so compare types exactly
-    return _is_array(value) and all(type(x) is int for x in value)
+    return _is_array(value) and all(map(is_int, value))
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -118,6 +126,7 @@ class AutAction:
     """
 
     def __init__(self, group: FiniteAbelianGroup, basis_images):
+        _check_action_order(group)
         self.group = group
         images = [group.element(f) for f in basis_images]
         if len(images) != group.rank:
@@ -204,15 +213,13 @@ class AutAction:
 
 def tor_d_order(G: FiniteAbelianGroup, d: int) -> int:
     """Order of the subgroup of elements killed by d: product of gcd(d, n_i)."""
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError(f"d must be a positive integer, got {d!r}")
+    check_int(d, "d must be a positive integer", lo=1)
     return prod(gcd(d, n) for n in G.cyclic_orders)
 
 
 def tor_d_elements(G: FiniteAbelianGroup, d: int) -> list[GroupElement]:
     """All elements a with d * a = 0, in lexicographic coordinate order."""
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError(f"d must be a positive integer, got {d!r}")
+    check_int(d, "d must be a positive integer", lo=1)
     axes = []
     for n in G.cyclic_orders:
         g = gcd(d, n)
@@ -224,8 +231,7 @@ def tor_d_elements(G: FiniteAbelianGroup, d: int) -> list[GroupElement]:
 def covering_count(G: FiniteAbelianGroup, d: int) -> int:
     """Isomorphism classes of degree-d totally ramified cyclic coverings
     branched along a fixed divisible curve: the order of the d-torsion."""
-    if not isinstance(d, int) or d < 2:
-        raise ValidationError(f"covering degree must be an integer >= 2, got {d!r}")
+    check_int(d, "covering degree must be an integer >= 2", lo=2)
     return tor_d_order(G, d)
 
 
@@ -234,8 +240,7 @@ def is_divisible(G: FiniteAbelianGroup, a, d: int) -> bool:
 
     Coordinatewise: gcd(d, n_i) must divide the i-th coordinate.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError(f"d must be a positive integer, got {d!r}")
+    check_int(d, "d must be a positive integer", lo=1)
     a = G.element(a)
     return all(x % gcd(d, n) == 0 for x, n in zip(a, G.cyclic_orders))
 
@@ -246,12 +251,13 @@ def theorem_mod_component_bound(G: FiniteAbelianGroup, d: int) -> int:
 
     Returns 2 when some d-torsion element is not divisible by d in G, which
     forces coverings with canonical classes of different divisibility; else 1
-    (no information).
+    (no information).  Per factor Z/n, with g = gcd(d, n), the d-torsion is
+    generated by n/g, which d divides exactly when g divides n/g.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValidationError(f"covering degree must be an integer >= 2, got {d!r}")
-    for a in tor_d_elements(G, d):
-        if not is_divisible(G, a, d):
+    check_int(d, "covering degree must be an integer >= 2", lo=2)
+    for n in G.cyclic_orders:
+        g = gcd(d, n)
+        if (n // g) % g:
             return 2
     return 1
 
@@ -262,6 +268,7 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
     Union-find over element positions with an edge i -> perm[i] for every
     generator; with no generators every element is its own orbit.
     """
+    _check_action_order(G)
     parent = list(range(G.order))
 
     def find(i: int) -> int:
@@ -289,10 +296,8 @@ def cnew_component_count(G: FiniteAbelianGroup, generators, d: int, m: int) -> i
 
     Hypotheses: d * m >= 5 and d - 1 coprime to the group order.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValidationError(f"covering degree must be an integer >= 2, got {d!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"canonical multiple must be an integer >= 1, got {m!r}")
+    check_int(d, "covering degree must be an integer >= 2", lo=2)
+    check_int(m, "canonical multiple must be an integer >= 1", lo=1)
     if d * m < 5:
         raise HypothesisError(f"d*m >= 5 required, got d*m = {d * m}", d=d, m=m)
     if gcd(d - 1, G.order) != 1:
@@ -310,10 +315,8 @@ def cplus_total(d: int, m: int) -> int:
 
     Hypotheses: d * m >= 5 and d not congruent to 1 modulo 5.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValidationError(f"covering degree must be an integer >= 2, got {d!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"canonical multiple must be an integer >= 1, got {m!r}")
+    check_int(d, "covering degree must be an integer >= 2", lo=2)
+    check_int(m, "canonical multiple must be an integer >= 1", lo=1)
     if d % 5 == 1:
         raise HypothesisError(f"d = {d} is congruent to 1 modulo 5", d=d)
     G = FiniteAbelianGroup((5,) * 6)

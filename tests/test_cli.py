@@ -148,6 +148,22 @@ def test_components_counts_orbits_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_components_group_too_large_for_automorphisms(capsys, tmp_path):
+    # 10^12 elements: refused before any per-element list is allocated
+    aut = tmp_path / "aut.json"
+    aut.write_text(
+        json.dumps({"generators": [{"kind": "matrix", "entries": [[1, 0], [0, 1]]}]}),
+        encoding="utf-8",
+    )
+    code = main(["components", "--group", "1000000,1000000", "--d", "2", "--aut", str(aut)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    data = json.loads(captured.out)
+    assert data["schema"] == "plurican/1"
+    assert data["error"]["kind"] == "validation"
+    assert data["error"]["details"] == {"order": 10**12, "limit": torsion.MAX_ACTION_ORDER}
+
+
 @pytest.mark.parametrize("label", [[True, 0, 0], [1.0, 0, 0], [0, 0.0, 1]])
 def test_check_arrangement_rejects_non_integer_label_bits(capsys, tmp_path, label):
     data = json.loads(Path(fixture_path("campedelli-generic.json")).read_text(encoding="utf-8"))

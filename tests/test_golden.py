@@ -53,6 +53,18 @@ CASES = {
     "components-aut-z2-z4": (
         ["components", "--group", "2,4", "--d", "2", "--m", "3",
          "--aut", str(GOLDEN / "aut-z2-z4.json")], 0),
+    # parameter errors: one JSON error object each, message pinned
+    "components-d0": (["components", "--group", "2,2", "--d", "0"], 1),
+    "components-d1": (["components", "--group", "2,2", "--d", "1"], 1),
+    "components-group1": (["components", "--group", "1", "--d", "2"], 1),
+    "invariants-d1": (
+        ["invariants", "--pa", "37", "--k2", "333", "--d", "1", "--m", "3"], 1),
+    "invariants-m0": (
+        ["invariants", "--pa", "37", "--k2", "333", "--d", "2", "--m", "0"], 1),
+    "invariants-pa1-k2-0": (
+        ["invariants", "--pa", "1", "--k2", "0", "--d", "2", "--m", "1"], 1),
+    "reproduce-cplus-d1": (["reproduce", "cplus", "--d", "1"], 1),
+    "reproduce-cplus-m0": (["reproduce", "cplus", "--m", "0"], 1),
 }
 
 

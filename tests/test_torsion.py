@@ -14,6 +14,7 @@ from _oracles import (
     burnside_orbit_count,
     invariant_factors,
 )
+from plurican import torsion
 from plurican.errors import HypothesisError, MalformedInputError, ValidationError
 from plurican.torsion import (
     AutAction,
@@ -130,6 +131,48 @@ def test_component_bound_examples():
 def test_component_bound_matches_brute_force(orders, d):
     G = FiniteAbelianGroup(tuple(orders))
     assert theorem_mod_component_bound(G, d) == brute_component_bound(orders, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(2, 64), min_size=0, max_size=3), st.integers(2, 64))
+def test_component_bound_matches_torsion_enumeration(orders, d):
+    G = FiniteAbelianGroup(tuple(orders))
+    enumerated = 2 if any(not is_divisible(G, a, d) for a in tor_d_elements(G, d)) else 1
+    assert theorem_mod_component_bound(G, d) == enumerated
+
+
+def test_component_bound_forms_no_torsion_element(monkeypatch):
+    def refuse(G, d):
+        raise AssertionError("tor_d_elements called")
+
+    monkeypatch.setattr(torsion, "tor_d_elements", refuse)
+    G = FiniteAbelianGroup((10**6, 10**6))
+    # the 10^12 elements of Tor_d are never listed
+    assert theorem_mod_component_bound(G, 10**6) == 2
+    assert theorem_mod_component_bound(G, 10**3) == 1
+
+
+def test_action_order_cap(monkeypatch):
+    # the benchmark's (Z/5)^7 stays below the documented limit
+    assert torsion.MAX_ACTION_ORDER >= 5**7
+    monkeypatch.setattr(torsion, "MAX_ACTION_ORDER", 8)
+    assert orbit_count(Z2_CUBED, [AutAction.from_matrix(Z2_CUBED, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])]) == 8
+    G = FiniteAbelianGroup((2, 2, 2, 2))
+    for call in (
+        lambda: orbit_count(G, []),
+        lambda: AutAction(G, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.details == {"order": 16, "limit": 8}
+
+
+def test_action_order_cap_refuses_huge_group_before_allocating():
+    G = FiniteAbelianGroup((10**6, 10**6))
+    with pytest.raises(ValidationError):
+        orbit_count(G, [])
+    with pytest.raises(ValidationError):
+        AutAction.from_matrix(G, [[1, 0], [0, 1]])
 
 
 def test_orbit_count_trivial_action():
