@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,10 +32,30 @@ RECIPES = (
 )
 
 
+def _decimal(text: str, signed: bool = True) -> int | None:
+    """The value of an optional minus sign (when ``signed``) and ASCII digits,
+    or None for any other text (``int`` also takes ``_``, ``+``, whitespace
+    and non-ASCII digits) and for more digits than ``int`` converts."""
+    if not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the int() digit limit
+        return None
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer options."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_integer, default=1,
         help="accepted for compatibility and validated (must be >= 1); the "
              "work is single-process and the output is identical for every value",
     )
@@ -57,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants", parents=[common],
         help="invariants of a degree-d covering branched in a d*m-canonical curve",
     )
-    inv.add_argument("--d", type=int, required=True, help="covering degree")
-    inv.add_argument("--m", type=int, required=True, help="canonical multiple")
+    inv.add_argument("--d", type=_integer, required=True, help="covering degree")
+    inv.add_argument("--m", type=_integer, required=True, help="canonical multiple")
     inv.add_argument("--surface", help="catalogue surface name (see 'catalog')")
-    inv.add_argument("--pa", type=int, help="arithmetic genus of the base")
-    inv.add_argument("--k2", type=int, help="canonical self-intersection of the base")
-    inv.add_argument("--q", type=int, default=0, help="irregularity of the base")
+    inv.add_argument("--pa", type=_integer, help="arithmetic genus of the base")
+    inv.add_argument("--k2", type=_integer, help="canonical self-intersection of the base")
+    inv.add_argument("--q", type=_integer, default=0, help="irregularity of the base")
 
     comp = sub.add_parser(
         "components", parents=[common],
@@ -70,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("--group", required=True,
                       help="cyclic factor orders, e.g. 2,2,2 (empty string = trivial)")
-    comp.add_argument("--d", type=int, required=True, help="covering degree")
-    comp.add_argument("--m", type=int, help="canonical multiple (enables the orbit criterion)")
+    comp.add_argument("--d", type=_integer, required=True, help="covering degree")
+    comp.add_argument("--m", type=_integer, help="canonical multiple (enables the orbit criterion)")
     comp.add_argument("--aut", type=Path,
                       help="JSON file with automorphism generators of the group")
 
@@ -96,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named headline computation end to end",
     )
     rep.add_argument("recipe", choices=RECIPES)
-    rep.add_argument("--d", type=int, help="covering degree (cplus)")
-    rep.add_argument("--m", type=int, help="canonical multiple (cplus)")
+    rep.add_argument("--d", type=_integer, help="covering degree (cplus)")
+    rep.add_argument("--m", type=_integer, help="canonical multiple (cplus)")
 
     return parser
 
@@ -113,13 +134,14 @@ def _load_json(path: Path):
 
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:
-    spec = spec.strip()
+    """Comma-separated decimal orders, each ASCII digits only; "" is trivial."""
     if not spec:
         return FiniteAbelianGroup(())
-    try:
-        orders = tuple(int(part) for part in spec.split(","))
-    except ValueError as exc:
-        raise MalformedInputError(f"cannot parse group {spec!r}: {exc}") from exc
+    orders = tuple(_decimal(part, signed=False) for part in spec.split(","))
+    if None in orders:
+        raise MalformedInputError(
+            f"cannot parse group {spec!r}: expected comma-separated decimal orders"
+        )
     return FiniteAbelianGroup(orders)
 
 

@@ -26,7 +26,7 @@ from .f2geom import (
     num_points,
     pointset_to_json,
 )
-from .glgroup import OrbitCensus, burnside_orbit_count, enumerate_gl, orbit_census, orbit_masks
+from .glgroup import OrbitCensus, gl_orbit_census
 
 K = 4
 
@@ -148,14 +148,15 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
 
     Asserts that there are exactly two orbits, that the type I orbit has
     size 15, that the classification is constant on orbits, and that the
-    independent Burnside recount agrees with the partition.  ``workers`` is
-    validated and otherwise unused: the work is single-process.
+    independent Burnside recount agrees with the partition.  Both read the
+    GL(4, 2) permutation table directly, and the constancy check compares
+    each set's type with that of its orbit, looked up in the census's orbit
+    index.  ``workers`` is validated and otherwise unused: the work is
+    single-process.
     """
     check_workers(workers)
     sets = enumerate_totally_even(8)
-    group = enumerate_gl(K)
-    census = orbit_census(sets, group)
-    burnside = burnside_orbit_count(sets, group)
+    census, orbit_of, burnside = gl_orbit_census(K, [s.mask for s in sets])
 
     if census.orbit_count != 2:
         _fail(f"expected 2 orbits, found {census.orbit_count}")
@@ -164,18 +165,15 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
             f"Burnside recount {burnside} disagrees with census {census.orbit_count}"
         )
 
-    group_of = {}
-    for idx, orbit in enumerate(census.orbits):
-        rep_tag = classify_type(orbit.representative).tag
-        group_of[idx] = rep_tag
+    orbit_types = tuple(classify_type(orbit.representative).tag for orbit in census.orbits)
+    for orbit, rep_tag in zip(census.orbits, orbit_types):
         if rep_tag is EvenSetTag.NOT_TOTALLY_EVEN:
             _fail(
                 "orbit representative is not totally even",
                 representative=pointset_to_json(orbit.representative),
             )
 
-    # assign each set to its orbit by membership and re-classify it
-    rep_by_mask = {}
+    # re-classify every set and compare with the type of its orbit
     perclass_ok = True
     for s in sets:
         tag = classify_type(s).tag
@@ -185,26 +183,21 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
         )
         if expected is not tag:
             perclass_ok = False
-        rep_by_mask[s.mask] = tag
-
-    for idx, orbit in enumerate(census.orbits):
-        # regenerate the orbit and check the classification is constant on it
-        tags = {rep_by_mask[mask] for mask in orbit_masks(orbit.representative, group)}
-        if tags != {group_of[idx]}:
+        idx = orbit_of[s.mask]
+        if tag is not orbit_types[idx]:
             _fail(
                 "classification is not constant on an orbit",
-                representative=pointset_to_json(orbit.representative),
-                tags=sorted(t.value for t in tags),
+                representative=pointset_to_json(census.orbits[idx].representative),
+                tags=sorted({tag.value, orbit_types[idx].value}),
             )
 
-    type_i = [o for idx, o in enumerate(census.orbits) if group_of[idx] is EvenSetTag.TYPE_I]
+    type_i = [o for o, tag in zip(census.orbits, orbit_types) if tag is EvenSetTag.TYPE_I]
     if len(type_i) != 1 or type_i[0].size != 15:
         _fail(
             "expected a single type I orbit of size 15",
             sizes=[o.size for o in type_i],
         )
 
-    orbit_types = tuple(group_of[idx] for idx in range(census.orbit_count))
     return LemmaEvReport(
         total_count=len(sets),
         census=census,

@@ -156,10 +156,6 @@ class PointSet:
     def points(self) -> tuple[F2Point, ...]:
         return tuple(F2Point(self.k, c) for c in self.codes())
 
-    def complement(self) -> "PointSet":
-        full = ((1 << (num_points(self.k) + 1)) - 1) & ~1
-        return PointSet(self.k, full ^ self.mask)
-
     def __contains__(self, p: F2Point) -> bool:
         return p.k == self.k and bool((self.mask >> p.code) & 1)
 

@@ -10,17 +10,19 @@ stabilizer orders apply every permutation of the group, which at these
 sizes is the most auditable approach.  Canonical forms are lexicographic
 minima of orbits under the integer encoding of point-set bit masks, so they
 are independent of traversal order.  The Burnside recount is a different
-algorithm: it counts, per group element, the unions of its cycles that lie
-in the family.
+algorithm: it forms no orbit and no image set.  The family is bit-sliced
+into one integer per point, and per group element one XOR per point marks
+every set of the family that the element moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 
 from .errors import ValidationError, is_int
-from .f2geom import F2Point, PointSet, _check_dim, pointset_to_json
+from .f2geom import PointSet, _check_dim, pointset_to_json
 
 
 def _rows_invertible(rows: tuple[int, ...]) -> bool:
@@ -65,11 +67,6 @@ class F2Matrix:
             if (row & code).bit_count() & 1:
                 out |= 1 << (self.k - 1 - i)
         return out
-
-    def apply(self, p: F2Point) -> F2Point:
-        if p.k != self.k:
-            raise ValidationError(f"dimension mismatch: matrix k={self.k}, point k={p.k}")
-        return F2Point(self.k, self.apply_code(p.code))
 
     def point_permutation(self) -> tuple[int, ...]:
         """Image of every code 0 .. 2^k - 1 (index 0 maps to 0), by linearity."""
@@ -188,12 +185,18 @@ def _group_permutations(group: list[F2Matrix]) -> list[tuple[int, ...]]:
     return [table[m.rows] for m in group]
 
 
+def _set_masks(sets: list[PointSet], group: list[F2Matrix]) -> list[int]:
+    """Bit sets of ``sets``, after checking them against a nonempty group."""
+    if any(s.k != group[0].k for s in sets):
+        raise ValidationError("dimension mismatch between sets and group")
+    return [s.mask for s in sets]
+
+
 def orbit_masks(s: PointSet, group: list[F2Matrix]) -> list[int]:
     """Bit set of the image of s under each element of ``group``, in order."""
     perms = _group_permutations(group)
-    if group[0].k != s.k:
-        raise ValidationError("dimension mismatch between set and group")
-    return [_act_mask(perm, s.mask) for perm in perms]
+    (mask,) = _set_masks([s], group)
+    return [_act_mask(perm, mask) for perm in perms]
 
 
 def canonical_form(s: PointSet, group: list[F2Matrix]) -> PointSet:
@@ -208,15 +211,20 @@ def orbit_census(sets: list[PointSet], group: list[F2Matrix]) -> OrbitCensus:
     computed orbit element outside ``sets`` raises a closure violation.
     """
     perms = _group_permutations(group)
-    k = group[0].k
-    if any(s.k != k for s in sets):
-        raise ValidationError("dimension mismatch between sets and group")
-    codes = sorted({s.mask for s in sets})
+    return _orbit_census(group[0].k, _set_masks(sets, group), perms)[0]
+
+
+def _orbit_census(
+    k: int, masks: list[int], perms: list[tuple[int, ...]]
+) -> tuple[OrbitCensus, dict[int, int]]:
+    """:func:`orbit_census` on set bit masks and point permutations; also
+    maps every mask of the family to the index of its orbit in the census."""
+    codes = sorted(set(masks))
     code_set = set(codes)
     orbits: list[Orbit] = []
-    assigned: set[int] = set()
+    orbit_of: dict[int, int] = {}
     for code in codes:
-        if code in assigned:
+        if code in orbit_of:
             continue
         images = [_act_mask(perm, code) for perm in perms]
         orbit, stab = set(images), images.count(code)
@@ -226,63 +234,60 @@ def orbit_census(sets: list[PointSet], group: list[F2Matrix]) -> OrbitCensus:
                 "input family is not closed under the group action",
                 missing_mask=min(stray),
             )
-        assigned |= orbit
-        if len(orbit) * stab != len(group):
+        if len(orbit) * stab != len(perms):
             raise ValidationError(
                 "orbit-stabilizer identity violated; is the group a full group "
                 "without duplicates?",
                 orbit_size=len(orbit),
                 stabilizer_order=stab,
             )
-        orbits.append(Orbit(PointSet(k, min(orbit)), len(orbit), stab))
-    orbits.sort(key=lambda o: o.representative.mask)
-    return OrbitCensus(tuple(orbits), len(group))
+        # codes ascend and the family is closed, so code is the least mask
+        # of its orbit and the orbits come out in representative order
+        orbit_of.update(dict.fromkeys(orbit, len(orbits)))
+        orbits.append(Orbit(PointSet(k, code), len(orbit), stab))
+    return OrbitCensus(tuple(orbits), len(perms)), orbit_of
 
 
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(length, point bit set) of every cycle of a point permutation."""
-    seen = 1  # code 0 is not a point
-    cycles = []
-    for start in range(1, len(perm)):
-        if (seen >> start) & 1:
-            continue
-        mask, length, x = 0, 0, start
-        while not (mask >> x) & 1:
-            mask |= 1 << x
-            length += 1
-            x = perm[x]
-        seen |= mask
-        cycles.append((length, mask))
-    return cycles
+def gl_orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int], int]:
+    """Census of a family of set bit masks under the whole of GL(k, F2), read
+    straight from the permutation table (no :class:`F2Matrix` is built): the
+    :func:`orbit_census`, the orbit index of every mask of the family, and
+    the independent :func:`burnside_orbit_count` recount."""
+    perms = list(_gl_table(k).values())
+    census, orbit_of = _orbit_census(k, masks, perms)
+    return census, orbit_of, _burnside_orbit_count(masks, perms)
 
 
 def burnside_orbit_count(sets: list[PointSet], group: list[F2Matrix]) -> int:
     """Orbit count as the average number of fixed sets per group element.
 
-    A set is fixed by g exactly when it is a union of cycles of g, so each
-    element contributes the unions of its cycles that lie in the family.
-    Independent recount for cross-checking :func:`orbit_census`; requires
-    the family to be closed under the action.
+    The family is bit-sliced: bit i of column[p] is set when set i contains
+    point p.  An element g fixes set i exactly when no point p has column[p]
+    and column[g p] differing at bit i, so one XOR per point finds every
+    set that g moves.  Independent recount for cross-checking
+    :func:`orbit_census`; requires the family to be closed under the action.
     """
     perms = _group_permutations(group)
-    k = group[0].k
-    if any(s.k != k for s in sets):
-        raise ValidationError("dimension mismatch between sets and group")
-    family = {s.mask for s in sets}
-    if not family:
-        return 0
-    top = max(mask.bit_count() for mask in family)
+    return _burnside_orbit_count(_set_masks(sets, group), perms)
+
+
+def _burnside_orbit_count(masks: list[int], perms: list[tuple[int, ...]]) -> int:
+    """:func:`burnside_orbit_count` on set bit masks and point permutations."""
+    family = sorted(set(masks))
+    column = [
+        sum(1 << i for i, mask in enumerate(family) if mask >> p & 1)
+        for p in range(len(perms[0]))
+    ]
     total_fixed = 0
     for perm in perms:
-        unions = [0]  # every union of the cycles so far with at most top points
-        for length, cycle in _cycles(perm):
-            unions += [u | cycle for u in unions if u.bit_count() + length <= top]
-        total_fixed += sum(u in family for u in unions)
-    count, rem = divmod(total_fixed, len(group))
+        # bit i is set when some point and its image differ in membership of set i
+        moved = reduce(or_, map(xor, column, map(column.__getitem__, perm)))
+        total_fixed += len(family) - moved.bit_count()
+    count, rem = divmod(total_fixed, len(perms))
     if rem:
         raise ValidationError(
             "total fixed-set count is not a multiple of the group order; "
             "the family is not closed under the action",
-            total_fixed=total_fixed, group_order=len(group),
+            total_fixed=total_fixed, group_order=len(perms),
         )
     return count

@@ -9,7 +9,6 @@ of those numbers, so orbit counting never forms an element tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, prod
 
 from .errors import HypothesisError, MalformedInputError, ValidationError, check_int, is_int
@@ -60,14 +59,15 @@ class FiniteAbelianGroup:
         return tuple(c % n for c, n in zip(coords, self.cyclic_orders))
 
     def index(self, a: GroupElement) -> int:
-        """Position of the reduced element a in `elements()` (mixed radix)."""
+        """Position of the reduced element a in lexicographic coordinate
+        order (mixed radix)."""
         i = 0
         for x, n in zip(a, self.cyclic_orders):
             i = i * n + x
         return i
 
     def element_at(self, i: int) -> GroupElement:
-        """The element at position i of `elements()`; inverse of `index`."""
+        """The element at position i; inverse of `index`."""
         coords = []
         for n in reversed(self.cyclic_orders):
             i, x = divmod(i, n)
@@ -76,10 +76,6 @@ class FiniteAbelianGroup:
 
     def scale(self, factor: int, a: GroupElement) -> GroupElement:
         return tuple((factor * x) % n for x, n in zip(a, self.cyclic_orders))
-
-    def elements(self) -> list[GroupElement]:
-        """All elements in lexicographic coordinate order."""
-        return list(product(*(range(n) for n in self.cyclic_orders)))
 
     def as_json(self) -> dict:
         return {"cyclic_orders": list(self.cyclic_orders), "order": self.order}
@@ -116,8 +112,8 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 class AutAction:
-    """An automorphism of a finite abelian group: element i of `elements()`
-    maps to element perm[i].
+    """An automorphism of a finite abelian group: the element at position i
+    (see `FiniteAbelianGroup.index`) maps to the element at position perm[i].
 
     `perm` is built by additivity from the images f_j of the basis elements
     e_j, (x_1, ..., x_r) -> x_1 f_1 + ... + x_r f_r, well defined exactly
@@ -206,26 +202,11 @@ class AutAction:
                 raise ValidationError(message, at=list(group.element_at(i)))
         return aut
 
-    def __call__(self, a: GroupElement) -> GroupElement:
-        g = self.group
-        return g.element_at(self.perm[g.index(g.element(a))])
-
 
 def tor_d_order(G: FiniteAbelianGroup, d: int) -> int:
     """Order of the subgroup of elements killed by d: product of gcd(d, n_i)."""
     check_int(d, "d must be a positive integer", lo=1)
     return prod(gcd(d, n) for n in G.cyclic_orders)
-
-
-def tor_d_elements(G: FiniteAbelianGroup, d: int) -> list[GroupElement]:
-    """All elements a with d * a = 0, in lexicographic coordinate order."""
-    check_int(d, "d must be a positive integer", lo=1)
-    axes = []
-    for n in G.cyclic_orders:
-        g = gcd(d, n)
-        step = n // g
-        axes.append([j * step for j in range(g)])
-    return list(product(*axes))
 
 
 def covering_count(G: FiniteAbelianGroup, d: int) -> int:

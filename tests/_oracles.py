@@ -8,10 +8,16 @@ recounted by Burnside's lemma over the whole generated group (the package
 merges orbits by union-find), invariant factors come from prime-power
 decompositions, and arrangement points are grouped by their leading-1
 Fraction coordinates (the package groups by primitive integer keys).
+
+It also holds the helpers that only tests call: listing the d-torsion,
+applying an automorphism to an element tuple and a matrix to a point.  The
+package itself works on element positions and point permutations.
 """
 
 from itertools import combinations, product
 from math import gcd
+
+from plurican.f2geom import F2Point
 
 BURNSIDE_GROUP_CAP = 100_000
 
@@ -60,6 +66,14 @@ def null_space_masks(k: int) -> list[int]:
     return out
 
 
+def fixed_set_total(family, perms) -> int:
+    """Number of pairs (permutation, set) with the set mapped onto itself,
+    over the distinct sets of ``family`` (point bit masks): every
+    permutation is applied to every point of every set."""
+    sets = {frozenset(p for p in range(mask.bit_length()) if mask >> p & 1) for mask in family}
+    return sum(sum({perm[p] for p in s} == s for s in sets) for perm in perms)
+
+
 def null_space_count_by_weight(k: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for mask in null_space_masks(k):
@@ -70,6 +84,27 @@ def null_space_count_by_weight(k: int) -> dict[int, int]:
 
 def brute_elements(orders) -> list[tuple[int, ...]]:
     return list(product(*(range(n) for n in orders)))
+
+
+def tor_d_elements(G, d: int) -> list[tuple[int, ...]]:
+    """All elements a of G with d * a = 0, in lexicographic coordinate order."""
+    axes = []
+    for n in G.cyclic_orders:
+        step = n // gcd(d, n)
+        axes.append(range(0, n, step))
+    return list(product(*axes))
+
+
+def aut_apply(aut, a) -> tuple[int, ...]:
+    """Image of the element a under the automorphism ``aut``."""
+    G = aut.group
+    return G.element_at(aut.perm[G.index(G.element(a))])
+
+
+def matrix_apply(m, p: F2Point) -> F2Point:
+    """Image of the point p under the matrix m: coordinate i is the parity
+    of row i against p."""
+    return F2Point(m.k, sum(parity(row & p.code) << (m.k - 1 - i) for i, row in enumerate(m.rows)))
 
 
 def brute_tor_d_order(orders, d: int) -> int:
@@ -138,10 +173,10 @@ def burnside_orbit_count(G, generators) -> int:
     Materializes the generated group as permutations of the element list,
     up to ``BURNSIDE_GROUP_CAP`` elements.
     """
-    elements = G.elements()
+    elements = brute_elements(G.cyclic_orders)
     index = {e: i for i, e in enumerate(elements)}
     identity = tuple(range(len(elements)))
-    gen_perms = [tuple(index[gen(e)] for e in elements) for gen in generators]
+    gen_perms = [tuple(index[aut_apply(gen, e)] for e in elements) for gen in generators]
     group = {identity}
     frontier = [identity]
     while frontier:

@@ -103,6 +103,31 @@ def test_components_malformed_group(capsys):
     assert data["error"]["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize(
+    "group", ["3_0", " 3", "3 ", "+3", "2, 2", "2,,2", "\u0663", "9" * 5000, "2," + "9" * 5000]
+)
+def test_components_group_orders_are_ascii_digits(capsys, group):
+    # int() would read these as 30, 3, 3, 3, (2, 2), an error and 3, and
+    # raise ValueError past its digit limit
+    run_cli_malformed(capsys, "components", "--group", group, "--d", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["components", "--group", "2", "--d", "1_0"],
+    ["components", "--group", "2", "--d", "+2"],
+    ["components", "--group", "2", "--d", " 2"],
+    ["invariants", "--surface", "campedelli", "--d", "2", "--m", "0_1"],
+    ["reproduce", "cplus", "--m", "\u0663"],
+    ["verify-lemma-ev", "--workers", "1_0"],
+    ["components", "--group", "2", "--d", "9" * 5000],
+])
+def test_integer_options_are_strict_decimals(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
 def run_cli_malformed(capsys, *argv) -> dict:
     """Run a command on bad input: exit 2, one JSON error document, no stderr."""
     code = main(list(argv))

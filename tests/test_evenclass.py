@@ -3,13 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import null_space_count_by_weight
+from plurican import evenclass, glgroup
 from plurican.errors import ValidationError
 from plurican.evenclass import (
     TYPE_I_REPRESENTATIVE,
     TYPE_II_REPRESENTATIVE,
     EvenSetTag,
+    EvenSetType,
     classify_type,
     enumerate_totally_even,
+    verify_lemma_ev,
 )
 from plurican.f2geom import (
     F2Point,
@@ -19,8 +22,9 @@ from plurican.f2geom import (
     hyperplane_profile,
     incident,
     is_totally_even,
+    pointset_to_json,
 )
-from plurican.glgroup import act
+from plurican.glgroup import F2Matrix, act, canonical_form, enumerate_gl
 
 # golden value: totally even 8-point subsets of PG(3, F2), pinned from the
 # null-space oracle (see test_count_matches_oracle)
@@ -159,3 +163,39 @@ def test_type_ii_membership_matches_oracle_list():
         ]
     }
     assert set(TYPE_II_REPRESENTATIVE.codes()) == expected
+
+
+@pytest.mark.parametrize("wrong", [EvenSetTag.NOT_TOTALLY_EVEN, EvenSetTag.TYPE_I])
+def test_constancy_failure_names_orbit_and_tags(monkeypatch, gl4, wrong):
+    # the census representative of the 420-orbit is its least bit set, and
+    # the victim one more member of that orbit
+    rep = canonical_form(TYPE_II_REPRESENTATIVE, gl4)
+    victim = next(img for img in (act(m, rep) for m in gl4) if img != rep)
+    real = evenclass.classify_type
+    monkeypatch.setattr(
+        evenclass, "classify_type",
+        lambda s: EvenSetType(wrong, None) if s == victim else real(s),
+    )
+    with pytest.raises(ValidationError, match="classification is not constant on an orbit") as err:
+        verify_lemma_ev()
+    assert err.value.details == {
+        "representative": pointset_to_json(rep),
+        "tags": sorted([wrong.value, EvenSetTag.TYPE_II.value]),
+    }
+
+
+def test_census_builds_no_matrix_and_no_second_orbit_pass(monkeypatch):
+    built = []
+    real = F2Matrix.__post_init__
+    monkeypatch.setattr(F2Matrix, "__post_init__", lambda self: built.append(self) or real(self))
+    enumerate_gl(2)
+    assert len(built) == 6  # the counter sees matrix construction
+
+    def refuse(*args):
+        raise AssertionError("orbit_masks called")
+
+    for module in (glgroup, evenclass):
+        monkeypatch.setattr(module, "orbit_masks", refuse, raising=False)
+    built.clear()
+    assert verify_lemma_ev().orbit_count == 2
+    assert built == []

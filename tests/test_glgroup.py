@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import fixed_set_total, matrix_apply
 from plurican.errors import ValidationError
-from plurican.evenclass import TYPE_II_REPRESENTATIVE
+from plurican.evenclass import TYPE_I_REPRESENTATIVE, TYPE_II_REPRESENTATIVE
 from plurican.f2geom import F2Point, PointSet, all_hyperplanes, all_points, incident, is_totally_even
 from plurican.glgroup import (
     F2Matrix,
@@ -68,7 +69,7 @@ def test_identity_action():
     s = TYPE_II_REPRESENTATIVE
     assert act(ident, s) == s
     for p in all_points(4):
-        assert ident.apply(p) == p
+        assert matrix_apply(ident, p) == p
 
 
 def test_swap_matrix_action():
@@ -159,3 +160,57 @@ def test_census_json_shape(lemma_report):
     assert data["orbit_count"] == len(data["orbits"])
     for orbit in data["orbits"]:
         assert set(orbit) == {"representative", "size", "stabilizer_order"}
+
+
+def orbit_union(masks, perms) -> list[int]:
+    """Every image of every mask, by brute force."""
+    return sorted({
+        sum(1 << perm[p] for p in range(len(perm)) if mask >> p & 1)
+        for mask in masks for perm in perms
+    })
+
+
+def assert_burnside_matches_oracle(family, group, perms, closed):
+    sets = [PointSet(group[0].k, mask) for mask in family]
+    total = fixed_set_total(family, perms)
+    count, rem = divmod(total, len(group))
+    if rem:
+        assert not closed
+        with pytest.raises(ValidationError) as err:
+            burnside_orbit_count(sets, group)
+        assert err.value.details == {"total_fixed": total, "group_order": len(group)}
+    else:  # a non-closed family can reach a multiple of |G| by chance
+        assert burnside_orbit_count(sets, group) == count
+    if closed:
+        assert count == orbit_census(sets, group).orbit_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_burnside_matches_fixed_set_oracle_gl3(gl3, data):
+    masks = data.draw(st.lists(st.integers(0, 255).map(lambda x: x & ~1), max_size=6))
+    closed = data.draw(st.booleans())
+    perms = [m.point_permutation() for m in gl3]
+    family = orbit_union(masks, perms) if closed else masks
+    assert_burnside_matches_oracle(family, gl3, perms, closed)
+
+
+# a point, a line, a plane and a plane complement of PG(3, F2): orbits of 15,
+# 35, 15 and 15 sets, small enough for the brute force over 20160 elements
+GL4_SEEDS = [0b10, 0b1110, sum(1 << c for c in range(2, 16, 2)), TYPE_I_REPRESENTATIVE.mask]
+
+
+@pytest.fixture(scope="module")
+def gl4_perms(gl4):
+    return [m.point_permutation() for m in gl4]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_burnside_matches_fixed_set_oracle_gl4(gl4, gl4_perms, data):
+    seeds = data.draw(st.lists(st.sampled_from(GL4_SEEDS), min_size=1, max_size=2, unique=True))
+    family = orbit_union(seeds, gl4_perms)
+    closed = data.draw(st.booleans())
+    if not closed:  # a partial orbit
+        family = data.draw(st.lists(st.sampled_from(family), min_size=1, unique=True))
+    assert_burnside_matches_oracle(family, gl4, gl4_perms, closed)
