@@ -6,23 +6,24 @@ components; setting b = 0 recovers plain rationals.  No floating point is
 used anywhere: intersection multiplicities are discontinuous, so incidence
 must be grouped exactly.
 
-Lines are projective classes of coefficient triples, normalized so that the
-first nonzero coefficient is 1; two lines intersect in the projective point
-given by the cross product of their coefficient vectors.  Genericity is
-never assumed: the incidence report states the actual multiplicities.
+Lines and points have one representation: the canonical primitive vector
+over the Eisenstein integers Z[omega], 6 integers (a, b) per coordinate
+(see `_canonical`).  A rational vector is the case where every b is 0, so
+Q and Q(omega) take one path: two lines meet in the point whose key is the
+canonical form of their cross product, and no field division happens per
+line pair.  Genericity is never assumed: the incidence report states the
+actual multiplicities.
 
-`ExactScalar` is the input and output form.  The incidence pass clears each
-line's denominators once and groups intersection points by primitive
-integer keys (Eisenstein integers over Q(omega)), so no field division
-happens per line pair; each distinct point is converted back to leading-1
-`ExactScalar` coordinates once, for the report.
+`ExactScalar` appears only at input, in `ProjLine(coeffs)`, and in the
+derived leading-1 `ProjLine.coeffs` and `IncidencePoint.coords`; JSON output
+is written from the integer vectors directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import MalformedInputError, ValidationError, is_int
@@ -147,28 +148,77 @@ class ExactScalar:
         return f"ExactScalar({self.a}, {self.b})"
 
 
-def _normalize(coeffs) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-    vec = tuple(c if isinstance(c, ExactScalar) else ExactScalar(c) for c in coeffs)
-    if len(vec) != 3:
-        raise ValidationError(f"expected 3 coefficients, got {len(vec)}")
-    lead = next((c for c in vec if not c.is_zero()), None)
-    if lead is None:
-        raise ValidationError("coefficient vector is zero")
-    inv = lead.inverse()
-    return tuple(c * inv for c in vec)
+def _cross(u, v) -> tuple[int, ...]:
+    """Cross product of two vectors over Z[omega], (a, b) per coordinate
+    a + b*omega, with omega^2 = -1 - omega."""
+    u0a, u0b, u1a, u1b, u2a, u2b = u
+    v0a, v0b, v1a, v1b, v2a, v2b = v
+    return (
+        u1a * v2a - u1b * v2b - u2a * v1a + u2b * v1b,
+        u1a * v2b + u1b * v2a - u1b * v2b - u2a * v1b - u2b * v1a + u2b * v1b,
+        u2a * v0a - u2b * v0b - u0a * v2a + u0b * v2b,
+        u2a * v0b + u2b * v0a - u2b * v0b - u0a * v2b - u0b * v2a + u0b * v2b,
+        u0a * v1a - u0b * v1b - u1a * v0a + u1b * v0b,
+        u0a * v1b + u0b * v1a - u0b * v1b - u1a * v0b - u1b * v0a + u1b * v0b,
+    )
 
 
-@dataclass(frozen=True)
+def _canonical(vec) -> tuple[int, ...] | None:
+    """The canonical key of a projective vector over Z[omega], or None for
+    the zero vector.
+
+    The vector is multiplied by the conjugate (a - b) - b*omega of its
+    leading coordinate, which becomes the norm a^2 - ab + b^2 > 0; the 6
+    integers are then divided by their gcd.  Proportional vectors get the
+    same key.  A rational vector keeps every b = 0 and gets its primitive
+    integer multiple with first nonzero entry positive.
+    """
+    k = 0
+    while k < 6 and vec[k] == 0 and vec[k + 1] == 0:
+        k += 2
+    if k == 6:
+        return None
+    ca, cb = vec[k] - vec[k + 1], -vec[k + 1]
+    key = [0] * k
+    for m in range(k, 6, 2):
+        a, b = vec[m], vec[m + 1]
+        key += (a * ca - b * cb, a * cb + b * ca - b * cb)
+    g = gcd(*key)
+    return tuple(x // g for x in key)
+
+
+def _leading_one(key) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+    """The coordinates key / lead, lead > 0 the first nonzero entry."""
+    lead = next(x for x in key if x)
+    return tuple(
+        ExactScalar(Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2])
+    )
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class ProjLine:
-    """A projective line, its coefficient triple normalized to leading 1."""
+    """A projective line, stored as the canonical key of its coefficients."""
 
-    coeffs: tuple[ExactScalar, ExactScalar, ExactScalar]
+    vec: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, coeffs):
+        scalars = tuple(c if isinstance(c, ExactScalar) else ExactScalar(c) for c in coeffs)
+        if len(scalars) != 3:
+            raise ValidationError(f"expected 3 coefficients, got {len(scalars)}")
+        parts = [x for c in scalars for x in (c.a, c.b)]
+        den = lcm(*(x.denominator for x in parts))
+        vec = _canonical([x.numerator * (den // x.denominator) for x in parts])
+        if vec is None:
+            raise ValidationError("coefficient vector is zero")
+        object.__setattr__(self, "vec", vec)
+
+    @property
+    def coeffs(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+        """The coefficients normalized so that the first nonzero one is 1."""
+        return _leading_one(self.vec)
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return not any(self.vec[1::2])
 
     def __repr__(self):
         return f"ProjLine{self.coeffs}"
@@ -176,10 +226,14 @@ class ProjLine:
 
 @dataclass(frozen=True)
 class IncidencePoint:
-    """An intersection point with the indices of all lines through it."""
+    """An intersection point: its canonical key and the lines through it."""
 
-    coords: tuple[ExactScalar, ExactScalar, ExactScalar]
+    key: tuple[int, ...]
     lines: tuple[int, ...]
+
+    @property
+    def coords(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+        return _leading_one(self.key)
 
     @property
     def multiplicity(self) -> int:
@@ -209,7 +263,7 @@ class IncidenceReport:
             "histogram": [[m, c] for m, c in sorted(self.histogram.items(), reverse=True)],
             "points": [
                 {
-                    "coords": [_scalar_to_json(c) for c in p.coords],
+                    "coords": _key_json(p.key),
                     "lines": list(p.lines),
                     "multiplicity": p.multiplicity,
                 }
@@ -245,111 +299,32 @@ class LabeledArrangement:
                 raise ValidationError("labels of mixed dimensions")
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _coincide() -> ValidationError:
-    return ValidationError("lines coincide; no unique intersection")
-
-
-def intersection(l1: ProjLine, l2: ProjLine) -> tuple[ExactScalar, ...]:
-    """Normalized intersection point of two distinct lines."""
-    if l1 == l2:
-        raise _coincide()
-    return _normalize(_cross(l1.coeffs, l2.coeffs))
-
-
-def _integer_line(line: ProjLine, omega: bool) -> tuple[int, ...]:
-    """The line's coefficients with denominators cleared, made primitive:
-    (a0, a1, a2) over Q, (a0, b0, a1, b1, a2, b2) over Q(omega)."""
-    parts = [x for c in line.coeffs for x in ((c.a, c.b) if omega else (c.a,))]
-    den = lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (den // x.denominator) for x in parts]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _q_point(u, v) -> tuple[int, int, int]:
-    """Primitive integer key of the intersection of two integer lines: the
-    cross product over its gcd, first nonzero entry positive."""
-    x = u[1] * v[2] - u[2] * v[1]
-    y = u[2] * v[0] - u[0] * v[2]
-    z = u[0] * v[1] - u[1] * v[0]
-    g = gcd(x, y, z)
-    if g == 0:
-        raise _coincide()
-    if (x or y or z) < 0:
-        g = -g
-    return (x // g, y // g, z // g)
-
-
-def _qw_point(u, v) -> tuple[int, ...]:
-    """Primitive key of the intersection of two Eisenstein-integer lines.
-
-    The cross product (a + b*omega per coordinate, omega^2 = -1 - omega) is
-    multiplied by the conjugate (a - b) - b*omega of its leading coordinate,
-    which becomes the norm a^2 - ab + b^2 > 0; the 6 integers are then
-    divided by their gcd.  Proportional vectors get the same key.
-    """
-    u0a, u0b, u1a, u1b, u2a, u2b = u
-    v0a, v0b, v1a, v1b, v2a, v2b = v
-    p = (
-        u1a * v2a - u1b * v2b - u2a * v1a + u2b * v1b,
-        u1a * v2b + u1b * v2a - u1b * v2b - u2a * v1b - u2b * v1a + u2b * v1b,
-        u2a * v0a - u2b * v0b - u0a * v2a + u0b * v2b,
-        u2a * v0b + u2b * v0a - u2b * v0b - u0a * v2b - u0b * v2a + u0b * v2b,
-        u0a * v1a - u0b * v1b - u1a * v0a + u1b * v0b,
-        u0a * v1b + u0b * v1a - u0b * v1b - u1a * v0b - u1b * v0a + u1b * v0b,
-    )
-    k = 0
-    while k < 6 and p[k] == 0 and p[k + 1] == 0:
-        k += 2
-    if k == 6:
-        raise _coincide()
-    ca, cb = p[k] - p[k + 1], -p[k + 1]
-    key = [0] * k
-    for m in range(k, 6, 2):
-        a, b = p[m], p[m + 1]
-        key += (a * ca - b * cb, a * cb + b * ca - b * cb)
-    g = gcd(*key)
-    return tuple(x // g for x in key)
-
-
 def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     """Intersect all line pairs and group equal points exactly.
 
-    Points are grouped by primitive integer keys (see `_q_point` and
-    `_qw_point`); their leading-1 coordinates are key / lead, lead > 0 the
-    first nonzero entry of the key.  Points are listed in lexicographic
-    order of those coordinates, (a, b) per coordinate.
+    Points are grouped by the canonical key of the lines' cross product
+    (see `_canonical`), over Q and Q(omega) alike; their leading-1
+    coordinates are key / lead, lead > 0 the first nonzero entry of the key.
+    Points are listed in lexicographic order of those coordinates, (a, b)
+    per coordinate.
     """
     lines = arr.lines
     if len(lines) < 2:
         raise ValidationError("need at least two lines to intersect")
-    omega = not all(line.is_rational() for line in lines)
-    point_key = _qw_point if omega else _q_point
-    vecs = [_integer_line(line, omega) for line in lines]
+    vecs = [line.vec for line in lines]
     by_key: dict[tuple[int, ...], set[int]] = {}
     for i, j in combinations(range(len(vecs)), 2):
-        by_key.setdefault(point_key(vecs[i], vecs[j]), set()).update((i, j))
+        key = _canonical(_cross(vecs[i], vecs[j]))
+        if key is None:
+            raise ValidationError("lines coincide; no unique intersection")
+        by_key.setdefault(key, set()).update((i, j))
     leads = {key: next(x for x in key if x) for key in by_key}
     # Distinct fractions x / L and y / M with L, M <= max lead differ by at
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
     shift = 2 * max(leads.values()).bit_length() + 1
     order = sorted(by_key, key=lambda key: tuple((x << shift) // leads[key] for x in key))
-    zero = Fraction(0)
-    points = []
-    for key in order:
-        q = [Fraction(x, leads[key]) for x in key]
-        parts = zip(q[::2], q[1::2]) if omega else zip(q, repeat(zero))
-        coords = tuple(ExactScalar(a, b) for a, b in parts)
-        points.append(IncidencePoint(coords, tuple(sorted(by_key[key]))))
+    points = [IncidencePoint(key, tuple(sorted(by_key[key]))) for key in order]
     histogram: dict[int, int] = {}
     for p in points:
         histogram[p.multiplicity] = histogram.get(p.multiplicity, 0) + 1
@@ -398,7 +373,7 @@ def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
                 {
                     "kind": "multiple-point",
                     "multiplicity": p.multiplicity,
-                    "point": [_scalar_to_json(c) for c in p.coords],
+                    "point": _key_json(p.key),
                     "lines": list(p.lines),
                 }
             )
@@ -410,7 +385,7 @@ def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
                 violations.append(
                     {
                         "kind": "zero-sum-triple",
-                        "point": [_scalar_to_json(c) for c in p.coords],
+                        "point": _key_json(p.key),
                         "lines": list(p.lines),
                         "labels": [list(arr.labels[i].coords) for i in p.lines],
                     }
@@ -502,11 +477,16 @@ def _scalar_from_json(value, allow_omega: bool) -> ExactScalar:
     raise MalformedInputError(f"cannot parse coefficient {value!r}")
 
 
-def _scalar_to_json(s: ExactScalar) -> list:
-    out = [[s.a.numerator, s.a.denominator]]
-    if s.b != 0:
-        out.append([s.b.numerator, s.b.denominator])
-    return out
+def _key_json(key) -> list:
+    """The leading-1 coordinates key / lead of a canonical vector, each
+    [[a_num, a_den]] or, when b != 0, [[a_num, a_den], [b_num, b_den]]."""
+    lead = next(x for x in key if x)
+
+    def part(x: int) -> list[int]:
+        g = gcd(x, lead)
+        return [x // g, lead // g]
+
+    return [[part(a), part(b)] if b else [part(a)] for a, b in zip(key[::2], key[1::2])]
 
 
 def load_arrangement(data: dict) -> LabeledArrangement:
@@ -542,7 +522,7 @@ def arrangement_to_json(arr: LabeledArrangement) -> dict:
     fld = "Q" if all(line.is_rational() for line in arr.lines) else "Q(omega)"
     out = {
         "field": fld,
-        "lines": [[_scalar_to_json(c) for c in line.coeffs] for line in arr.lines],
+        "lines": [_key_json(line.vec) for line in arr.lines],
     }
     if arr.labels:
         out["labels"] = [list(lab.coords) for lab in arr.labels]

@@ -129,7 +129,9 @@ def _load_json(path: Path):
             return json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # past the interpreter's int/str digit limit; RecursionError, nesting
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 

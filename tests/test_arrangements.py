@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 from _oracles import leading_one_incidences
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plurican.errors import MalformedInputError, ValidationError
@@ -19,7 +19,6 @@ from plurican.arrangements import (
     arrangement_to_json,
     check_campedelli,
     compute_incidences,
-    intersection,
     k2_from_heavy_points,
     load_arrangement,
 )
@@ -94,12 +93,62 @@ def test_scalar_is_immutable_and_hashable():
 # --- lines and incidence ----------------------------------------------------
 
 
-def test_line_normalization_identifies_scalings():
-    l1 = ProjLine((ExactScalar(2), ExactScalar(4), ExactScalar(-6)))
-    l2 = ProjLine((ExactScalar(1), ExactScalar(2), ExactScalar(-3)))
-    assert l1 == l2
-    l3 = ProjLine((OMEGA, OMEGA * 2, OMEGA * -3))
-    assert l3 == l2
+rational_scalars = st.builds(ExactScalar, rationals)
+nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def coefficient_triples(draw) -> tuple[tuple[ExactScalar, ...], bool]:
+    """A nonzero triple over Q or Q(omega), and whether it was drawn over Q."""
+    rational = draw(st.booleans())
+    triple = st.tuples(*[rational_scalars if rational else scalars] * 3)
+    return draw(triple.filter(lambda t: any(not c.is_zero() for c in t))), rational
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_triples(), nonzero_scalars)
+@example(((ExactScalar(2), ExactScalar(4), ExactScalar(-6)), True), OMEGA)
+@example(((OMEGA, OMEGA * 2, OMEGA * -3), False), ExactScalar(-1))
+def test_line_normalization_identifies_scalings(drawn, scale):
+    coeffs, rational = drawn
+    line = ProjLine(coeffs)
+    scaled = ProjLine(tuple(scale * c for c in coeffs))
+    assert scaled == line and hash(scaled) == hash(line)
+    assert ProjLine(line.coeffs) == line
+    assert next(c for c in line.coeffs if not c.is_zero()) == ExactScalar(1)
+    # a triple drawn over Q(omega) may still be a multiple of a rational one
+    first = next(c for c in coeffs if not c.is_zero())
+    assert line.is_rational() == all((c / first).is_rational() for c in coeffs)
+    if rational:
+        assert line.is_rational()
+
+
+def leading_one_json(coeffs) -> list:
+    """The JSON form of a coefficient triple divided by its first nonzero
+    entry, computed on (a, b) Fraction pairs."""
+    pairs = [(c.a, c.b) for c in coeffs]
+    la, lb = next(x for x in pairs if x != (0, 0))
+    norm = la * la - la * lb + lb * lb
+    ia, ib = (la - lb) / norm, -lb / norm
+    out = []
+    for a, b in pairs:
+        qa, qb = a * ia - b * ib, a * ib + b * ia - b * ib
+        out.append([[qa.numerator, qa.denominator]] + ([[qb.numerator, qb.denominator]] if qb else []))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficient_triples(), min_size=1, max_size=6))
+def test_arrangement_json_lines_match_leading_one_oracle(drawn):
+    raw, lines = [], []
+    for coeffs, _ in drawn:
+        line = ProjLine(coeffs)
+        if line not in lines:
+            raw.append(coeffs)
+            lines.append(line)
+    data = arrangement_to_json(LabeledArrangement(tuple(lines)))
+    assert data["lines"] == [leading_one_json(c) for c in raw]
+    assert data["field"] == ("Q" if all(line.is_rational() for line in lines) else "Q(omega)")
 
 
 def test_zero_line_rejected():
@@ -110,8 +159,11 @@ def test_zero_line_rejected():
 def test_intersection_of_axes():
     x_axis = ProjLine((ExactScalar(0), ExactScalar(1), ExactScalar(0)))  # y = 0
     y_axis = ProjLine((ExactScalar(1), ExactScalar(0), ExactScalar(0)))  # x = 0
-    p = intersection(x_axis, y_axis)
-    assert p == (ExactScalar(0), ExactScalar(0), ExactScalar(1))
+    report = compute_incidences(LabeledArrangement((x_axis, y_axis)))
+    (p,) = report.points
+    assert p.coords == (ExactScalar(0), ExactScalar(0), ExactScalar(1))
+    assert p.lines == (0, 1)
+    assert report.as_json()["points"][0]["coords"] == [[[0, 1]], [[0, 1]], [[1, 1]]]
 
 
 def test_three_concurrent_lines():
@@ -239,6 +291,36 @@ def moved_arrangements(draw, omega: bool) -> LabeledArrangement:
 def test_incidences_match_leading_one_oracle(omega, data):
     arr = data.draw(moved_arrangements(omega))
     assert compute_incidences(arr).as_json() == oracle_json(arr)
+
+
+def conjugate(coords) -> tuple[ExactScalar, ...]:
+    """Complex conjugation, omega -> omega^2: a + b*omega -> (a - b) - b*omega."""
+    return tuple(ExactScalar(c.a - c.b, -c.b) for c in coords)
+
+
+def assert_conjugation_invariant(arr: LabeledArrangement) -> None:
+    """The conjugate arrangement has the same histogram, and the conjugate
+    of each point lies on the lines with the same indices."""
+    report = compute_incidences(arr)
+    mirror = compute_incidences(
+        LabeledArrangement(tuple(ProjLine(conjugate(line.coeffs)) for line in arr.lines))
+    )
+    assert mirror.histogram == report.histogram
+    assert {p.coords: p.lines for p in mirror.points} == {
+        conjugate(p.coords): p.lines for p in report.points
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugate_arrangement_has_conjugate_points(data):
+    assert_conjugation_invariant(data.draw(moved_arrangements(omega=True)))
+
+
+def test_conjugate_dual_hesse():
+    arr = load_arrangement(fixture("dual-hesse.json"))
+    assert_conjugation_invariant(arr)
+    assert compute_incidences(arr).histogram == {3: 12}
 
 
 def test_point_reached_as_v_and_omega_v():

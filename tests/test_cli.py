@@ -208,6 +208,18 @@ def test_incidences_rejects_boolean_coefficients(capsys, tmp_path, coeff):
     run_cli_malformed(capsys, "incidences", str(arr))
 
 
+@pytest.mark.parametrize("command", [["incidences"], ["components", "--group", "5", "--d", "2", "--aut"]])
+@pytest.mark.parametrize("content", [
+    b'{"field": "Q", "lines": [[1, 0, 0], [0, 1, 0]], "note": "\xff"}',
+    b'{"field": "Q", "lines": [[' + b"9" * 5001 + b', 0, 0], [0, 1, 0]]}',
+    b"[" * 100000,
+], ids=["not-utf8", "5001-digit-integer", "deep-nesting"])
+def test_unreadable_json_files_are_malformed_input(capsys, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    run_cli_malformed(capsys, *command, str(path))
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_malformed_input(capsys, workers):
     code, data = run_cli(capsys, "verify-lemma-ev", "--workers", workers)
