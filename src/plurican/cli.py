@@ -32,16 +32,31 @@ RECIPES = (
 )
 
 
+# Digits an integer option, or a group's orders in all, may have (see `_decimal`).
+MAX_DIGITS = 700
+
+
 def _decimal(text: str, signed: bool = True) -> int | None:
-    """The value of an optional minus sign (when ``signed``) and ASCII digits,
-    or None for any other text (``int`` also takes ``_``, ``+``, whitespace
-    and non-ASCII digits) and for more digits than ``int`` converts."""
+    """The value of an optional minus sign (when ``signed``) and at most
+    ``MAX_DIGITS`` ASCII digits, or None for any other text (``int`` also
+    takes ``_``, ``+``, whitespace and non-ASCII digits).
+
+    The cap keeps every integer a command prints, in its result or in an
+    error message, under Python's 4300-digit int/str conversion limit.
+    With |x| < 10^700 for every option, the largest such integer,
+    d(d-1)m((2d-1)m+3)K2 in `invariants.covering_invariants`, is below
+    10^700 * 10^700 * 10^700 * 3*10^1400 * 10^700 = 3*10^4200: at most 4201
+    digits.  K2, e and p_a of the cover, the branch curve genus and the
+    moduli dimensions are smaller products of the same inputs.  A group's
+    order is the product of its factors, so `_parse_group` caps their digits
+    in all; every other `components` number is d, at most 2, or at most the
+    order.
+    """
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        return None
     if not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
         return None
-    try:
-        return int(text)
-    except ValueError:  # past the int() digit limit
-        return None
+    return int(text)
 
 
 def _integer(text: str) -> int:
@@ -136,13 +151,21 @@ def _load_json(path: Path):
 
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:
-    """Comma-separated decimal orders, each ASCII digits only; "" is trivial."""
+    """Comma-separated decimal orders, each ASCII digits only, with at most
+    ``MAX_DIGITS`` digits in all; "" is trivial."""
     if not spec:
         return FiniteAbelianGroup(())
-    orders = tuple(_decimal(part, signed=False) for part in spec.split(","))
+    parts = spec.split(",")
+    orders = tuple(_decimal(part, signed=False) for part in parts)
     if None in orders:
         raise MalformedInputError(
             f"cannot parse group {spec!r}: expected comma-separated decimal orders"
+        )
+    digits = sum(map(len, parts))
+    if digits > MAX_DIGITS:
+        raise MalformedInputError(
+            f"group orders have {digits} digits in all, above the limit {MAX_DIGITS}",
+            digits=digits, limit=MAX_DIGITS,
         )
     return FiniteAbelianGroup(orders)
 

@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: any :class:`DomainError` is exit 1,
 except :class:`MalformedInputError` which is exit 2.
 
 For library arguments and JSON input alike, an integer is exactly an ``int``,
-never a ``bool`` (:func:`is_int`; :func:`check_int` for parameters).
+never a ``bool`` (:func:`is_int`; :func:`all_int` for a whole column of
+values at once; :func:`check_int` for parameters).
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ class MalformedInputError(DomainError):
 def is_int(x) -> bool:
     """True iff x is exactly an int: bool and other int subclasses are not."""
     return type(x) is int
+
+
+def all_int(values) -> bool:
+    """True iff every value is exactly an int: :func:`is_int` for a whole
+    column in one pass over the types."""
+    return set(map(type, values)) <= {int}
 
 
 def check_int(x, message: str, lo: int | None = None, hi: int | None = None) -> int:

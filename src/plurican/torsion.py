@@ -4,14 +4,21 @@ Groups are given by explicit cyclic factors (not necessarily in invariant
 factor form); elements are coordinate tuples reduced modulo the factor
 orders and numbered in lexicographic order.  An automorphism is a permutation
 of those numbers, so orbit counting never forms an element tuple.
+
+A permutation table is read one coordinate column at a time
+(`FiniteAbelianGroup.positions`): a bad element raises exactly the error
+`FiniteAbelianGroup.element` raises for it, and the first bad element in
+table order wins.  The per-element table is allocated only once the number
+of pairs has reached the group order, so its size is bounded by the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import itemgetter
 
-from .errors import HypothesisError, MalformedInputError, ValidationError, check_int, is_int
+from .errors import HypothesisError, MalformedInputError, ValidationError, all_int, check_int
 
 GroupElement = tuple[int, ...]
 
@@ -66,6 +73,25 @@ class FiniteAbelianGroup:
             i = i * n + x
         return i
 
+    def positions(self, elements) -> list[int]:
+        """The positions `index(element(a))` of a list of coordinate arrays
+        (lists or tuples), computed one coordinate column at a time.
+
+        The lengths and then each column's types are checked in bulk; when a
+        check fails, the elements go through `element` in order, so the first
+        bad one raises exactly what `element` raises for it.
+        """
+        pos = [0] * len(elements)
+        if set(map(len, elements)) <= {self.rank}:
+            for j, n in enumerate(self.cyclic_orders):
+                col = list(map(itemgetter(j), elements))
+                if not all_int(col):
+                    break
+                pos = [p * n + c % n for p, c in zip(pos, col)]
+            else:
+                return pos
+        return [self.index(self.element(a)) for a in elements]
+
     def element_at(self, i: int) -> GroupElement:
         """The element at position i; inverse of `index`."""
         coords = []
@@ -85,8 +111,14 @@ def _is_array(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _all_arrays(values) -> bool:
+    """`_is_array` for every value: one pass over the types, and the
+    per-value test only when some type is not exactly list or tuple."""
+    return set(map(type, values)) <= {list, tuple} or all(map(_is_array, values))
+
+
 def _is_int_array(value) -> bool:
-    return _is_array(value) and all(map(is_int, value))
+    return _is_array(value) and all_int(value)
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -172,20 +204,34 @@ class AutAction:
     @classmethod
     def from_table(cls, group: FiniteAbelianGroup, mapping) -> "AutAction":
         """Table form: a dict, or an array of [element, image] pairs of integer
-        arrays; it must be a bijection equal to the additive extension of its e_j."""
+        arrays; it must be a bijection equal to the additive extension of its e_j.
+
+        Every element and image is parsed first, key before image and pair by
+        pair, so the first bad array in table order raises (see `positions`).
+        A later pair for the same element replaces an earlier one.  Then, in
+        order: defined on every element, a bijection, fixes 0, additive (the
+        first element where the table leaves its additive extension is the
+        `at` witness).  The position table is allocated only once there are
+        at least as many pairs as group elements.
+        """
         pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
-        if not _is_array(pairs) or not all(
-            _is_array(pair) and len(pair) == 2 and all(map(_is_array, pair)) for pair in pairs
-        ):
+        if not (_is_array(pairs) and _all_arrays(pairs) and set(map(len, pairs)) <= {2}
+                and _all_arrays(flat := [x for pair in pairs for x in pair])):
             raise MalformedInputError(
                 "permutation table must be an array of [element, image] pairs of "
                 "integer arrays"
             )
-        table = {group.index(group.element(a)): group.index(group.element(b)) for a, b in pairs}
-        # every position is in range(order), so counting decides totality
-        if len(table) != group.order:
+        pos = group.positions(flat)
+        # every position is in range(order), so fewer pairs than elements
+        # leave one out, and at least as many bound the table's size
+        if len(pairs) < group.order:
             raise ValidationError("permutation table must be defined on every element")
-        if len(set(table.values())) != group.order:
+        table = [None] * group.order
+        for i, j in zip(pos[0::2], pos[1::2]):
+            table[i] = j
+        if None in table:
+            raise ValidationError("permutation table must be defined on every element")
+        if len(set(table)) != group.order:
             raise ValidationError("permutation table is not a bijection")
         if table[0] != 0:
             raise ValidationError("permutation table does not fix the identity")
@@ -197,9 +243,9 @@ class AutAction:
             aut = cls(group, map(group.element_at, basis))
         except ValidationError as exc:  # some n_j f_j != 0
             raise ValidationError(message, **exc.details) from exc
-        for i, p in enumerate(aut.perm):
-            if table[i] != p:
-                raise ValidationError(message, at=list(group.element_at(i)))
+        if tuple(table) != aut.perm:
+            at = next(i for i, (p, q) in enumerate(zip(table, aut.perm)) if p != q)
+            raise ValidationError(message, at=list(group.element_at(at)))
         return aut
 
 
@@ -247,26 +293,26 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
     """Number of orbits of the generated automorphism subgroup on G.
 
     Union-find over element positions with an edge i -> perm[i] for every
-    generator; with no generators every element is its own orbit.
+    generator; with no generators every element is its own orbit.  Both ends
+    of an edge are followed to their roots with path halving, inline, and
+    the larger root is linked under the smaller one.
     """
     _check_action_order(G)
     parent = list(range(G.order))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for gen in generators:
         if not isinstance(gen, AutAction):
             raise ValidationError("generators must be AutAction instances")
         if gen.group != G:
             raise ValidationError("generator acts on a different group")
         for i, j in enumerate(gen.perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
     # the roots are exactly the positions that are their own parent
     return sum(1 for i, p in enumerate(parent) if i == p)
 

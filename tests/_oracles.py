@@ -6,8 +6,10 @@ matrix over F2, divisibility questions in finite abelian groups are
 decided by exhaustive search over all elements, automorphism orbits are
 recounted by Burnside's lemma over the whole generated group (the package
 merges orbits by union-find), invariant factors come from prime-power
-decompositions, and arrangement points are grouped by their leading-1
-Fraction coordinates (the package groups by primitive integer keys).
+decompositions, arrangement points are grouped by their leading-1
+Fraction coordinates (the package groups by primitive integer keys), and a
+permutation table is read element by element into a dict (the package reads
+whole coordinate columns into a position list).
 
 It also holds the helpers that only tests call: listing the d-torsion,
 applying an automorphism to an element tuple and a matrix to a point.  The
@@ -15,8 +17,9 @@ package itself works on element positions and point permutations.
 """
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
+from plurican.errors import MalformedInputError, ValidationError
 from plurican.f2geom import F2Point
 
 BURNSIDE_GROUP_CAP = 100_000
@@ -105,6 +108,45 @@ def matrix_apply(m, p: F2Point) -> F2Point:
     """Image of the point p under the matrix m: coordinate i is the parity
     of row i against p."""
     return F2Point(m.k, sum(parity(row & p.code) << (m.k - 1 - i) for i, row in enumerate(m.rows)))
+
+
+def table_positions_oracle(G, mapping) -> tuple[int, ...]:
+    """The permutation `AutAction.from_table` reads from a table, or the error
+    it raises, for groups of order up to `torsion.MAX_ACTION_ORDER`.
+
+    Each pair goes through `G.element` and `G.index`, key then image, into a
+    dict (later pairs win), and additivity is checked by summing
+    x_1 f_1 + ... + x_r f_r at every element (the package builds that
+    extension column by column).
+    """
+    pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
+    arrays = (list, tuple)
+    if not isinstance(pairs, arrays) or not all(
+        isinstance(pair, arrays) and len(pair) == 2 and all(isinstance(x, arrays) for x in pair)
+        for pair in pairs
+    ):
+        raise MalformedInputError(
+            "permutation table must be an array of [element, image] pairs of integer arrays"
+        )
+    table = {G.index(G.element(a)): G.index(G.element(b)) for a, b in pairs}
+    if len(table) != G.order:
+        raise ValidationError("permutation table must be defined on every element")
+    if len(set(table.values())) != G.order:
+        raise ValidationError("permutation table is not a bijection")
+    if table[0] != 0:
+        raise ValidationError("permutation table does not fix the identity")
+    orders = G.cyclic_orders
+    message = "permutation table does not preserve the group operation"
+    basis = [G.element_at(table[prod(orders[j + 1:])]) for j in range(len(orders))]
+    for j, (f, n) in enumerate(zip(basis, orders)):
+        if any(n * y % m for y, m in zip(f, orders)):
+            raise ValidationError(message, basis=j, image=list(f))
+    for i in range(G.order):
+        x = G.element_at(i)
+        image = tuple(sum(c * f[k] for c, f in zip(x, basis)) % m for k, m in enumerate(orders))
+        if G.index(image) != table[i]:
+            raise ValidationError(message, at=list(x))
+    return tuple(table[i] for i in range(G.order))
 
 
 def brute_tor_d_order(orders, d: int) -> int:

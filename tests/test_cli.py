@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from plurican import torsion
-from plurican.cli import main
+from plurican.cli import MAX_DIGITS, main
 
 GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
 
@@ -108,8 +109,34 @@ def test_components_malformed_group(capsys):
 )
 def test_components_group_orders_are_ascii_digits(capsys, group):
     # int() would read these as 30, 3, 3, 3, (2, 2), an error and 3, and
-    # raise ValueError past its digit limit
+    # raise ValueError past its digit limit; the last two are past the cap
     run_cli_malformed(capsys, "components", "--group", group, "--d", "2")
+
+
+def test_group_digit_cap(capsys):
+    # the order is the product of the factors: their digits are capped in all
+    code, data = run_cli(capsys, "components", "--group", "9" * MAX_DIGITS, "--d", "2")
+    assert code == 0 and data["group"]["order"] == 10**MAX_DIGITS - 1
+    group = ",".join(["9" * (MAX_DIGITS // 2), "9" * (MAX_DIGITS // 2 + 1)])
+    data = run_cli_malformed(capsys, "components", "--group", group, "--d", "2")
+    assert data["error"]["details"] == {"digits": MAX_DIGITS + 1, "limit": MAX_DIGITS}
+
+
+def test_integer_option_digit_cap(capsys):
+    # every option at the cap: K2 of the cover has ~6 * MAX_DIGITS digits and
+    # still prints (json.loads, like json.dumps, refuses past 4300 digits),
+    # in the result or, with K2 < 0, in the message about p_g of the cover
+    top = "9" * MAX_DIGITS
+    for k2, expected_code in [(top, 0), ("-" + top, 1)]:
+        code, data = run_cli(capsys, "invariants", "--pa", top, "--k2", k2, "--q", top,
+                             "--d", top, "--m", top)
+        assert code == expected_code
+        text = str(data["Y"]["K2"]) if code == 0 else data["error"]["message"]
+        assert len(max(re.findall("[0-9]+", text), key=len)) > 6 * MAX_DIGITS - 10
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--pa", "1", "--k2", "1", "--d", "9" * (MAX_DIGITS + 1), "--m", "1"])
+    assert err.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

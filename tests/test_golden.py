@@ -31,6 +31,24 @@ FIXTURES = {
 }
 
 
+# aut-table-<name>.json -> group and exit code of components on it
+TABLE_ERRORS = [
+    ("not-total", "5", 1),
+    ("not-bijection", "5", 1),
+    ("moves-zero", "5", 1),
+    ("not-additive", "5", 1),  # witness "at"
+    ("basis-order", "2,4", 1),  # witness "basis" and "image"
+    ("bool", "5", 2),
+    ("float", "5", 2),
+    ("wrong-rank", "5", 1),
+    ("non-array", "5", 2),
+    # bad image in pair 1 (wrong rank), bad key in pair 2 (a bool): pair 1 wins
+    ("precedence", "5", 1),
+    # one pair with a bad key (a float) and a bad image (wrong rank): the key wins
+    ("precedence-in-pair", "5", 2),
+]
+
+
 def _fixture(name: str) -> str:
     return str(resources.files("plurican").joinpath("data", f"{name}.json"))
 
@@ -53,6 +71,13 @@ CASES = {
     "components-aut-z2-z4": (
         ["components", "--group", "2,4", "--d", "2", "--m", "3",
          "--aut", str(GOLDEN / "aut-z2-z4.json")], 0),
+    # permutation-table errors: message and witness pinned, one case each
+    **{
+        f"components-table-{name}": (
+            ["components", "--group", group, "--d", "2",
+             "--aut", str(GOLDEN / f"aut-table-{name}.json")], code)
+        for name, group, code in TABLE_ERRORS
+    },
     # parameter errors: one JSON error object each, message pinned
     "components-d0": (["components", "--group", "2,2", "--d", "0"], 1),
     "components-d1": (["components", "--group", "2,2", "--d", "1"], 1),

@@ -1,7 +1,8 @@
 """One integer rule for the whole package: exactly an int, never a bool.
 
 Library parameters, `ExactScalar` components and JSON input all go through
-`plurican.errors.is_int` / `check_int`; no other module tests for integers.
+`plurican.errors.is_int` / `all_int` / `check_int`; no other module tests for
+integers.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pytest
 import plurican
 from plurican._pool import check_workers
 from plurican.arrangements import ExactScalar, ProjLine
-from plurican.errors import ValidationError, check_int, is_int
+from plurican.errors import ValidationError, all_int, check_int, is_int
 from plurican.evenclass import enumerate_totally_even
 from plurican.f2geom import F2Point, Hyperplane, PointSet
 from plurican.glgroup import F2Matrix
@@ -41,6 +42,8 @@ def test_is_int():
     assert is_int(0) and is_int(-7) and is_int(10**40)
     for x in (True, False, 1.0, 0.5, "1", None, Fraction(1), [1], IntEnum("E", "A").A):
         assert not is_int(x)
+        assert not all_int([0, x, 1])
+    assert all_int([]) and all_int((0, -7, 10**40))
 
 
 def test_check_int_bounds_and_message():
@@ -103,10 +106,11 @@ def test_exact_scalar_arithmetic_rejects_bool():
 
 
 def _integer_checks(tree: ast.AST):
-    """Yield the line of every isinstance(..., int) (int alone or in a tuple)
-    and every type(...) is int / is not int."""
+    """Yield the line of every isinstance(..., int) (int alone or in a tuple),
+    every type(...) is int / is not int, and every set display holding int,
+    as in set(map(type, x)) <= {int}."""
     def names(node):
-        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.Set)) else [node]
         return {e.id for e in elts if isinstance(e, ast.Name)}
 
     for node in ast.walk(tree):
@@ -118,12 +122,16 @@ def _integer_checks(tree: ast.AST):
                 and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
                 and any("int" in names(c) for c in [node.left, *node.comparators])):
             yield node.lineno
+        if isinstance(node, ast.Set) and "int" in names(node):
+            yield node.lineno
 
 
 def test_guard_finds_both_spellings():
-    src = "isinstance(x, int)\nisinstance(x, (int, str))\ntype(x) is int\ntype(x) is not int\n"
-    assert list(_integer_checks(ast.parse(src))) == [1, 2, 3, 4]
-    assert not list(_integer_checks(ast.parse("isinstance(x, str)\ntype(x) is Fraction\n")))
+    src = ("isinstance(x, int)\nisinstance(x, (int, str))\ntype(x) is int\n"
+           "type(x) is not int\nset(map(type, x)) <= {int}\n{type(y) for y in x} <= {bool, int}\n")
+    assert list(_integer_checks(ast.parse(src))) == [1, 2, 3, 4, 5, 6]
+    assert not list(_integer_checks(ast.parse(
+        "isinstance(x, str)\ntype(x) is Fraction\nset(map(type, x)) <= {list, tuple}\n")))
 
 
 def test_integer_checks_live_only_in_errors():

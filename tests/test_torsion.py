@@ -13,10 +13,11 @@ from _oracles import (
     brute_tor_d_order,
     burnside_orbit_count,
     invariant_factors,
+    table_positions_oracle,
     tor_d_elements,
 )
 from plurican import torsion
-from plurican.errors import HypothesisError, MalformedInputError, ValidationError
+from plurican.errors import DomainError, HypothesisError, MalformedInputError, ValidationError
 from plurican.torsion import (
     AutAction,
     FiniteAbelianGroup,
@@ -278,6 +279,76 @@ def test_permutation_table_rejections():
         AutAction.from_table(G, [[[x], [y]] for x, y in swap12.items()])
     # first element where the table leaves x -> 2x, the extension of 1 -> 2
     assert err.value.details == {"at": [2]}
+
+
+def test_permutation_table_refuses_huge_group_before_allocating():
+    # one pair cannot cover 10^12 elements: refused by counting the pairs,
+    # before anything is allocated per element
+    G = FiniteAbelianGroup((10**6, 10**6))
+    with pytest.raises(ValidationError) as err:
+        AutAction.from_table(G, [[[0, 0], [0, 0]]])
+    assert str(err.value) == "permutation table must be defined on every element"
+
+
+def _outcome(call, *args):
+    """What a call returns, or the class, message and details of its error."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def _inject(fault: str, pairs: list, orders, draw) -> None:
+    """Apply one fault to a table of [element, image] pairs, in place."""
+    k, m = (draw(st.integers(0, len(pairs) - 1)) for _ in range(2))
+    pair = pairs[k]
+    s = draw(st.integers(0, 1))
+    side = pair[s]
+    if fault == "drop-pair":
+        del pairs[k]
+    elif fault == "extra-pair":  # a later pair for an element replaces the earlier one
+        pairs.append([pairs[m][0], draw(st.sampled_from(pairs))[1]])
+    elif fault == "duplicate-key":
+        pair[0] = pairs[m][0]
+    elif fault == "swap-images":
+        pair[1], pairs[m][1] = pairs[m][1], pair[1]
+    elif fault == "triple":
+        pair.append(side)
+    elif fault == "non-array":
+        pair[s] = draw(st.sampled_from([0, None, "0"]))
+    elif not isinstance(side, list):
+        pass
+    elif fault == "long":
+        pair[s] = [*side, draw(st.integers(0, 3))]
+    elif fault == "short" and side:
+        pair[s] = side[:-1]
+    elif side and len(side) <= len(orders):
+        c = draw(st.integers(0, len(side) - 1))
+        value = {
+            "bool": lambda: side[c] % 2 == 1,
+            "float": lambda: side[c] + draw(st.sampled_from([0.0, 0.5])),
+            "unreduced": lambda: side[c] + orders[c] * draw(st.integers(-2, 2)),
+        }[fault]()
+        pair[s] = [*side[:c], value, *side[c + 1:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=3), st.data())
+def test_from_table_matches_element_by_element_oracle(orders, data):
+    G = FiniteAbelianGroup(orders)
+    # x -> (u_1 x_1, ..., u_r x_r) with units u_j is an automorphism
+    units = [data.draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
+             for n in orders]
+    pairs = [[list(x), [u * c % n for u, c, n in zip(units, x, orders)]]
+             for x in brute_elements(orders)]
+    pairs = data.draw(st.permutations(pairs))
+    faults = ("bool", "float", "short", "long", "unreduced", "non-array", "triple",
+              "duplicate-key", "extra-pair", "drop-pair", "swap-images")
+    for fault in data.draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if pairs:
+            _inject(fault, pairs, orders, data.draw)
+    expected = _outcome(table_positions_oracle, G, pairs)
+    assert _outcome(lambda: AutAction.from_table(G, pairs).perm) == expected
 
 
 def test_permutation_table_needs_basis_images_of_right_order():
