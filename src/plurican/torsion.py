@@ -206,14 +206,17 @@ class AutAction:
         """Table form: a dict, or an array of [element, image] pairs of integer
         arrays; it must be a bijection equal to the additive extension of its e_j.
 
-        Every element and image is parsed first, key before image and pair by
-        pair, so the first bad array in table order raises (see `positions`).
-        A later pair for the same element replaces an earlier one.  Then, in
-        order: defined on every element, a bijection, fixes 0, additive (the
-        first element where the table leaves its additive extension is the
-        `at` witness).  The position table is allocated only once there are
-        at least as many pairs as group elements.
+        A group of order above `MAX_ACTION_ORDER` is refused first, before
+        anything is parsed.  Then every element and image is parsed, key
+        before image and pair by pair, so the first bad array in table order
+        raises (see `positions`).  A later pair for the same element replaces
+        an earlier one.  Then, in order: defined on every element, a
+        bijection, fixes 0, additive (the first element where the table leaves
+        its additive extension is the `at` witness).  The position table is
+        allocated only once there are at least as many pairs as group
+        elements.
         """
+        _check_action_order(group)
         pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
         if not (_is_array(pairs) and _all_arrays(pairs) and set(map(len, pairs)) <= {2}
                 and _all_arrays(flat := [x for pair in pairs for x in pair])):

@@ -133,10 +133,9 @@ def test_integer_option_digit_cap(capsys):
         assert code == expected_code
         text = str(data["Y"]["K2"]) if code == 0 else data["error"]["message"]
         assert len(max(re.findall("[0-9]+", text), key=len)) > 6 * MAX_DIGITS - 10
-    with pytest.raises(SystemExit) as err:
-        main(["invariants", "--pa", "1", "--k2", "1", "--d", "9" * (MAX_DIGITS + 1), "--m", "1"])
-    assert err.value.code == 2
-    assert "invalid integer value" in capsys.readouterr().err
+    data = run_cli_malformed(capsys, "invariants", "--pa", "1", "--k2", "1",
+                             "--d", "9" * (MAX_DIGITS + 1), "--m", "1")
+    assert "invalid integer value" in data["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,10 +148,8 @@ def test_integer_option_digit_cap(capsys):
     ["components", "--group", "2", "--d", "9" * 5000],
 ])
 def test_integer_options_are_strict_decimals(capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert "invalid integer value" in capsys.readouterr().err
+    data = run_cli_malformed(capsys, *argv)
+    assert "invalid integer value" in data["error"]["message"]
 
 
 def run_cli_malformed(capsys, *argv) -> dict:
@@ -329,10 +326,49 @@ def test_reproduce_cover_chains(capsys):
     assert degrees == {8}
 
 
-def test_unknown_command_exits_2():
+def test_unknown_command_exits_2(capsys):
+    data = run_cli_malformed(capsys, "frobnicate")
+    assert "invalid choice: 'frobnicate'" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["invariants", "--surface", "campedelli", "--d", "x", "--m", "1"],
+     "argument --d: invalid integer value: 'x'"),
+    (["components", "--d", "2"], "the following arguments are required: --group"),
+    (["catalog", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_one_json_document(capsys, argv, fragment):
+    # run_cli_malformed: exit 2, empty stderr, exactly one JSON document
+    data = run_cli_malformed(capsys, *argv)
+    assert fragment in data["error"]["message"]
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+        main(["components", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: plurican components")
+
+
+def test_usage_error_ignores_out(capsys, tmp_path):
+    # --out is not parsed yet when the command line is rejected: stdout
+    out = tmp_path / "report.json"
+    data = run_cli_malformed(capsys, "components", "--out", str(out), "--d", "x")
+    assert "argument --d: invalid integer value: 'x'" in data["error"]["message"]
+    assert not out.exists()
+
+
+def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path):
+    # every coefficient has ~2200 digits; the coordinates of the
+    # intersection points pass the 4300-digit int/str limit
+    big = 10**2200
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"field": "Q", "lines": [
+        [1, 0, big + 7], [0, 1, big + 9], [big + 12, 1, 3]]}), encoding="utf-8")
+    error = run_cli_malformed(capsys, "incidences", str(path))["error"]
+    assert error["details"] == {"limit": sys.get_int_max_str_digits()}
+    assert len(max(re.findall("[0-9]+", error["message"]), key=len)) < 10
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

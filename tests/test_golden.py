@@ -58,6 +58,8 @@ CASES = {
     **{f"reproduce-{r}": (["reproduce", r], 0) for r in RECIPES},
     "catalog": (["catalog"], 0),
     "incidences-dual-hesse": (["incidences", _fixture("dual-hesse")], 0),
+    "incidences-campedelli-generic": (["incidences", _fixture("campedelli-generic")], 0),
+    "incidences-extension-type1": (["incidences", _fixture("extension-type1")], 0),
     **{
         f"check-arrangement-{f}": (["check-arrangement", _fixture(f)], code)
         for f, code in FIXTURES.items()

@@ -1,0 +1,124 @@
+"""`plurican.cli.json_text` against its oracle, ``json.dumps(indent=2,
+sort_keys=True)``: the same text for every value the package can print; and
+an `ast` guard that it is the package's only JSON writer."""
+
+import ast
+import json
+import re
+import sys
+from enum import Enum, IntEnum
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plurican
+from plurican.cli import json_text
+from plurican.errors import MalformedInputError
+from plurican.evenclass import EvenSetTag
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Colour(str, Enum):
+    RED = "réd"
+
+
+class Level(IntEnum):
+    HIGH = 10**30
+
+
+characters = st.one_of(
+    st.characters(),  # any code point but surrogates: non-ASCII, controls
+    st.characters(max_codepoint=0x1F),
+    st.characters(categories=["Cs"]),  # lone surrogates
+)
+strings = st.one_of(
+    st.text(characters, max_size=6),
+    st.builds(Name, st.text(characters, max_size=3)),
+    st.sampled_from([*EvenSetTag, *Colour]),
+)
+integers = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**4000), 10**4000),
+    st.builds(Count, st.integers(-5, 5)),
+    st.sampled_from([*Level]),
+)
+scalars = st.one_of(strings, integers, st.booleans(), st.none())
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(characters, max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+def test_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"a": {}}, [(), {}, []], "", 0, True, None,
+    {"b": [1, (2, [3])], "a": {"é\t\ud800": [True, False, None]}},
+])
+def test_fixed_values_match_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"a": float("nan")}, {1: 2}, {None: 0}, [object()],
+                                   {1, 2}])
+def test_floats_non_str_keys_and_other_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def test_integer_past_the_digit_limit_is_malformed_input():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(MalformedInputError) as err:
+        json_text({"points": [[1, 10**limit]]})
+    assert err.value.details == {"limit": limit}
+    assert not re.search("[0-9]{10}", str(err.value))  # the integer is not quoted
+    # one digit fewer still prints
+    assert json_text([10**limit - 1]) == json.dumps([10**limit - 1], indent=2)
+
+
+def _json_writes(tree: ast.AST):
+    """Yield the line of every json.dump/json.dumps call or attribute, and of
+    every import of either from json."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.lineno
+        if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(alias.name in ("dump", "dumps") for alias in node.names)):
+            yield node.lineno
+
+
+def test_guard_finds_every_spelling():
+    src = ("json.dumps(x)\njson.dump(x, fh)\nfrom json import dumps\n"
+           "from json import load, dump as d\nf = json.dumps\n")
+    assert sorted(_json_writes(ast.parse(src))) == [1, 2, 3, 4, 5]
+    assert not list(_json_writes(ast.parse(
+        "json.load(fh)\njson.loads(s)\nfrom json.encoder import encode_basestring_ascii\n")))
+
+
+def test_json_text_is_the_only_writer():
+    package = Path(plurican.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        for line in _json_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

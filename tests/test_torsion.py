@@ -282,12 +282,31 @@ def test_permutation_table_rejections():
 
 
 def test_permutation_table_refuses_huge_group_before_allocating():
-    # one pair cannot cover 10^12 elements: refused by counting the pairs,
-    # before anything is allocated per element
+    # 10^12 elements: refused by the action-order cap before the table is
+    # read or anything is allocated per element
     G = FiniteAbelianGroup((10**6, 10**6))
     with pytest.raises(ValidationError) as err:
         AutAction.from_table(G, [[[0, 0], [0, 0]]])
+    assert err.value.details == {"order": 10**12, "limit": torsion.MAX_ACTION_ORDER}
+    # below the cap, one pair cannot cover 2^20 elements: refused by counting
+    # the pairs, before the position table is allocated
+    G = FiniteAbelianGroup((1 << 10, 1 << 10))
+    with pytest.raises(ValidationError) as err:
+        AutAction.from_table(G, [[[0, 0], [0, 0]]])
     assert str(err.value) == "permutation table must be defined on every element"
+
+
+def test_permutation_table_over_the_cap_reports_the_cap(monkeypatch):
+    # a complete, additive table on a group above the cap: the cap error,
+    # not "does not preserve the group operation", and before parsing
+    monkeypatch.setattr(torsion, "MAX_ACTION_ORDER", 4)
+    Z5 = FiniteAbelianGroup((5,))
+    for table in ([[[x], [2 * x % 5]] for x in range(5)], [[[True], [0.5]]]):
+        with pytest.raises(ValidationError) as err:
+            AutAction.from_table(Z5, table)
+        assert str(err.value) == ("group order 5 is above the limit 4 "
+                                  "for automorphism actions")
+        assert err.value.details == {"order": 5, "limit": 4}
 
 
 def _outcome(call, *args):
