@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 when a mathematical hypothesis or validity check
 fails (a machine-readable error object is still printed), 2 on malformed
 input.  Malformed input includes command-line errors (an unknown command, a
 missing or unparsable option), which print a JSON error document on stdout
-like any other, and a result with an integer too long to print (more digits
-than the interpreter's int/str conversion limit).  Identical inputs produce
-byte-identical output: the same bytes as ``json.dumps(indent=2,
-sort_keys=True)``, written by `json_text`.  Every command runs in one
-process; ``--workers N`` is accepted and validated (N < 1 is malformed
-input) and does not change the output.
+like any other, a result with an integer too long to print (more digits
+than the interpreter's int/str conversion limit) and an ``--out`` file that
+cannot be written; an error document that cannot be written to ``--out``
+goes to stdout.  Identical inputs produce byte-identical output: the same
+bytes as ``json.dumps(indent=2, sort_keys=True)``, written by
+`json_text`.  Every command runs in one process; ``--workers N`` is
+accepted and validated (N < 1 is malformed input) and does not change the
+output.
 """
 
 from __future__ import annotations
@@ -497,12 +499,19 @@ def json_text(value) -> str:
     return "".join(parts)
 
 
+class _OutUnwritable(MalformedInputError):
+    """Writing to ``--out`` failed, possibly partway."""
+
+
 def _emit(payload: dict, out: Path | None) -> None:
     text = json_text({"schema": SCHEMA, **payload}) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutUnwritable(f"cannot write {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -518,11 +527,16 @@ def main(argv=None) -> int:
         _emit(payload, out)
         return code
     except MalformedInputError as exc:
-        _emit({"error": exc.as_json()}, out)
-        return 2
+        error, code = exc, 2
     except DomainError as exc:
-        _emit({"error": exc.as_json()}, out)
-        return 1
+        error, code = exc, 1
+    if isinstance(error, _OutUnwritable):
+        out = None  # a failed --out is not tried again
+    try:
+        _emit({"error": error.as_json()}, out)
+    except _OutUnwritable:
+        _emit({"error": error.as_json()}, None)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress, repeat
+from operator import not_, xor
 
 from ._pool import check_workers
 from .errors import ValidationError, check_int
@@ -55,23 +57,26 @@ TYPE_I_REPRESENTATIVE = PointSet.from_codes(K, [c for c in range(1, 16) if c & 1
 TYPE_II_REPRESENTATIVE = PointSet.from_codes(K, [1, 2, 4, 6, 8, 10, 12, 15])
 
 
-def _mask_totally_even(mask: int) -> bool:
-    masks = _hyperplane_masks(K)
-    return all((mask & m).bit_count() % 2 == 0 for m in masks[1:])
-
-
 def enumerate_totally_even(size: int) -> list[PointSet]:
     """All totally even subsets of PG(3, F2) of the given cardinality.
 
-    Brute force over all point subsets of that size; the result is sorted by
-    ascending bit-set encoding.
+    Brute force over all point subsets of that size, bit-sliced over the
+    hyperplanes: bit h of the parity word of point p is set when p lies on
+    the hyperplane with normal h, so a subset is totally even exactly when
+    the XOR of its points' parity words is 0.  Bit masks are built only for
+    the subsets kept; the result is sorted by ascending bit-set encoding.
     """
     n = num_points(K)
     check_int(size, f"size must be an integer in 0..{n}", lo=0, hi=n)
-    candidates = (
-        sum(1 << c for c in comb) for comb in combinations(range(1, n + 1), size)
-    )
-    return [PointSet(K, mask) for mask in sorted(filter(_mask_totally_even, candidates))]
+    masks = _hyperplane_masks(K)
+    parity = [
+        sum(1 << h for h in range(1, n + 1) if masks[h] >> p & 1)
+        for p in range(1, n + 1)
+    ]
+    # both combination streams run in the same order, one candidate per step
+    odd = map(reduce, repeat(xor), combinations(parity, size), repeat(0))
+    kept = compress(combinations(range(1, n + 1), size), map(not_, odd))
+    return [PointSet(K, mask) for mask in sorted(sum(1 << p for p in comb) for comb in kept)]
 
 
 def classify_type(s: PointSet) -> EvenSetType:

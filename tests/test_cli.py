@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import subprocess
@@ -378,6 +379,43 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["command"] == "catalog"
+
+
+def test_unwritable_out_is_malformed_input(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    data = run_cli_malformed(capsys, "catalog", "--out", str(out))
+    assert data["schema"] == "plurican/1"
+    assert data["error"]["message"].startswith(f"cannot write {out}: ")
+    assert not out.exists()
+    # an error document that cannot be written to --out goes to stdout
+    code = main(["components", "--group", "2,2", "--d", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out)["error"] == {
+        "kind": "validation", "message": "d must be a positive integer, got 0"}
+    data = run_cli_malformed(capsys, "components", "--group", "x", "--d", "2",
+                             "--out", str(tmp_path))  # a directory
+    assert data["error"]["message"].startswith("cannot parse group 'x'")
+
+
+def test_out_failing_partway_is_not_written_again(capsys, tmp_path, monkeypatch):
+    # a full disk: the report stops partway, and the short error document
+    # would fit, but it goes to stdout and the partial report stays as it is
+    out = tmp_path / "report.json"
+    calls = []
+
+    def write_text(self, text, encoding=None):
+        calls.append(self)
+        if len(calls) > 1:
+            return Path.write_bytes(self, text.encode())
+        Path.write_bytes(self, text[:10].encode())
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    data = run_cli_malformed(capsys, "catalog", "--out", str(out))
+    assert calls == [out]
+    assert data["error"]["message"] == f"cannot write {out}: [Errno 28] No space left on device"
+    assert out.read_text() == '{\n  "comma'  # the first 10 characters of the report
 
 
 def test_cli_subprocess_entry():

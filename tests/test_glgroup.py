@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from plurican.evenclass import TYPE_I_REPRESENTATIVE, TYPE_II_REPRESENTATIVE
 from plurican.f2geom import F2Point, PointSet, all_hyperplanes, all_points, incident, is_totally_even
 from plurican.glgroup import (
     F2Matrix,
+    _gl_table,
     _group_permutations,
     burnside_orbit_count,
     act,
@@ -42,7 +46,18 @@ def test_enumeration_order_is_ascending_packed(gl4):
         packed = [
             sum(m.rows[i] << (k * (k - 1 - i)) for i in range(k)) for m in group
         ]
-        assert packed == sorted(packed)
+        assert all(a < b for a, b in zip(packed, packed[1:]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_table_invariants(k):
+    table = _gl_table(k)
+    assert len(table) == prod((1 << k) - (1 << i) for i in range(k))
+    perms = list(table.values())
+    assert len(set(perms)) == len(perms)
+    for perm in perms:
+        assert perm[0] == 0
+        assert sorted(perm) == list(range(1 << k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -51,7 +66,7 @@ def test_point_permutations_by_linearity_match_apply_code(k, gl3, gl4):
     table = _group_permutations(group)
     for m, from_table in zip(group, table):
         direct = tuple(m.apply_code(c) for c in range(1 << k))
-        assert m.point_permutation() == from_table == direct
+        assert m.point_permutation() == tuple(from_table) == direct
         assert sorted(direct) == list(range(1 << k))
     # any list of matrices reads the same table, in its own order
     assert _group_permutations(group[::-7]) == table[::-7]
@@ -214,3 +229,44 @@ def test_burnside_matches_fixed_set_oracle_gl4(gl4, gl4_perms, data):
     if not closed:  # a partial orbit
         family = data.draw(st.lists(st.sampled_from(family), min_size=1, unique=True))
     assert_burnside_matches_oracle(family, gl4, gl4_perms, closed)
+
+
+# GL(k, 2) is transitive on the empty set, on the points and on the pairs of
+# points of PG(k-1, F2): (orbit size, stabilizer order) by k and set size
+SMALL_SET_ORBITS = {
+    (2, 0): (1, 6), (2, 1): (3, 2), (2, 2): (3, 2),
+    (3, 0): (1, 168), (3, 1): (7, 24), (3, 2): (21, 8),
+    (4, 0): (1, 20160), (4, 1): (15, 1344), (4, 2): (105, 192),
+}
+
+
+@pytest.mark.parametrize("k,size", sorted(SMALL_SET_ORBITS))
+def test_census_of_small_sets(k, size, gl3, gl4, gl4_perms):
+    group = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
+    perms = gl4_perms if k == 4 else [m.point_permutation() for m in group]
+    family = [PointSet.from_codes(k, c) for c in combinations(range(1, 1 << k), size)]
+    masks = sorted(s.mask for s in family)
+    census = orbit_census(family, group)
+    assert [(o.size, o.stabilizer_order) for o in census.orbits] == [SMALL_SET_ORBITS[k, size]]
+    rep = census.orbits[0].representative.mask
+    assert rep == masks[0]
+    # brute force on permutations built from apply_code, not from the table
+    images = [sum(1 << perm[p] for p in range(len(perm)) if rep >> p & 1) for perm in perms]
+    assert sorted(set(images)) == masks
+    assert images.count(rep) == census.orbits[0].stabilizer_order
+    assert fixed_set_total(masks, perms) == len(group)
+    assert burnside_orbit_count(family, group) == 1
+    for s in family[::max(1, len(family) // 7)]:
+        assert canonical_form(s, group).mask == rep
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_census_of_small_sets_together(k, gl3, gl4):
+    # 0-, 1- and 2-point sets in one family: three orbits
+    group = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
+    family = [PointSet.from_codes(k, c)
+              for size in (0, 1, 2) for c in combinations(range(1, 1 << k), size)]
+    census = orbit_census(family, group)
+    assert [(o.size, o.stabilizer_order) for o in census.orbits] == [
+        SMALL_SET_ORBITS[k, size] for size in (0, 1, 2)]
+    assert burnside_orbit_count(family, group) == 3
