@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for cyclic coverings of surfaces of general type.
 
-Subpackages by theme:
+Modules by theme:
 
 - :mod:`plurican.f2geom`: points, hyperplanes and point sets of PG(k-1, F2)
 - :mod:`plurican.glgroup`: GL(k, F2) enumeration, orbits and canonical forms
@@ -11,61 +11,51 @@ Subpackages by theme:
   component bounds
 - :mod:`plurican.arrangements`: exact line arrangements over Q and Q(omega)
 - :mod:`plurican.cli`: the ``plurican`` command
+
+``import plurican`` loads none of them.  A module loads on first use: when
+it is imported, or when one of its names below is read from the package
+(``plurican.verify_lemma_ev``, ``from plurican import *``; PEP 562).
 """
 
-from .errors import DomainError, HypothesisError, MalformedInputError, ValidationError
-from .f2geom import (
-    F2Point,
-    Hyperplane,
-    PointSet,
-    all_hyperplanes,
-    all_points,
-    hyperplane_profile,
-    incident,
-    is_totally_even,
-)
-from .glgroup import F2Matrix, OrbitCensus, act, canonical_form, enumerate_gl, orbit_census
-from .evenclass import (
-    EvenSetTag,
-    EvenSetType,
-    classify_type,
-    enumerate_totally_even,
-    verify_lemma_ev,
-)
-from .invariants import (
-    CATALOG,
-    CatalogEntry,
-    CoveringParams,
-    SurfaceInvariants,
-    branch_curve_genus,
-    catalog_entry,
-    composed_canonical_degree,
-    covering_invariants,
-    generic_pluricanonical_smooth,
-    h0_K_plus_C,
-    k2_from_heavy_points,
-    moduli_dimension,
-    moduli_dimension_lower_bound,
-    pg_of_double_cover_pg0,
-)
-from .torsion import (
-    AutAction,
-    FiniteAbelianGroup,
-    cnew_component_count,
-    covering_count,
-    cplus_total,
-    is_divisible,
-    orbit_count,
-    theorem_mod_component_bound,
-    tor_d_order,
-)
-from .arrangements import (
-    ExactScalar,
-    LabeledArrangement,
-    ProjLine,
-    analyze_extension,
-    check_campedelli,
-    compute_incidences,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# module -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": ("DomainError", "HypothesisError", "MalformedInputError", "ValidationError"),
+    "f2geom": ("F2Point", "Hyperplane", "PointSet", "all_hyperplanes", "all_points",
+               "hyperplane_profile", "incident", "is_totally_even"),
+    "glgroup": ("F2Matrix", "OrbitCensus", "act", "canonical_form", "enumerate_gl",
+                "orbit_census"),
+    "evenclass": ("EvenSetTag", "EvenSetType", "classify_type", "enumerate_totally_even",
+                  "verify_lemma_ev"),
+    "invariants": ("CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",
+                   "branch_curve_genus", "catalog_entry", "composed_canonical_degree",
+                   "covering_invariants", "generic_pluricanonical_smooth", "h0_K_plus_C",
+                   "k2_from_heavy_points", "moduli_dimension",
+                   "moduli_dimension_lower_bound", "pg_of_double_cover_pg0"),
+    "torsion": ("AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
+                "cplus_total", "is_divisible", "orbit_count", "theorem_mod_component_bound",
+                "tor_d_order"),
+    "arrangements": ("ExactScalar", "LabeledArrangement", "ProjLine", "analyze_extension",
+                     "check_campedelli", "compute_incidences"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = _import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,11 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInputError, ValidationError, is_int
-from .evenclass import EvenSetType, classify_type
 from .f2geom import F2Point, PointSet, is_totally_even
-from .invariants import k2_from_heavy_points
+
+if TYPE_CHECKING:
+    from .evenclass import EvenSetType
 
 __all__ = [
     "ExactScalar",
@@ -46,6 +48,15 @@ __all__ = [
     "load_arrangement",
     "arrangement_to_json",
 ]
+
+
+def __getattr__(name: str):
+    # k2_from_heavy_points is re-exported from invariants, loaded on first use
+    if name == "k2_from_heavy_points":
+        from .invariants import k2_from_heavy_points
+
+        return k2_from_heavy_points
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rational(x) -> Fraction:
@@ -426,6 +437,8 @@ def analyze_extension(arr: LabeledArrangement) -> ExtensionReport:
             "labels must be pairwise distinct",
             labels=[list(lab.coords) for lab in arr.labels],
         )
+    from .evenclass import classify_type
+
     total = 0
     for lab in arr.labels:
         total ^= lab.code

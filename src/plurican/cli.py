@@ -2,16 +2,18 @@
 
 Exit codes: 0 on success, 1 when a mathematical hypothesis or validity check
 fails (a machine-readable error object is still printed), 2 on malformed
-input.  Malformed input includes command-line errors (an unknown command, a
-missing or unparsable option), which print a JSON error document on stdout
-like any other, a result with an integer too long to print (more digits
-than the interpreter's int/str conversion limit) and an ``--out`` file that
-cannot be written; an error document that cannot be written to ``--out``
-goes to stdout.  Identical inputs produce byte-identical output: the same
-bytes as ``json.dumps(indent=2, sort_keys=True)``, written by
-`json_text`.  Every command runs in one process; ``--workers N`` is
-accepted and validated (N < 1 is malformed input) and does not change the
-output.
+input, and 3 on an internal error: any other exception, a fault of the
+program rather than of its input, printed as one JSON error document of kind
+``internal`` with the exception's type as witness.  Malformed input includes
+command-line errors (an unknown command, a missing or unparsable option),
+which print a JSON error document on stdout like any other, a result with an
+integer too long to print (more digits than the interpreter's int/str
+conversion limit) and an ``--out`` file that cannot be written; an error
+document that cannot be written to ``--out`` goes to stdout.  Identical
+inputs produce byte-identical output: the same bytes as
+``json.dumps(indent=2, sort_keys=True)``, written by `json_text`.  Every
+command runs in one process; ``--workers N`` is accepted and validated
+(N < 1 is malformed input) and does not change the output.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import arrangements, evenclass, invariants, torsion
+# each handler imports the modules it runs, so a command loads only those
 from .errors import DomainError, MalformedInputError, is_int_instance
-from .invariants import CATALOG, CoveringParams, SurfaceInvariants, catalog_entry
-from .torsion import AutAction, FiniteAbelianGroup
 
 SCHEMA = "plurican/1"
 
@@ -170,6 +170,8 @@ def _load_json(path: Path):
 def _parse_group(spec: str) -> FiniteAbelianGroup:
     """Comma-separated decimal orders, each ASCII digits only, with at most
     ``MAX_DIGITS`` digits in all; "" is trivial."""
+    from .torsion import FiniteAbelianGroup
+
     if not spec:
         return FiniteAbelianGroup(())
     parts = spec.split(",")
@@ -188,6 +190,8 @@ def _parse_group(spec: str) -> FiniteAbelianGroup:
 
 
 def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
+    from .torsion import AutAction
+
     data = _load_json(path)
     if isinstance(data, dict):
         raw = data.get("generators")
@@ -211,6 +215,8 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
 
 
 def _surface_input(args) -> tuple[str | None, SurfaceInvariants]:
+    from .invariants import SurfaceInvariants, catalog_entry
+
     if args.surface is not None:
         if args.pa is not None or args.k2 is not None:
             raise MalformedInputError("give either --surface or --pa/--k2, not both")
@@ -222,13 +228,17 @@ def _surface_input(args) -> tuple[str | None, SurfaceInvariants]:
 
 
 def cmd_verify_lemma_ev(args) -> tuple[dict, int]:
+    from . import evenclass
+
     report = evenclass.verify_lemma_ev(workers=args.workers)
     return {"command": "verify-lemma-ev", **report.as_json()}, 0
 
 
 def cmd_invariants(args) -> tuple[dict, int]:
+    from . import invariants
+
     name, X = _surface_input(args)
-    c = CoveringParams(args.d, args.m)
+    c = invariants.CoveringParams(args.d, args.m)
     Y = invariants.covering_invariants(X, c)
     payload = {
         "command": "invariants",
@@ -244,6 +254,8 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 
 def cmd_components(args) -> tuple[dict, int]:
+    from . import torsion
+
     G = _parse_group(args.group)
     payload = {
         "command": "components",
@@ -265,6 +277,8 @@ def cmd_components(args) -> tuple[dict, int]:
 
 
 def cmd_check_arrangement(args) -> tuple[dict, int]:
+    from . import arrangements
+
     arr = arrangements.load_arrangement(_load_json(args.file))
     mode = args.mode
     if mode is None:
@@ -292,12 +306,16 @@ def cmd_check_arrangement(args) -> tuple[dict, int]:
 
 
 def cmd_incidences(args) -> tuple[dict, int]:
+    from . import arrangements
+
     arr = arrangements.load_arrangement(_load_json(args.file))
     report = arrangements.compute_incidences(arr)
     return {"command": "incidences", **report.as_json()}, 0
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
+    from .invariants import CATALOG
+
     return {
         "command": "catalog",
         "entries": [entry.as_json() for entry in CATALOG],
@@ -305,6 +323,8 @@ def cmd_catalog(args) -> tuple[dict, int]:
 
 
 def _recipe_lemma_ev(args) -> dict:
+    from . import evenclass
+
     report = evenclass.verify_lemma_ev(workers=args.workers)
     return {
         "claim": "eight-point subsets of PG(3, F2) meeting every plane in an "
@@ -316,8 +336,10 @@ def _recipe_lemma_ev(args) -> dict:
 
 
 def _recipe_camp1_moduli(args) -> dict:
-    entry = catalog_entry("campedelli")
-    cover = invariants.covering_invariants(entry.invariants, CoveringParams(2, 1))
+    from . import evenclass, invariants, torsion
+
+    entry = invariants.catalog_entry("campedelli")
+    cover = invariants.covering_invariants(entry.invariants, invariants.CoveringParams(2, 1))
     report = evenclass.verify_lemma_ev(workers=args.workers)
     return {
         "claim": "double covers of Campedelli surfaces branched along smooth "
@@ -334,10 +356,12 @@ def _recipe_camp1_moduli(args) -> dict:
 
 
 def _recipe_cplus(args) -> dict:
+    from . import invariants, torsion
+
     d = args.d if args.d is not None else 2
     m = args.m if args.m is not None else 3
     total = torsion.cplus_total(d, m)
-    entry = catalog_entry("miyaoka-yau-333-1")
+    entry = invariants.catalog_entry("miyaoka-yau-333-1")
     return {
         "claim": "for admissible degrees the moduli space receiving the "
                  "coverings of the rigid K2 = 333 surfaces has at least "
@@ -352,8 +376,10 @@ def _recipe_cplus(args) -> dict:
 
 
 def _covering_chain(name: str, args) -> dict:
-    entry = catalog_entry(name)
-    cover = invariants.covering_invariants(entry.invariants, CoveringParams(2, 1))
+    from . import invariants, torsion
+
+    entry = invariants.catalog_entry(name)
+    cover = invariants.covering_invariants(entry.invariants, invariants.CoveringParams(2, 1))
     degree = invariants.composed_canonical_degree(entry.bicanonical_map_degree)
     out = {
         "inputs": {"surface": entry.name, "d": 2, "m": 1},
@@ -503,6 +529,17 @@ class _OutUnwritable(MalformedInputError):
     """Writing to ``--out`` failed, possibly partway."""
 
 
+class _InternalError(DomainError):
+    """An exception that is a fault of the program, not of its input (exit
+    3); its type is the witness.  A DomainError only to share ``as_json``."""
+
+    kind = "internal"
+
+    def __init__(self, exc: Exception):
+        name = type(exc).__name__
+        super().__init__(f"internal error: {name}: {exc}", type=name)
+
+
 def _emit(payload: dict, out: Path | None) -> None:
     text = json_text({"schema": SCHEMA, **payload}) + "\n"
     if out is None:
@@ -530,6 +567,8 @@ def main(argv=None) -> int:
         error, code = exc, 2
     except DomainError as exc:
         error, code = exc, 1
+    except Exception as exc:  # SystemExit (--help) and KeyboardInterrupt pass
+        error, code = _InternalError(exc), 3
     if isinstance(error, _OutUnwritable):
         out = None  # a failed --out is not tried again
     try:

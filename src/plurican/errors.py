@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the integer rule.
+"""Error types shared across the package, the integer rule, and `Record`.
 
 The CLI maps these onto exit codes: any :class:`DomainError` is exit 1,
 except :class:`MalformedInputError` which is exit 2.
@@ -71,3 +71,43 @@ def check_int(x, message: str, lo: int | None = None, hi: int | None = None) -> 
     if not is_int(x) or (lo is not None and x < lo) or (hi is not None and x > hi):
         raise ValidationError(f"{message}, got {x!r}")
     return x
+
+
+class Record:
+    """A frozen value record: what the package uses of a frozen dataclass,
+    without importing ``dataclasses``.  A subclass names its fields in
+    ``_fields`` and validates them in ``__post_init__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        values = {**dict(zip(self._fields, args)), **kwargs}
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes each of {self._fields} once")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -16,8 +16,8 @@ from enum import Enum
 from functools import reduce
 from itertools import combinations, compress, repeat
 from operator import not_, xor
+from typing import TYPE_CHECKING
 
-from ._pool import check_workers
 from .errors import ValidationError, check_int
 from .f2geom import (
     Hyperplane,
@@ -28,7 +28,9 @@ from .f2geom import (
     num_points,
     pointset_to_json,
 )
-from .glgroup import OrbitCensus, gl_orbit_census
+
+if TYPE_CHECKING:
+    from .glgroup import OrbitCensus
 
 K = 4
 
@@ -159,6 +161,10 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     index.  ``workers`` is validated and otherwise unused: the work is
     single-process.
     """
+    # only the census needs the group: classify_type alone loads neither
+    from ._pool import check_workers
+    from .glgroup import gl_orbit_census
+
     check_workers(workers)
     sets = enumerate_totally_even(8)
     census, orbit_of, burnside = gl_orbit_census(K, [s.mask for s in sets])

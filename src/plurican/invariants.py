@@ -18,14 +18,11 @@ K2 + e = 12 * p_a, which is checked on every output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import HypothesisError, ValidationError, check_int
+from .errors import HypothesisError, Record, ValidationError, check_int
 from .torsion import FiniteAbelianGroup
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     """Numerical invariants of a surface: geometric genus, irregularity and
     the self-intersection of the canonical class.
 
@@ -37,6 +34,7 @@ class SurfaceInvariants:
     p_g: int
     q: int
     K2: int
+    _fields = ("p_g", "q", "K2")
 
     def __post_init__(self):
         for name in ("p_g", "q", "K2"):
@@ -67,13 +65,13 @@ class SurfaceInvariants:
         return {"pg": self.p_g, "q": self.q, "K2": self.K2, "pa": self.p_a, "e": self.e}
 
 
-@dataclass(frozen=True)
-class CoveringParams:
+class CoveringParams(Record):
     """Degree d and canonical multiple m of a covering branched along a curve
     numerically equivalent to d*m times the canonical class."""
 
     d: int
     m: int
+    _fields = ("d", "m")
 
     def __post_init__(self):
         check_int(self.d, "covering degree must be an integer >= 2", lo=2)
@@ -196,8 +194,7 @@ def k2_from_heavy_points(n_heavy: int) -> int:
     return 9 - n_heavy
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named base surface with its invariants and covering-relevant data.
 
     ``torsion`` records the torsion subgroup used by the component-count
@@ -214,6 +211,8 @@ class CatalogEntry:
     miyaoka_yau: bool
     kl_equals_aut: bool | None
     notes: str
+    _fields = ("name", "aliases", "invariants", "torsion", "bicanonical_map_degree",
+               "miyaoka_yau", "kl_equals_aut", "notes")
 
     def __post_init__(self):
         if self.miyaoka_yau != self.invariants.is_miyaoka_yau:

@@ -14,11 +14,12 @@ of pairs has reached the group order, so its size is bounded by the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import itemgetter
 
-from .errors import HypothesisError, MalformedInputError, ValidationError, all_int, check_int
+from .errors import (
+    HypothesisError, MalformedInputError, Record, ValidationError, all_int, check_int,
+)
 
 GroupElement = tuple[int, ...]
 
@@ -33,11 +34,11 @@ def _check_action_order(G: "FiniteAbelianGroup") -> None:
                               "for automorphism actions", order=G.order, limit=MAX_ACTION_ORDER)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_r (empty = trivial)."""
 
     cyclic_orders: tuple[int, ...]
+    _fields = ("cyclic_orders",)
 
     def __post_init__(self):
         object.__setattr__(self, "cyclic_orders", tuple(self.cyclic_orders))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plurican import torsion
+from plurican import cli, torsion
 from plurican.cli import MAX_DIGITS, main
 
 GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
@@ -350,6 +350,22 @@ def test_help_still_prints_usage(capsys):
         main(["components", "--help"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith("usage: plurican components")
+
+
+def test_internal_error_is_one_json_document(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "catalog", broken)
+    code = main(["catalog"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "schema": "plurican/1",
+        "error": {"kind": "internal", "message": "internal error: RuntimeError: boom",
+                  "details": {"type": "RuntimeError"}},
+    }
 
 
 def test_usage_error_ignores_out(capsys, tmp_path):

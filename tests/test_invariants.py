@@ -36,6 +36,25 @@ def test_surface_identity_fields():
     assert SurfaceInvariants.from_pa(4, 0, 16).p_g == 3
 
 
+def test_records_are_frozen_values():
+    # what a frozen dataclass gave: construction by position or keyword,
+    # equality and hash by value, a field repr, no assignment
+    X = SurfaceInvariants(3, 1, K2=13)
+    assert X == SurfaceInvariants(p_g=3, q=1, K2=13) != SurfaceInvariants(3, 1, 14)
+    assert X != (3, 1, 13)
+    assert hash(X) == hash(SurfaceInvariants(3, 1, 13))
+    assert repr(X) == "SurfaceInvariants(p_g=3, q=1, K2=13)"
+    assert repr(CoveringParams(2, 1)) == "CoveringParams(d=2, m=1)"
+    with pytest.raises(AttributeError):
+        X.K2 = 14
+    with pytest.raises(AttributeError):
+        del X.q
+    for args, kwargs in [((3, 1), {}), ((3, 1, 13, 0), {}), ((3, 1, 13), {"q": 1}),
+                         ((3, 1), {"k2": 13})]:
+        with pytest.raises(TypeError):
+            SurfaceInvariants(*args, **kwargs)
+
+
 def test_miyaoka_yau_flag():
     fpp = SurfaceInvariants(p_g=0, q=0, K2=9)
     assert fpp.e == 3 and fpp.is_miyaoka_yau
