@@ -3,7 +3,8 @@
 Modules by theme:
 
 - :mod:`plurican.f2geom`: points, hyperplanes and point sets of PG(k-1, F2)
-- :mod:`plurican.glgroup`: GL(k, F2) enumeration, orbits and canonical forms
+- :mod:`plurican.glgroup`: GL(k, F2) as one table of point permutations:
+  orbits, canonical forms and the Burnside recount
 - :mod:`plurican.evenclass`: census of totally even 8-point sets in PG(3, F2)
 - :mod:`plurican.invariants`: covering invariants, canonical-map degrees,
   moduli dimensions, and the catalogue of base surfaces
@@ -26,8 +27,7 @@ _EXPORTS = {
     "errors": ("DomainError", "HypothesisError", "MalformedInputError", "ValidationError"),
     "f2geom": ("F2Point", "Hyperplane", "PointSet", "all_hyperplanes", "all_points",
                "hyperplane_profile", "incident", "is_totally_even"),
-    "glgroup": ("F2Matrix", "OrbitCensus", "act", "canonical_form", "enumerate_gl",
-                "orbit_census"),
+    "glgroup": ("F2Matrix", "OrbitCensus", "act", "canonical_form", "orbit_census"),
     "evenclass": ("EvenSetTag", "EvenSetType", "classify_type", "enumerate_totally_even",
                   "verify_lemma_ev"),
     "invariants": ("CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",

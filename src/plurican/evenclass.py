@@ -11,14 +11,13 @@ independent oracle, so the two cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations, compress, repeat
 from operator import not_, xor
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError, check_int
+from .errors import Record, ValidationError, check_int
 from .f2geom import (
     Hyperplane,
     PointSet,
@@ -41,8 +40,7 @@ class EvenSetTag(str, Enum):
     NOT_TOTALLY_EVEN = "not-totally-even"
 
 
-@dataclass(frozen=True)
-class EvenSetType:
+class EvenSetType(Record):
     """Classification of an 8-point set, with the witnessing hyperplane.
 
     For type I the witness is the hyperplane disjoint from the set, for
@@ -51,6 +49,7 @@ class EvenSetType:
 
     tag: EvenSetTag
     witness: Hyperplane | None
+    _fields = ("tag", "witness")
 
 
 # the two orbit representatives among totally even 8-point sets:
@@ -111,8 +110,7 @@ def classify_type(s: PointSet) -> EvenSetType:
     return EvenSetType(EvenSetTag.TYPE_II, Hyperplane(K, six[0]))
 
 
-@dataclass
-class LemmaEvReport:
+class LemmaEvReport(Record):
     """Outcome of the full census of totally even 8-point sets."""
 
     total_count: int
@@ -120,6 +118,8 @@ class LemmaEvReport:
     orbit_types: tuple[EvenSetTag, ...]
     burnside_orbit_count: int
     profile_separates_orbits: bool
+    _fields = ("total_count", "census", "orbit_types", "burnside_orbit_count",
+               "profile_separates_orbits")
 
     @property
     def orbit_count(self) -> int:

@@ -18,11 +18,10 @@ the package trivially small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, is_int
+from .errors import Record, ValidationError, is_int
 
 SUPPORTED_DIMS = (2, 3, 4)
 
@@ -41,12 +40,12 @@ def num_points(k: int) -> int:
     return (1 << k) - 1
 
 
-@dataclass(frozen=True)
-class F2Point:
+class F2Point(Record):
     """A point of PG(k-1, F2), encoded as a nonzero integer in 1 .. 2^k - 1."""
 
     k: int
     code: int
+    _fields = ("k", "code")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -75,12 +74,12 @@ class F2Point:
         return f"F2Point{self.coords}"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Record):
     """A hyperplane of PG(k-1, F2), encoded by its nonzero normal vector."""
 
     k: int
     normal: int
+    _fields = ("k", "normal")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -107,12 +106,12 @@ class Hyperplane:
         return f"Hyperplane{self.coords}"
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """A subset of the points of PG(k-1, F2), stored as a bit set over codes."""
 
     k: int
     mask: int
+    _fields = ("k", "mask")
 
     def __post_init__(self):
         _check_dim(self.k)

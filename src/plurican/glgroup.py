@@ -1,15 +1,13 @@
 """The group GL(k, F2) = PGL(k, F2) for k <= 4, acting on PG(k-1, F2).
 
-The whole group is one table per k, built once per process: a dict from
-the packed rows of every invertible matrix (at most 20160; one byte per
-row, row 0 most significant) to the permutation it induces on point codes,
-stored as a ``bytes`` of length 2^k whose byte c is the image of code c.
-The table is built by linearity, one basis image at a time: the image of
-basis code 2^b is picked outside the span of the earlier ones, and the
-images of the codes below 2^(b+1) follow as XORs of basis images (one
-``bytes.translate`` per permutation), so no singular candidate is ever
-tried.  The table is in build order; :func:`enumerate_gl` sorts it into
-ascending packed-row order.
+The whole group is one table per k, built once per process: a tuple of the
+permutations that its (at most 20160) elements induce on point codes, each
+a ``bytes`` of length 2^k whose byte c is the image of code c.  Every orbit
+function acts by the whole table of the dimension it is given.  The table
+is built by linearity, one basis image at a time: the image of basis code
+2^b is picked outside the span of the earlier ones, and the images of the
+codes below 2^(b+1) follow as XORs of basis images (one ``bytes.translate``
+per permutation), so no singular candidate is ever tried.
 Orbit partitioning, canonical forms and stabilizer orders apply every
 permutation of the group, which at these sizes is the most auditable
 approach.  Canonical forms are lexicographic minima of orbits under the
@@ -23,11 +21,10 @@ the element moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 
-from .errors import ValidationError, is_int
+from .errors import Record, ValidationError, is_int
 from .f2geom import PointSet, _check_dim, pointset_to_json
 
 
@@ -45,12 +42,12 @@ def _rows_invertible(rows: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Record):
     """An invertible k x k matrix over F2; row i is packed like a point code."""
 
     k: int
     rows: tuple[int, ...]
+    _fields = ("k", "rows")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -93,45 +90,33 @@ def _extend(perm: bytes, image: int) -> bytes:
     return perm + perm.translate(_XOR_BY[image])
 
 
-def _pack(rows: tuple[int, ...]) -> int:
-    """Rows as one integer, one byte per row, row 0 most significant: the
-    table key.  Keys ascend in the lexicographic order of the rows."""
-    return int.from_bytes(bytes(rows), "big")
-
-
 @lru_cache(maxsize=None)
-def _gl_table(k: int) -> dict[int, bytes]:
-    """Packed rows (see :func:`_pack`) -> point permutation for every matrix
-    of GL(k, F2), in build order."""
+def _gl_table(k: int) -> tuple[bytes, ...]:
+    """The point permutation of every element of GL(k, F2), in build order."""
     _check_dim(k)
-    # bit j of the image of basis code 2^b is bit b of row k-1-j, which
-    # sits at bit 8*j + b of the packed rows
-    spread = [sum(((x >> j) & 1) << (8 * j) for j in range(k)) for x in range(1 << k)]
-    entries = [(0, b"\0")]
-    for b in range(k):
+    perms = [b"\0"]
+    for _ in range(k):
         # the images so far are exactly the span of the basis images so far
-        entries = [
-            (packed | spread[image] << b, _extend(perm, image))
-            for packed, perm in entries
-            for image in range(1, 1 << k)
-            if image not in perm
-        ]
-    return dict(entries)
+        perms = [_extend(p, image) for p in perms for image in range(1, 1 << k) if image not in p]
+    return tuple(perms)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
+    """One orbit of a census: its least member, its size and the order of
+    the stabilizer of that member."""
+
     representative: PointSet
     size: int
     stabilizer_order: int
+    _fields = ("representative", "size", "stabilizer_order")
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    """Orbit partition of a family of point sets under a full matrix group."""
+class OrbitCensus(Record):
+    """Orbit partition of a family of point sets under GL(k, F2)."""
 
     orbits: tuple[Orbit, ...]
     group_order: int
+    _fields = ("orbits", "group_order")
 
     def __post_init__(self):
         reps = [o.representative.mask for o in self.orbits]
@@ -165,87 +150,64 @@ class OrbitCensus:
         }
 
 
-def enumerate_gl(k: int) -> list[F2Matrix]:
-    """All invertible k x k matrices over F2, in ascending packed row order
-    (row 0 most significant), hence deterministic."""
-    return [F2Matrix(k, tuple(packed.to_bytes(k, "big"))) for packed in sorted(_gl_table(k))]
+# _BIT[p] is the bit of point p in a set mask, with _BIT[0] = 0 (see _images)
+_BIT = [0] + [1 << p for p in range(1, 16)]
 
 
-def _act_mask(perm: bytes, mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _images(mask: int, perms) -> list[int]:
+    """Bit set of the image of the set ``mask`` under each permutation."""
+    points = [p for p in range(1, 16) if mask >> p & 1]
+    # itemgetter returns a tuple from two indices on: sets of fewer points
+    # are padded with point 0, which no set holds, every permutation fixes
+    # and _BIT[0] = 0 leaves out of the union
+    image_points = itemgetter(*points, *[0, 0][len(points):])
+    # the images of distinct points are distinct bits: sum is union
+    return [sum(map(_BIT.__getitem__, image_points(perm))) for perm in perms]
 
 
 def act(m: F2Matrix, s: PointSet) -> PointSet:
     """Image point set {m * p : p in s}; cardinality is preserved."""
     if m.k != s.k:
         raise ValidationError(f"dimension mismatch: matrix k={m.k}, set k={s.k}")
-    return PointSet(s.k, _act_mask(_gl_table(m.k)[_pack(m.rows)], s.mask))
+    return PointSet(s.k, _images(s.mask, [m.point_permutation()])[0])
 
 
-def _group_permutations(group: list[F2Matrix]) -> list[bytes]:
-    if not group:
-        raise ValidationError("empty matrix group")
-    k = group[0].k
-    if any(m.k != k for m in group):
-        raise ValidationError("matrices of mixed dimensions in group")
-    table = _gl_table(k)
-    return [table[_pack(m.rows)] for m in group]
-
-
-def _set_masks(sets: list[PointSet], group: list[F2Matrix]) -> list[int]:
-    """Bit sets of ``sets``, after checking them against a nonempty group."""
-    if any(s.k != group[0].k for s in sets):
-        raise ValidationError("dimension mismatch between sets and group")
+def _masks(k: int, sets: list[PointSet]) -> list[int]:
+    """Bit sets of ``sets``, after checking that each lies in PG(k-1, F2)."""
+    _check_dim(k)
+    for s in sets:
+        if s.k != k:
+            raise ValidationError(f"dimension mismatch: group k={k}, set k={s.k}")
     return [s.mask for s in sets]
 
 
-def orbit_masks(s: PointSet, group: list[F2Matrix]) -> list[int]:
-    """Bit set of the image of s under each element of ``group``, in order."""
-    perms = _group_permutations(group)
-    (mask,) = _set_masks([s], group)
-    return [_act_mask(perm, mask) for perm in perms]
+def canonical_form(s: PointSet) -> PointSet:
+    """Minimum bit-set encoding over the GL(k, F2)-orbit of s; constant on
+    orbits."""
+    return PointSet(s.k, min(_images(s.mask, _gl_table(s.k))))
 
 
-def canonical_form(s: PointSet, group: list[F2Matrix]) -> PointSet:
-    """Minimum bit-set encoding over the orbit of s; constant on orbits."""
-    return PointSet(s.k, min(orbit_masks(s, group)))
-
-
-def orbit_census(sets: list[PointSet], group: list[F2Matrix]) -> OrbitCensus:
-    """Partition ``sets`` into orbits under ``group``.
+def orbit_census(k: int, sets: list[PointSet]) -> OrbitCensus:
+    """Partition ``sets``, point sets of PG(k-1, F2), into GL(k, F2)-orbits.
 
     The caller guarantees that ``sets`` is closed under the action; a
     computed orbit element outside ``sets`` raises a closure violation.
     """
-    perms = _group_permutations(group)
-    return _orbit_census(group[0].k, _set_masks(sets, group), perms)[0]
+    return _orbit_census(k, _masks(k, sets))[0]
 
 
-def _orbit_census(
-    k: int, masks: list[int], perms: list[bytes]
-) -> tuple[OrbitCensus, dict[int, int]]:
-    """:func:`orbit_census` on set bit masks and point permutations; also
-    maps every mask of the family to the index of its orbit in the census."""
+def _orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int]]:
+    """:func:`orbit_census` on set bit masks; also maps every mask of the
+    family to the index of its orbit in the census."""
+    perms = _gl_table(k)
     codes = sorted(set(masks))
     code_set = set(codes)
     orbits: list[Orbit] = []
     orbit_of: dict[int, int] = {}
-    # itemgetter returns a tuple from two indices on: sets of fewer points
-    # are padded with point 0, which no set holds, every permutation fixes
-    # and bit[0] = 0 leaves out of the union
-    bit = [0] + [1 << p for p in range(1, 1 << k)]
     for code in codes:
         if code in orbit_of:
             continue
-        points = [p for p in range(1 << k) if code >> p & 1]
-        image_points = itemgetter(*points, *[0, 0][len(points):])
-        # the images of distinct points are distinct bits: sum is union
-        images = [sum(map(bit.__getitem__, image_points(perm))) for perm in perms]
+        images = _images(code, perms)
         orbit, stab = set(images), images.count(code)
         stray = orbit - code_set
         if stray:
@@ -268,17 +230,17 @@ def _orbit_census(
 
 
 def gl_orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int], int]:
-    """Census of a family of set bit masks under the whole of GL(k, F2), read
-    straight from the permutation table (no :class:`F2Matrix` is built): the
-    :func:`orbit_census`, the orbit index of every mask of the family, and
-    the independent :func:`burnside_orbit_count` recount."""
-    perms = list(_gl_table(k).values())
-    census, orbit_of = _orbit_census(k, masks, perms)
-    return census, orbit_of, _burnside_orbit_count(masks, perms)
+    """Census of a family of set bit masks under GL(k, F2), for callers that
+    hold masks rather than point sets: the :func:`orbit_census`, the orbit
+    index of every mask of the family, and the independent
+    :func:`burnside_orbit_count` recount."""
+    census, orbit_of = _orbit_census(k, masks)
+    return census, orbit_of, _burnside_orbit_count(k, masks)
 
 
-def burnside_orbit_count(sets: list[PointSet], group: list[F2Matrix]) -> int:
-    """Orbit count as the average number of fixed sets per group element.
+def burnside_orbit_count(k: int, sets: list[PointSet]) -> int:
+    """Number of GL(k, F2)-orbits of ``sets``, as the average number of
+    fixed sets per group element.
 
     The family is bit-sliced: bit i of column[p] is set when set i contains
     point p.  An element g fixes set i exactly when no point p has column[p]
@@ -288,16 +250,16 @@ def burnside_orbit_count(sets: list[PointSet], group: list[F2Matrix]) -> int:
     cross-checking :func:`orbit_census`; requires the family to be closed
     under the action.
     """
-    perms = _group_permutations(group)
-    return _burnside_orbit_count(_set_masks(sets, group), perms)
+    return _burnside_orbit_count(k, _masks(k, sets))
 
 
-def _burnside_orbit_count(masks: list[int], perms: list[bytes]) -> int:
-    """:func:`burnside_orbit_count` on set bit masks and point permutations."""
+def _burnside_orbit_count(k: int, masks: list[int]) -> int:
+    """:func:`burnside_orbit_count` on set bit masks."""
+    perms = _gl_table(k)
     family = sorted(set(masks))
     column = [
         sum(1 << i for i, mask in enumerate(family) if mask >> p & 1)
-        for p in range(len(perms[0]))
+        for p in range(1 << k)
     ]
     # bit i of differ[p][q] is set when points p and q differ in membership of set i
     differ = [[cp ^ cq for cq in column] for cp in column]

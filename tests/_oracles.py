@@ -11,6 +11,10 @@ Fraction coordinates (the package groups by primitive integer keys), and a
 permutation table is read element by element into a dict (the package reads
 whole coordinate columns into a position list).
 
+The matrices of GL(k, F2) are listed by brute force, every row tuple of
+full rank (the package builds the group's permutation table by linearity
+and lists no matrix).
+
 It also holds the helpers that only tests call: listing the d-torsion,
 applying an automorphism to an element tuple and a matrix to a point.  The
 package itself works on element positions and point permutations.
@@ -21,6 +25,7 @@ from math import gcd, prod
 
 from plurican.errors import MalformedInputError, ValidationError
 from plurican.f2geom import F2Point
+from plurican.glgroup import F2Matrix
 
 BURNSIDE_GROUP_CAP = 100_000
 
@@ -52,6 +57,13 @@ def f2_rank(rows: list[int]) -> int:
             basis.append(cur)
             basis.sort(reverse=True)
     return len(basis)
+
+
+def enumerate_gl(k: int) -> list[F2Matrix]:
+    """All invertible k x k matrices over F2, in lexicographic order of their
+    rows (row 0 first): every row tuple whose F2 rank is k."""
+    return [F2Matrix(k, rows) for rows in product(range(1 << k), repeat=k)
+            if f2_rank(list(rows)) == k]
 
 
 def null_space_masks(k: int) -> list[int]:

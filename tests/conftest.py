@@ -1,7 +1,7 @@
 import pytest
 
+from _oracles import enumerate_gl
 from plurican.evenclass import enumerate_totally_even, verify_lemma_ev
-from plurican.glgroup import enumerate_gl
 
 
 @pytest.fixture(scope="session")

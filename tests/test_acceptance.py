@@ -15,6 +15,7 @@ from importlib import resources
 from _oracles import (
     brute_is_divisible,
     brute_tor_d_order,
+    enumerate_gl,
     null_space_count_by_weight,
 )
 from plurican.arrangements import (
@@ -27,7 +28,7 @@ from plurican.arrangements import (
 )
 from plurican.errors import HypothesisError
 from plurican.evenclass import EvenSetTag, classify_type, verify_lemma_ev
-from plurican.glgroup import act, enumerate_gl
+from plurican.glgroup import act
 from plurican.invariants import (
     CoveringParams,
     SurfaceInvariants,

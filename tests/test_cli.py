@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plurican import cli, torsion
+from plurican import arrangements, cli, torsion
 from plurican.cli import MAX_DIGITS, main
 
 GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
@@ -291,6 +291,26 @@ def test_incidences_dual_hesse(capsys):
     assert code == 0
     assert data["histogram"] == [[3, 12]]
     assert data["point_count"] == 12
+
+
+def test_incidences_over_the_line_cap_are_refused_before_any_pair(capsys, tmp_path, monkeypatch):
+    # the benchmark's 150 lines stay far below the documented limit
+    limit = arrangements.MAX_INCIDENCE_LINES
+    assert limit >= 4 * 150
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"field": "Q", "lines": [[1, i, 0] for i in range(limit + 1)]}),
+                    encoding="utf-8")
+    code, data = run_cli(capsys, "incidences", str(path))
+    assert code == 1
+    assert data["error"]["kind"] == "validation"
+    assert data["error"]["details"] == {"lines": limit + 1, "limit": limit}
+    # the 9 lines of the dual Hesse arrangement: refused above the cap, not at it
+    monkeypatch.setattr(arrangements, "MAX_INCIDENCE_LINES", 9)
+    assert run_cli(capsys, "incidences", fixture_path("dual-hesse.json"))[0] == 0
+    monkeypatch.setattr(arrangements, "MAX_INCIDENCE_LINES", 8)
+    code, data = run_cli(capsys, "incidences", fixture_path("dual-hesse.json"))
+    assert code == 1
+    assert data["error"]["details"] == {"lines": 9, "limit": 8}
 
 
 def test_catalog_lists_entries(capsys):

@@ -38,8 +38,7 @@ CLI = {"plurican", "plurican.cli", "plurican.errors"}
 TORSION = {"plurican.torsion"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
 ARRANGEMENTS = {"dataclasses", "plurican.arrangements", "plurican.f2geom"}
-CENSUS = {"dataclasses", "plurican._pool", "plurican.evenclass", "plurican.f2geom",
-          "plurican.glgroup"}
+CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
 
 # golden case -> the modules it loads besides CLI
 GOLDEN_LOADS = {

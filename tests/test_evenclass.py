@@ -24,7 +24,7 @@ from plurican.f2geom import (
     is_totally_even,
     pointset_to_json,
 )
-from plurican.glgroup import F2Matrix, act, canonical_form, enumerate_gl
+from plurican.glgroup import F2Matrix, act, canonical_form
 
 # golden value: totally even 8-point subsets of PG(3, F2), pinned from the
 # null-space oracle (see test_count_matches_oracle)
@@ -169,7 +169,7 @@ def test_type_ii_membership_matches_oracle_list():
 def test_constancy_failure_names_orbit_and_tags(monkeypatch, gl4, wrong):
     # the census representative of the 420-orbit is its least bit set, and
     # the victim one more member of that orbit
-    rep = canonical_form(TYPE_II_REPRESENTATIVE, gl4)
+    rep = canonical_form(TYPE_II_REPRESENTATIVE)
     victim = next(img for img in (act(m, rep) for m in gl4) if img != rep)
     real = evenclass.classify_type
     monkeypatch.setattr(
@@ -188,14 +188,32 @@ def test_census_builds_no_matrix_and_no_second_orbit_pass(monkeypatch):
     built = []
     real = F2Matrix.__post_init__
     monkeypatch.setattr(F2Matrix, "__post_init__", lambda self: built.append(self) or real(self))
-    enumerate_gl(2)
-    assert len(built) == 6  # the counter sees matrix construction
+    F2Matrix.identity(2)
+    assert len(built) == 1  # the counter sees matrix construction
 
     def refuse(*args):
-        raise AssertionError("orbit_masks called")
+        raise AssertionError("a one-set orbit function was called")
 
-    for module in (glgroup, evenclass):
-        monkeypatch.setattr(module, "orbit_masks", refuse, raising=False)
+    for name in ("canonical_form", "act"):
+        monkeypatch.setattr(glgroup, name, refuse)
     built.clear()
     assert verify_lemma_ev().orbit_count == 2
     assert built == []
+
+
+def test_burnside_disagreement_fails_the_census(monkeypatch):
+    monkeypatch.setattr(glgroup, "_burnside_orbit_count", lambda k, masks: 3)
+    with pytest.raises(ValidationError, match="Burnside recount 3 disagrees with census 2"):
+        verify_lemma_ev()
+
+
+def test_census_without_a_type_i_orbit_fails(monkeypatch):
+    # every set reported as type II: constant on orbits, but no type I orbit
+    real = evenclass.classify_type
+    monkeypatch.setattr(
+        evenclass, "classify_type",
+        lambda s: EvenSetType(EvenSetTag.TYPE_II, real(s).witness),
+    )
+    with pytest.raises(ValidationError, match="a single type I orbit of size 15") as err:
+        verify_lemma_ev()
+    assert err.value.details == {"sizes": []}

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fixed_set_total, matrix_apply
+from _oracles import enumerate_gl, fixed_set_total, matrix_apply
+from plurican import glgroup
 from plurican.errors import ValidationError
 from plurican.evenclass import TYPE_I_REPRESENTATIVE, TYPE_II_REPRESENTATIVE
 from plurican.f2geom import F2Point, PointSet, all_hyperplanes, all_points, incident, is_totally_even
 from plurican.glgroup import (
     F2Matrix,
+    Orbit,
+    OrbitCensus,
     _gl_table,
-    _group_permutations,
-    burnside_orbit_count,
     act,
+    burnside_orbit_count,
     canonical_form,
-    enumerate_gl,
     orbit_census,
 )
 
@@ -29,15 +30,24 @@ def hyperplane_complements():
 
 
 @pytest.mark.parametrize("k,order", [(2, 6), (3, 168), (4, 20160)])
-def test_group_orders(k, order, gl4):
-    group = gl4 if k == 4 else enumerate_gl(k)
-    assert len(group) == order
-    assert len(set(group)) == order
+def test_group_orders(k, order):
+    assert len(_gl_table(k)) == order
+    assert orbit_census(k, [PointSet.empty(k)]).group_order == order
 
 
 def test_unsupported_dimension():
-    with pytest.raises(ValidationError):
-        enumerate_gl(5)
+    for k in (1, 5, 4.0, True):
+        with pytest.raises(ValidationError, match="unsupported dimension"):
+            orbit_census(k, [])
+        with pytest.raises(ValidationError, match="unsupported dimension"):
+            burnside_orbit_count(k, [])
+
+
+def test_sets_of_another_dimension_rejected():
+    s = PointSet.from_codes(3, [1, 2])
+    for call in (orbit_census, burnside_orbit_count):
+        with pytest.raises(ValidationError, match="dimension mismatch: group k=4, set k=3"):
+            call(4, [TYPE_I_REPRESENTATIVE, s])
 
 
 def test_enumeration_order_is_ascending_packed(gl4):
@@ -51,25 +61,25 @@ def test_enumeration_order_is_ascending_packed(gl4):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_table_invariants(k):
-    table = _gl_table(k)
-    assert len(table) == prod((1 << k) - (1 << i) for i in range(k))
-    perms = list(table.values())
+    perms = _gl_table(k)
+    assert type(perms) is tuple
+    assert len(perms) == prod((1 << k) - (1 << i) for i in range(k))
     assert len(set(perms)) == len(perms)
     for perm in perms:
+        assert type(perm) is bytes
         assert perm[0] == 0
         assert sorted(perm) == list(range(1 << k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_point_permutations_by_linearity_match_apply_code(k, gl3, gl4):
-    group = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
-    table = _group_permutations(group)
-    for m, from_table in zip(group, table):
-        direct = tuple(m.apply_code(c) for c in range(1 << k))
-        assert m.point_permutation() == tuple(from_table) == direct
-        assert sorted(direct) == list(range(1 << k))
-    # any list of matrices reads the same table, in its own order
-    assert _group_permutations(group[::-7]) == table[::-7]
+    # the brute-force matrices induce exactly the permutations of the table
+    oracle = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
+    assert len(oracle) == {2: 6, 3: 168, 4: 20160}[k]
+    direct = [tuple(m.apply_code(c) for c in range(1 << k)) for m in oracle]
+    assert set(direct) == {tuple(perm) for perm in _gl_table(k)}
+    for m, perm in zip(oracle, direct):
+        assert m.point_permutation() == perm
 
 
 def test_singular_matrix_rejected():
@@ -109,24 +119,24 @@ def test_action_preserves_size_and_evenness(gl3, data):
 
 def test_canonical_form_orbit_invariance(gl3):
     s = PointSet.from_codes(3, [1, 2, 4])
-    base = canonical_form(s, gl3)
+    base = canonical_form(s)
     for m in gl3[::17]:
-        assert canonical_form(act(m, s), gl3) == base
-    assert canonical_form(base, gl3) == base  # idempotent
+        assert canonical_form(act(m, s)) == base
+    assert canonical_form(base) == base  # idempotent
 
 
-def test_canonical_form_of_empty_set(gl3):
-    assert canonical_form(PointSet.empty(3), gl3) == PointSet.empty(3)
+def test_canonical_form_of_empty_set():
+    assert canonical_form(PointSet.empty(3)) == PointSet.empty(3)
 
 
-def test_complements_share_one_canonical_form(gl4):
+def test_complements_share_one_canonical_form():
     comps = hyperplane_complements()
-    forms = {canonical_form(s, gl4).mask for s in comps}
+    forms = {canonical_form(s).mask for s in comps}
     assert len(forms) == 1
 
 
-def test_census_of_hyperplane_complements(gl4):
-    census = orbit_census(hyperplane_complements(), gl4)
+def test_census_of_hyperplane_complements():
+    census = orbit_census(4, hyperplane_complements())
     assert census.orbit_count == 1
     orbit = census.orbits[0]
     assert orbit.size == 15
@@ -134,27 +144,47 @@ def test_census_of_hyperplane_complements(gl4):
     assert orbit.size * orbit.stabilizer_order == census.group_order
 
 
-def test_census_closure_violation(gl4):
-    with pytest.raises(ValidationError):
-        orbit_census([TYPE_II_REPRESENTATIVE], gl4)
+def test_census_closure_violation():
+    with pytest.raises(ValidationError, match="not closed"):
+        orbit_census(4, [TYPE_II_REPRESENTATIVE])
     # Burnside: the lone set is fixed 48 times, not a multiple of 20160
-    with pytest.raises(ValidationError):
-        burnside_orbit_count([TYPE_II_REPRESENTATIVE], gl4)
+    with pytest.raises(ValidationError, match="not a multiple of the group order") as err:
+        burnside_orbit_count(4, [TYPE_II_REPRESENTATIVE])
+    assert err.value.details == {"total_fixed": 48, "group_order": 20160}
 
 
-def test_burnside_matches_census_on_complements(gl4):
-    assert burnside_orbit_count(hyperplane_complements(), gl4) == 1
+def test_census_orbit_stabilizer_check_on_a_table_with_a_duplicate(monkeypatch):
+    # the first permutation twice: every stabilizer is one too large
+    table = _gl_table(4)
+    monkeypatch.setattr(glgroup, "_gl_table", lambda k: table + table[:1])
+    with pytest.raises(ValidationError, match="full group without duplicates") as err:
+        orbit_census(4, hyperplane_complements())
+    assert err.value.details == {"orbit_size": 15, "stabilizer_order": 1345}
 
 
-def test_burnside_matches_census_on_totally_even_family(te8, gl4, lemma_report):
-    assert burnside_orbit_count(te8, gl4) == lemma_report.census.orbit_count
+def test_census_record_checks_orbit_stabilizer_and_distinct_representatives():
+    orbit = Orbit(TYPE_I_REPRESENTATIVE, 15, 1344)
+    assert OrbitCensus((orbit,), 20160).orbit_count == 1
+    with pytest.raises(ValidationError, match="orbit-stabilizer identity violated") as err:
+        OrbitCensus((Orbit(TYPE_I_REPRESENTATIVE, 15, 48),), 20160)
+    assert err.value.details == {"orbit_size": 15, "stabilizer_order": 48, "group_order": 20160}
+    with pytest.raises(ValidationError, match="not pairwise distinct"):
+        OrbitCensus((orbit, orbit), 20160)
 
 
-def test_burnside_matches_census_on_mixed_sizes(gl3):
+def test_burnside_matches_census_on_complements():
+    assert burnside_orbit_count(4, hyperplane_complements()) == 1
+
+
+def test_burnside_matches_census_on_totally_even_family(te8, lemma_report):
+    assert burnside_orbit_count(4, te8) == lemma_report.census.orbit_count
+
+
+def test_burnside_matches_census_on_mixed_sizes():
     # every subset of PG(2, F2): orbits of all sizes 0..7 at once
     family = [PointSet(3, mask) for mask in range(0, 1 << 8, 2)]
-    assert burnside_orbit_count(family, gl3) == orbit_census(family, gl3).orbit_count
-    assert burnside_orbit_count([], gl3) == 0
+    assert burnside_orbit_count(3, family) == orbit_census(3, family).orbit_count
+    assert burnside_orbit_count(3, []) == 0
 
 
 def test_orbit_sizes_divide_group_order(lemma_report):
@@ -164,9 +194,9 @@ def test_orbit_sizes_divide_group_order(lemma_report):
         assert orbit.size * orbit.stabilizer_order == census.group_order
 
 
-def test_census_representatives_are_minima(te8, gl4, lemma_report):
+def test_census_representatives_are_minima(lemma_report):
     for orbit in lemma_report.census.orbits:
-        assert canonical_form(orbit.representative, gl4) == orbit.representative
+        assert canonical_form(orbit.representative) == orbit.representative
 
 
 def test_census_json_shape(lemma_report):
@@ -185,19 +215,19 @@ def orbit_union(masks, perms) -> list[int]:
     })
 
 
-def assert_burnside_matches_oracle(family, group, perms, closed):
-    sets = [PointSet(group[0].k, mask) for mask in family]
+def assert_burnside_matches_oracle(family, k, perms, closed):
+    sets = [PointSet(k, mask) for mask in family]
     total = fixed_set_total(family, perms)
-    count, rem = divmod(total, len(group))
+    count, rem = divmod(total, len(perms))
     if rem:
         assert not closed
         with pytest.raises(ValidationError) as err:
-            burnside_orbit_count(sets, group)
-        assert err.value.details == {"total_fixed": total, "group_order": len(group)}
+            burnside_orbit_count(k, sets)
+        assert err.value.details == {"total_fixed": total, "group_order": len(perms)}
     else:  # a non-closed family can reach a multiple of |G| by chance
-        assert burnside_orbit_count(sets, group) == count
+        assert burnside_orbit_count(k, sets) == count
     if closed:
-        assert count == orbit_census(sets, group).orbit_count
+        assert count == orbit_census(k, sets).orbit_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +237,7 @@ def test_burnside_matches_fixed_set_oracle_gl3(gl3, data):
     closed = data.draw(st.booleans())
     perms = [m.point_permutation() for m in gl3]
     family = orbit_union(masks, perms) if closed else masks
-    assert_burnside_matches_oracle(family, gl3, perms, closed)
+    assert_burnside_matches_oracle(family, 3, perms, closed)
 
 
 # a point, a line, a plane and a plane complement of PG(3, F2): orbits of 15,
@@ -222,13 +252,13 @@ def gl4_perms(gl4):
 
 @settings(max_examples=6, deadline=None)
 @given(st.data())
-def test_burnside_matches_fixed_set_oracle_gl4(gl4, gl4_perms, data):
+def test_burnside_matches_fixed_set_oracle_gl4(gl4_perms, data):
     seeds = data.draw(st.lists(st.sampled_from(GL4_SEEDS), min_size=1, max_size=2, unique=True))
     family = orbit_union(seeds, gl4_perms)
     closed = data.draw(st.booleans())
     if not closed:  # a partial orbit
         family = data.draw(st.lists(st.sampled_from(family), min_size=1, unique=True))
-    assert_burnside_matches_oracle(family, gl4, gl4_perms, closed)
+    assert_burnside_matches_oracle(family, 4, gl4_perms, closed)
 
 
 # GL(k, 2) is transitive on the empty set, on the points and on the pairs of
@@ -246,7 +276,7 @@ def test_census_of_small_sets(k, size, gl3, gl4, gl4_perms):
     perms = gl4_perms if k == 4 else [m.point_permutation() for m in group]
     family = [PointSet.from_codes(k, c) for c in combinations(range(1, 1 << k), size)]
     masks = sorted(s.mask for s in family)
-    census = orbit_census(family, group)
+    census = orbit_census(k, family)
     assert [(o.size, o.stabilizer_order) for o in census.orbits] == [SMALL_SET_ORBITS[k, size]]
     rep = census.orbits[0].representative.mask
     assert rep == masks[0]
@@ -255,18 +285,17 @@ def test_census_of_small_sets(k, size, gl3, gl4, gl4_perms):
     assert sorted(set(images)) == masks
     assert images.count(rep) == census.orbits[0].stabilizer_order
     assert fixed_set_total(masks, perms) == len(group)
-    assert burnside_orbit_count(family, group) == 1
+    assert burnside_orbit_count(k, family) == 1
     for s in family[::max(1, len(family) // 7)]:
-        assert canonical_form(s, group).mask == rep
+        assert canonical_form(s).mask == rep
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_census_of_small_sets_together(k, gl3, gl4):
+def test_census_of_small_sets_together(k):
     # 0-, 1- and 2-point sets in one family: three orbits
-    group = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
     family = [PointSet.from_codes(k, c)
               for size in (0, 1, 2) for c in combinations(range(1, 1 << k), size)]
-    census = orbit_census(family, group)
+    census = orbit_census(k, family)
     assert [(o.size, o.stabilizer_order) for o in census.orbits] == [
         SMALL_SET_ORBITS[k, size] for size in (0, 1, 2)]
-    assert burnside_orbit_count(family, group) == 3
+    assert burnside_orbit_count(k, family) == 3
