@@ -21,13 +21,12 @@ is written from the integer vectors directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import MalformedInputError, ValidationError, is_int
+from .errors import MalformedInputError, Record, ValidationError, is_int
 from .f2geom import F2Point, PointSet, is_totally_even
 
 if TYPE_CHECKING:
@@ -44,19 +43,9 @@ __all__ = [
     "compute_incidences",
     "check_campedelli",
     "analyze_extension",
-    "k2_from_heavy_points",
     "load_arrangement",
     "arrangement_to_json",
 ]
-
-
-def __getattr__(name: str):
-    # k2_from_heavy_points is re-exported from invariants, loaded on first use
-    if name == "k2_from_heavy_points":
-        from .invariants import k2_from_heavy_points
-
-        return k2_from_heavy_points
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rational(x) -> Fraction:
@@ -65,18 +54,16 @@ def _rational(x) -> Fraction:
     raise ValidationError(f"ExactScalar components must be integers or Fractions, got {x!r}")
 
 
-class ExactScalar:
+class ExactScalar(Record):
     """An element a + b*omega of Q(omega), with exact rational a and b."""
 
-    __slots__ = ("a", "b")
+    a: Fraction
+    b: Fraction
 
     def __init__(self, a=0, b=0):
         # Fractions are immutable, so one given as a component is kept as is
-        object.__setattr__(self, "a", a if type(a) is Fraction else _rational(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else _rational(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
+        super().__init__(a if type(a) is Fraction else _rational(a),
+                         b if type(b) is Fraction else _rational(b))
 
     @classmethod
     def omega(cls) -> "ExactScalar":
@@ -150,8 +137,7 @@ class ExactScalar:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    __hash__ = Record.__hash__
 
     def __repr__(self):
         if self.b == 0:
@@ -206,8 +192,7 @@ def _leading_one(key) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
     )
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ProjLine:
+class ProjLine(Record):
     """A projective line, stored as the canonical key of its coefficients."""
 
     vec: tuple[int, ...]
@@ -221,7 +206,7 @@ class ProjLine:
         vec = _canonical([x.numerator * (den // x.denominator) for x in parts])
         if vec is None:
             raise ValidationError("coefficient vector is zero")
-        object.__setattr__(self, "vec", vec)
+        super().__init__(vec)
 
     @property
     def coeffs(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
@@ -235,8 +220,7 @@ class ProjLine:
         return f"ProjLine{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class IncidencePoint:
+class IncidencePoint(Record):
     """An intersection point: its canonical key and the lines through it."""
 
     key: tuple[int, ...]
@@ -251,8 +235,7 @@ class IncidencePoint:
         return len(self.lines)
 
 
-@dataclass
-class IncidenceReport:
+class IncidenceReport(Record):
     """All pairwise intersection points of an arrangement, grouped exactly."""
 
     points: list[IncidencePoint]
@@ -283,16 +266,16 @@ class IncidenceReport:
         }
 
 
-@dataclass(frozen=True)
-class LabeledArrangement:
+class LabeledArrangement(Record):
     """Distinct projective lines, optionally labeled by points over F2."""
 
     lines: tuple[ProjLine, ...]
-    labels: tuple[F2Point, ...] = field(default_factory=tuple)
+    labels: tuple[F2Point, ...]
+
+    def __init__(self, lines, labels=()):
+        super().__init__(tuple(lines), tuple(labels))
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-        object.__setattr__(self, "labels", tuple(self.labels))
         seen: dict[ProjLine, int] = {}
         for i, line in enumerate(self.lines):
             if line in seen:
@@ -317,6 +300,13 @@ class LabeledArrangement:
 # 179700 pairs take about 0.5 GB.
 MAX_INCIDENCE_LINES = 600
 
+# Each bit of the longest canonical line entry adds about 8 bytes of peak RSS
+# per pair (cold `plurican incidences`, 300 generic lines: over Q 8 bits 3.3 KB
+# per pair, 128 bits 4.2 KB, 512 bits 7.4 KB; over Q(omega) 128 bits 6.0 KB),
+# so longer entries are refused before any pair is formed; at both caps, 600
+# lines take about 0.75 GB over Q and 1.1 GB over Q(omega).
+MAX_COEFFICIENT_BITS = 128
+
 
 def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     """Intersect all line pairs and group equal points exactly.
@@ -325,8 +315,9 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     (see `_canonical`), over Q and Q(omega) alike; their leading-1
     coordinates are key / lead, lead > 0 the first nonzero entry of the key.
     Points are listed in lexicographic order of those coordinates, (a, b)
-    per coordinate.  An arrangement of more than `MAX_INCIDENCE_LINES` lines
-    is refused first.
+    per coordinate.  An arrangement of more than `MAX_INCIDENCE_LINES` lines,
+    or whose canonical line vectors hold an entry of more than
+    `MAX_COEFFICIENT_BITS` bits, is refused first.
     """
     lines = arr.lines
     if len(lines) > MAX_INCIDENCE_LINES:
@@ -334,9 +325,13 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
             f"{len(lines)} lines are above the limit {MAX_INCIDENCE_LINES} for incidences",
             lines=len(lines), limit=MAX_INCIDENCE_LINES,
         )
+    vecs = [line.vec for line in lines]
+    bits = max((x.bit_length() for vec in vecs for x in vec), default=0)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ValidationError(f"{bits}-bit coefficients are above the limit {MAX_COEFFICIENT_BITS}",
+                              bits=bits, limit=MAX_COEFFICIENT_BITS)
     if len(lines) < 2:
         raise ValidationError("need at least two lines to intersect")
-    vecs = [line.vec for line in lines]
     by_key: dict[tuple[int, ...], set[int]] = {}
     for i, j in combinations(range(len(vecs)), 2):
         key = _canonical(_cross(vecs[i], vecs[j]))
@@ -356,8 +351,7 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     return IncidenceReport(points=points, histogram=histogram, line_count=len(lines))
 
 
-@dataclass
-class CampedelliReport:
+class CampedelliReport(Record):
     """Validity report for 7-line covering data with (Z/2)^3 labels."""
 
     passed: bool
@@ -420,8 +414,7 @@ def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
     )
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(Record):
     """Label analysis of an 8-line extension of 7-line covering data."""
 
     sum_zero: bool

@@ -49,7 +49,6 @@ class EvenSetType(Record):
 
     tag: EvenSetTag
     witness: Hyperplane | None
-    _fields = ("tag", "witness")
 
 
 # the two orbit representatives among totally even 8-point sets:
@@ -118,8 +117,6 @@ class LemmaEvReport(Record):
     orbit_types: tuple[EvenSetTag, ...]
     burnside_orbit_count: int
     profile_separates_orbits: bool
-    _fields = ("total_count", "census", "orbit_types", "burnside_orbit_count",
-               "profile_separates_orbits")
 
     @property
     def orbit_count(self) -> int:

@@ -45,7 +45,6 @@ class F2Point(Record):
 
     k: int
     code: int
-    _fields = ("k", "code")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -79,7 +78,6 @@ class Hyperplane(Record):
 
     k: int
     normal: int
-    _fields = ("k", "normal")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -111,7 +109,6 @@ class PointSet(Record):
 
     k: int
     mask: int
-    _fields = ("k", "mask")
 
     def __post_init__(self):
         _check_dim(self.k)

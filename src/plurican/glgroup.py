@@ -47,7 +47,6 @@ class F2Matrix(Record):
 
     k: int
     rows: tuple[int, ...]
-    _fields = ("k", "rows")
 
     def __post_init__(self):
         _check_dim(self.k)
@@ -108,7 +107,6 @@ class Orbit(Record):
     representative: PointSet
     size: int
     stabilizer_order: int
-    _fields = ("representative", "size", "stabilizer_order")
 
 
 class OrbitCensus(Record):
@@ -116,7 +114,6 @@ class OrbitCensus(Record):
 
     orbits: tuple[Orbit, ...]
     group_order: int
-    _fields = ("orbits", "group_order")
 
     def __post_init__(self):
         reps = [o.representative.mask for o in self.orbits]

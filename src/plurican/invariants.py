@@ -34,10 +34,9 @@ class SurfaceInvariants(Record):
     p_g: int
     q: int
     K2: int
-    _fields = ("p_g", "q", "K2")
 
     def __post_init__(self):
-        for name in ("p_g", "q", "K2"):
+        for name in self._fields:
             check_int(getattr(self, name), f"{name} must be an integer")
         if self.p_g < 0 or self.q < 0:
             raise ValidationError(
@@ -71,7 +70,6 @@ class CoveringParams(Record):
 
     d: int
     m: int
-    _fields = ("d", "m")
 
     def __post_init__(self):
         check_int(self.d, "covering degree must be an integer >= 2", lo=2)
@@ -211,8 +209,6 @@ class CatalogEntry(Record):
     miyaoka_yau: bool
     kl_equals_aut: bool | None
     notes: str
-    _fields = ("name", "aliases", "invariants", "torsion", "bicanonical_map_degree",
-               "miyaoka_yau", "kl_equals_aut", "notes")
 
     def __post_init__(self):
         if self.miyaoka_yau != self.invariants.is_miyaoka_yau:

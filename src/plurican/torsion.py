@@ -38,7 +38,6 @@ class FiniteAbelianGroup(Record):
     """Direct product of cyclic groups Z/n_1 x ... x Z/n_r (empty = trivial)."""
 
     cyclic_orders: tuple[int, ...]
-    _fields = ("cyclic_orders",)
 
     def __post_init__(self):
         object.__setattr__(self, "cyclic_orders", tuple(self.cyclic_orders))

@@ -19,7 +19,6 @@ from plurican.arrangements import (
     arrangement_to_json,
     check_campedelli,
     compute_incidences,
-    k2_from_heavy_points,
     load_arrangement,
 )
 
@@ -461,11 +460,6 @@ def test_extension_line_count_enforced():
     labels = tuple(F2Point(4, c) for c in range(1, 8))
     with pytest.raises(ValidationError):
         analyze_extension(LabeledArrangement(tuple(moment_lines(7)), labels))
-
-
-def test_k2_from_heavy_points_reexport():
-    assert k2_from_heavy_points(6) == 3
-    assert k2_from_heavy_points(0) == 9
 
 
 # --- JSON -------------------------------------------------------------------

@@ -313,6 +313,28 @@ def test_incidences_over_the_line_cap_are_refused_before_any_pair(capsys, tmp_pa
     assert data["error"]["details"] == {"lines": 9, "limit": 8}
 
 
+def test_incidences_over_the_coefficient_cap_are_refused(capsys, tmp_path):
+    # the benchmark's inputs reach 17 bits and the bundled fixtures 6
+    limit = arrangements.MAX_COEFFICIENT_BITS
+    assert limit >= 4 * 17
+    path = tmp_path / "lines.json"
+
+    def run(lines, field="Q"):
+        path.write_text(json.dumps({"field": field, "lines": lines}), encoding="utf-8")
+        return run_cli(capsys, "incidences", str(path))
+
+    assert run([[1, 0, 0], [0, 1, 0], [1, 1, 2**limit - 1]])[0] == 0
+    assert run([[1, 0, 0], [0, 1, 0], [1, 1, 1 - 2**limit]])[0] == 0
+    code, data = run([[1, 0, 0], [0, 1, 0], [1, 1, 2**limit]])
+    assert (code, data["error"]["kind"]) == (1, "validation")
+    assert data["error"]["details"] == {"bits": limit + 1, "limit": limit}
+    # the canonical vector counts, not the input: over Q(omega) the leading
+    # 1 + 2^e omega becomes its norm 1 - 2^e + 2^(2e), of 2e bits
+    e = limit // 2 + 1
+    code, data = run([[[[1, 1], [2**e, 1]], 1, 0], [0, 1, 0], [0, 0, 1]], "Q(omega)")
+    assert (code, data["error"]["details"]) == (1, {"bits": 2 * e, "limit": limit})
+
+
 def test_catalog_lists_entries(capsys):
     code, data = run_cli(capsys, "catalog")
     assert code == 0
@@ -396,13 +418,16 @@ def test_usage_error_ignores_out(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path):
+def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path, monkeypatch):
     # every coefficient has ~2200 digits; the coordinates of the
     # intersection points pass the 4300-digit int/str limit
     big = 10**2200
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"field": "Q", "lines": [
         [1, 0, big + 7], [0, 1, big + 9], [big + 12, 1, 3]]}), encoding="utf-8")
+    # the coefficient cap refuses them first; above it the writer refuses
+    assert run_cli(capsys, "incidences", str(path))[0] == 1
+    monkeypatch.setattr(arrangements, "MAX_COEFFICIENT_BITS", 10**6)
     error = run_cli_malformed(capsys, "incidences", str(path))["error"]
     assert error["details"] == {"limit": sys.get_int_max_str_digits()}
     assert len(max(re.findall("[0-9]+", error["message"]), key=len)) < 10

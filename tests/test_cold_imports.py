@@ -5,9 +5,8 @@ catch a handler that works only because another command imported its module
 first.  Here each command line runs in a new ``python -c`` through
 `plurican.cli.main`: its stdout must match the golden capture where one
 exists, and the ``plurican`` modules in ``sys.modules`` at exit must be
-exactly the listed ones, with ``dataclasses`` (about 13 ms of a cold start)
-among them only where a module that uses it is loaded.  Structural only:
-nothing is timed.
+exactly the listed ones, and no command may load ``dataclasses`` (about 13 ms
+of a cold start).  Structural only: nothing is timed.
 """
 
 import os
@@ -37,7 +36,7 @@ sys.exit(code)
 CLI = {"plurican", "plurican.cli", "plurican.errors"}
 TORSION = {"plurican.torsion"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
-ARRANGEMENTS = {"dataclasses", "plurican.arrangements", "plurican.f2geom"}
+ARRANGEMENTS = {"plurican.arrangements", "plurican.f2geom"}
 CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
 
 # golden case -> the modules it loads besides CLI

@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 import plurican
 from plurican import invariants
-from plurican.errors import HypothesisError, ValidationError
+from plurican.arrangements import (
+    CampedelliReport,
+    ExactScalar,
+    ExtensionReport,
+    IncidencePoint,
+    IncidenceReport,
+    LabeledArrangement,
+    ProjLine,
+)
+from plurican.errors import HypothesisError, Record, ValidationError
+from plurican.evenclass import EvenSetTag, EvenSetType
 from plurican.invariants import (
     CATALOG,
     CoveringParams,
@@ -53,6 +64,49 @@ def test_records_are_frozen_values():
                          ((3, 1), {"k2": 13})]:
         with pytest.raises(TypeError):
             SurfaceInvariants(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record", [
+    IncidenceReport([], {}, 0),
+    CampedelliReport(True, [], {}),
+    ExtensionReport(True, True, EvenSetType(EvenSetTag.TYPE_I, None)),
+], ids=lambda record: type(record).__name__)
+def test_reports_are_frozen(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def test_record_fields_are_the_annotations():
+    class Parent(Record):
+        b: int
+        a: int
+
+    class Child(Parent):
+        def total(self):
+            return self.a + self.b
+
+    assert Parent._fields == Child._fields == ("b", "a")
+    assert IncidencePoint._fields == ("key", "lines")
+    child = Child(1, a=2)
+    assert (child.b, child.a, child.total()) == (1, 2, 3)
+    assert repr(child) == "Child(b=1, a=2)"
+    with pytest.raises(TypeError):
+        Child(1, b=2)
+
+
+def test_arrangement_values():
+    lines = [ProjLine((1, 0, 0)), ProjLine((0, 1, 0))]
+    assert LabeledArrangement(lines).labels == ()
+    assert LabeledArrangement(lines) == LabeledArrangement(tuple(lines), ())
+    assert ProjLine((2, 4, 6)) == ProjLine((1, 2, 3))
+    assert hash(ProjLine((2, 4, 6))) == hash(ProjLine((1, 2, 3)))
+    half = ExactScalar(Fraction(1, 2), 1)
+    assert half == ExactScalar(1, 2) / 2 != ExactScalar(Fraction(1, 2))
+    assert hash(half) == hash(ExactScalar(1, 2) / 2)
+    assert ExactScalar(3) == 3 and hash(ExactScalar(3)) == hash(ExactScalar(Fraction(3)))
 
 
 def test_miyaoka_yau_flag():
