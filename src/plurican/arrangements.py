@@ -293,18 +293,18 @@ class LabeledArrangement(Record):
                 raise ValidationError("labels of mixed dimensions")
 
 
-# Peak memory grows with the number of line pairs, by about 3 KB per pair
+# Peak memory grows with the number of line pairs, by about 1.8 KB per pair
 # for generic rational lines with small coefficients (peak RSS of a cold
-# `plurican incidences`, Python 3.11: 300 lines 142 MB, 400 lines 238 MB), so
+# `plurican incidences`, Python 3.11: 300 lines 84 MB, 400 lines 142 MB), so
 # more lines than this are refused before any pair is formed; at the cap,
-# 179700 pairs take about 0.5 GB.
+# 179700 pairs take about 0.3 GB.
 MAX_INCIDENCE_LINES = 600
 
-# Each bit of the longest canonical line entry adds about 8 bytes of peak RSS
-# per pair (cold `plurican incidences`, 300 generic lines: over Q 8 bits 3.3 KB
-# per pair, 128 bits 4.2 KB, 512 bits 7.4 KB; over Q(omega) 128 bits 6.0 KB),
-# so longer entries are refused before any pair is formed; at both caps, 600
-# lines take about 0.75 GB over Q and 1.1 GB over Q(omega).
+# Each bit of the longest canonical line entry adds about 4 bytes of peak RSS
+# per pair (cold `plurican incidences`, 300 generic lines: over Q 7 bits 1.9 KB
+# per pair, 127 bits 2.3 KB; over Q(omega) 126 bits 3.2 KB), so longer entries
+# are refused before any pair is formed; at both caps, 600 lines take about
+# 0.4 GB over Q and 0.6 GB over Q(omega).
 MAX_COEFFICIENT_BITS = 128
 
 

@@ -11,9 +11,10 @@ integer too long to print (more digits than the interpreter's int/str
 conversion limit) and an ``--out`` file that cannot be written; an error
 document that cannot be written to ``--out`` goes to stdout.  Identical
 inputs produce byte-identical output: the same bytes as
-``json.dumps(indent=2, sort_keys=True)``, written by `json_text`.  Every
-command runs in one process; ``--workers N`` is accepted and validated
-(N < 1 is malformed input) and does not change the output.
+``json.dumps(indent=2, sort_keys=True)``, built by the `json_text` walk in
+chunks and written chunk by chunk.  Every command runs in one process;
+``--workers N`` is accepted and validated (N < 1 is malformed input) and
+does not change the output.
 """
 
 from __future__ import annotations
@@ -464,11 +465,24 @@ def json_text(value) -> str:
     False, int (``int.__repr__``, so int subclasses print as plain ints),
     list or tuple, dict (keys sorted).  Floats, non-str keys and other types
     raise TypeError; the package prints none.  The separators of each depth
-    are built once and shared by every item at that depth.  The whole text
-    is built before anything is written, so an integer past the
-    interpreter's int/str digit limit is a MalformedInputError, not a
-    partial document.
+    are built once and shared by every item at that depth.
     """
+    return "".join(_json_chunks(value))
+
+
+# parts joined into one chunk of _json_chunks; the part list stays this
+# short however long the text is
+_CHUNK_PARTS = 4096
+
+
+def _json_chunks(value) -> list[str]:
+    """The text of :func:`json_text` as consecutive chunks of about
+    ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of
+    every part nor one string of the whole text.  Every chunk is built before
+    anything is written, so an integer past the interpreter's int/str digit
+    limit is a MalformedInputError, not a partial document.
+    """
+    chunks: list[str] = []
     parts: list[str] = []
     append, encode, int_repr = parts.append, encode_basestring_ascii, int.__repr__
     # per depth: open list, open dict, item separator, close list, close dict
@@ -508,6 +522,9 @@ def json_text(value) -> str:
                     append(lead)
                     lead = sep
                     write(item, depth + 1)
+                    if len(parts) >= _CHUNK_PARTS:
+                        chunks.append("".join(parts))
+                        parts.clear()
                 append(close_list)
             else:
                 lead = open_dict
@@ -519,10 +536,14 @@ def json_text(value) -> str:
                     append(encode(key))
                     append(": ")
                     write(item, depth + 1)
+                    if len(parts) >= _CHUNK_PARTS:
+                        chunks.append("".join(parts))
+                        parts.clear()
                 append(close_dict)
 
     write(value, 0)
-    return "".join(parts)
+    chunks.append("".join(parts))
+    return chunks
 
 
 class _OutUnwritable(MalformedInputError):
@@ -541,12 +562,13 @@ class _InternalError(DomainError):
 
 
 def _emit(payload: dict, out: Path | None) -> None:
-    text = json_text({"schema": SCHEMA, **payload}) + "\n"
+    chunks = _json_chunks({"schema": SCHEMA, **payload})
+    chunks.append("\n")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        out.write_text(text, encoding="utf-8")
+        out.write_text("".join(chunks), encoding="utf-8")
     except OSError as exc:
         raise _OutUnwritable(f"cannot write {out}: {exc}") from exc
 

@@ -10,19 +10,28 @@ codes below 2^(b+1) follow as XORs of basis images (one ``bytes.translate``
 per permutation), so no singular candidate is ever tried.
 Orbit partitioning, canonical forms and stabilizer orders apply every
 permutation of the group, which at these sizes is the most auditable
-approach.  Canonical forms are lexicographic minima of orbits under the
-integer encoding of point-set bit masks, so they are independent of
-traversal order.  The Burnside recount is a different algorithm: it forms
-no orbit and no image set.  The family is bit-sliced into one integer per
-point; the XOR of the integers of every pair of points is taken once, and
-per group element one of them per point marks every set of the family that
-the element moves.
+approach.  A set is applied through its 256-byte indicator table: one
+``bytes.translate`` per element gives the indicator of the set's inverse
+image, and over the whole group the inverse images are the images, each as
+often.  Only the distinct images become bit masks again.  Canonical forms
+are lexicographic minima of orbits under the integer encoding of point-set
+bit masks, so they are independent of traversal order.  The Burnside
+recount is a different algorithm: it forms no orbit and no image set.  The
+family is bit-sliced into one integer per point.  Points are paired (0 and
+1, 2 and 3, ...), and the table is read as one stream of native 16-bit
+words, each holding the images of one pair; per pair a dict maps the word
+to the union of the two points' XORs with their images, and per element the
+OR of one entry per pair marks every set of the family that it moves.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import itemgetter, or_
+import sys
+from collections import Counter
+from functools import lru_cache
+from itertools import chain, compress, cycle, repeat
+from operator import or_
+from struct import Struct
 
 from .errors import Record, ValidationError, is_int
 from .f2geom import PointSet, _check_dim, pointset_to_json
@@ -74,29 +83,28 @@ class F2Matrix(Record):
         """Image of every code 0 .. 2^k - 1 (index 0 maps to 0), by linearity."""
         perm = b"\0"
         for b in range(self.k):
-            perm = _extend(perm, self.apply_code(1 << b))
+            perm += perm.translate(_XOR_BY[self.apply_code(1 << b)])
         return tuple(perm)
 
 
-# _XOR_BY[v] is the byte translation c -> c ^ v of the point codes c < 16
+# _XOR_BY[v] is the byte translation c -> c ^ v of the point codes c < 16.
+# With the images perm of the codes below m = 2^b, perm.translate(_XOR_BY[v])
+# is the images of the codes m + c when code m maps to v (linearity).
 _CODES = bytes(range(16))
 _XOR_BY = [bytes.maketrans(_CODES, bytes([c ^ v for c in _CODES])) for v in range(16)]
-
-
-def _extend(perm: bytes, image: int) -> bytes:
-    """Images of the codes below 2m from those below m = 2^b and the image
-    of 2^b: code m + c maps to the XOR of the images of m and c."""
-    return perm + perm.translate(_XOR_BY[image])
 
 
 @lru_cache(maxsize=None)
 def _gl_table(k: int) -> tuple[bytes, ...]:
     """The point permutation of every element of GL(k, F2), in build order."""
     _check_dim(k)
+    points = _CODES[1:1 << k]
     perms = [b"\0"]
     for _ in range(k):
-        # the images so far are exactly the span of the basis images so far
-        perms = [_extend(p, image) for p in perms for image in range(1, 1 << k) if image not in p]
+        # the images so far are exactly the span of the basis images so far,
+        # and translate(None, p) deletes them from the candidates
+        perms = [p + p.translate(_XOR_BY[image])
+                 for p in perms for image in points.translate(None, p)]
     return tuple(perms)
 
 
@@ -147,26 +155,33 @@ class OrbitCensus(Record):
         }
 
 
-# _BIT[p] is the bit of point p in a set mask, with _BIT[0] = 0 (see _images)
-_BIT = [0] + [1 << p for p in range(1, 16)]
-
-
-def _images(mask: int, perms) -> list[int]:
-    """Bit set of the image of the set ``mask`` under each permutation."""
-    points = [p for p in range(1, 16) if mask >> p & 1]
-    # itemgetter returns a tuple from two indices on: sets of fewer points
-    # are padded with point 0, which no set holds, every permutation fixes
-    # and _BIT[0] = 0 leaves out of the union
-    image_points = itemgetter(*points, *[0, 0][len(points):])
-    # the images of distinct points are distinct bits: sum is union
-    return [sum(map(_BIT.__getitem__, image_points(perm))) for perm in perms]
-
-
 def act(m: F2Matrix, s: PointSet) -> PointSet:
     """Image point set {m * p : p in s}; cardinality is preserved."""
     if m.k != s.k:
         raise ValidationError(f"dimension mismatch: matrix k={m.k}, set k={s.k}")
-    return PointSet(s.k, _images(s.mask, [m.point_permutation()])[0])
+    perm = m.point_permutation()
+    return PointSet(s.k, sum(1 << perm[p] for p in range(len(perm)) if s.mask >> p & 1))
+
+
+# _BIT[p] is the bit of point p in a set mask
+_BIT = [1 << p for p in range(16)]
+
+
+def _orbit(mask: int, perms) -> dict[int, int]:
+    """Every set T of the orbit of the set ``mask`` under the group whose
+    permutations are ``perms``, with the number of elements g such that
+    g^-1 mask = T (for T = mask, the stabilizer order).
+
+    With the set's indicator table (byte p is 1 when point p is in the set),
+    byte c of ``perm.translate(table)`` is 1 when the element maps c into
+    the set: one C-level call gives the indicator of the inverse image.  The
+    inverses run over the same elements as the permutations only in a whole
+    group, so this holds only for the whole table.
+    """
+    table = bytes(mask >> p & 1 for p in range(16)).ljust(256, b"\0")
+    images = Counter(map(bytes.translate, perms, repeat(table)))
+    # only the distinct images become masks again
+    return {sum(compress(_BIT, image)): n for image, n in images.items()}
 
 
 def _masks(k: int, sets: list[PointSet]) -> list[int]:
@@ -181,7 +196,7 @@ def _masks(k: int, sets: list[PointSet]) -> list[int]:
 def canonical_form(s: PointSet) -> PointSet:
     """Minimum bit-set encoding over the GL(k, F2)-orbit of s; constant on
     orbits."""
-    return PointSet(s.k, min(_images(s.mask, _gl_table(s.k))))
+    return PointSet(s.k, min(_orbit(s.mask, _gl_table(s.k))))
 
 
 def orbit_census(k: int, sets: list[PointSet]) -> OrbitCensus:
@@ -204,9 +219,9 @@ def _orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int]
     for code in codes:
         if code in orbit_of:
             continue
-        images = _images(code, perms)
-        orbit, stab = set(images), images.count(code)
-        stray = orbit - code_set
+        orbit = _orbit(code, perms)
+        stab = orbit[code]
+        stray = orbit.keys() - code_set
         if stray:
             raise ValidationError(
                 "input family is not closed under the group action",
@@ -242,8 +257,9 @@ def burnside_orbit_count(k: int, sets: list[PointSet]) -> int:
     The family is bit-sliced: bit i of column[p] is set when set i contains
     point p.  An element g fixes set i exactly when no point p has column[p]
     and column[g p] differing at bit i, so the union over the points of
-    column[p] ^ column[g p], read from a table of the XORs of all pairs of
-    points, marks every set that g moves.  Independent recount for
+    column[p] ^ column[g p], read two points at a time from tables keyed by
+    the images of a pair of points, marks every set that g moves.  Every
+    per-element step is a C-level ``map``.  Independent recount for
     cross-checking :func:`orbit_census`; requires the family to be closed
     under the action.
     """
@@ -253,18 +269,31 @@ def burnside_orbit_count(k: int, sets: list[PointSet]) -> int:
 def _burnside_orbit_count(k: int, masks: list[int]) -> int:
     """:func:`burnside_orbit_count` on set bit masks."""
     perms = _gl_table(k)
+    n = 1 << k
     family = sorted(set(masks))
     column = [
         sum(1 << i for i, mask in enumerate(family) if mask >> p & 1)
-        for p in range(1 << k)
+        for p in range(n)
     ]
-    # bit i of differ[p][q] is set when points p and q differ in membership of set i
-    differ = [[cp ^ cq for cq in column] for cp in column]
-    total_fixed = 0
-    for perm in perms:
-        # bit i is set when some point and its image differ in membership of set i
-        moved = reduce(or_, map(list.__getitem__, differ, perm))
-        total_fixed += len(family) - moved.bit_count()
+    # The permutations are read as one stream of native 16-bit words, n/2
+    # per element: word j holds the images q0, q1 of points 2j and 2j + 1,
+    # and pair[j][word] = (column[2j] ^ column[q0]) | (column[2j + 1] ^ column[q1]).
+    pair = [
+        {
+            int.from_bytes(bytes((q0, q1)), sys.byteorder):
+                column[p] ^ column[q0] | column[p + 1] ^ column[q1]
+            for q0 in range(n) for q1 in range(n) if q0 != q1
+        }
+        for p in range(0, n, 2)
+    ]
+    words = chain.from_iterable(map(Struct(f"={n // 2}H").unpack, perms))
+    moved = map(dict.__getitem__, cycle(pair), words)
+    for _ in range(k - 1):
+        # each step ORs consecutive values, so k - 1 steps leave one per element
+        moved = map(or_, moved, moved)
+    # bit i of an element's value is set when some point and its image differ
+    # in membership of set i, that is when the element moves set i
+    total_fixed = len(family) * len(perms) - sum(map(int.bit_count, moved))
     count, rem = divmod(total_fixed, len(perms))
     if rem:
         raise ValidationError(

@@ -433,6 +433,28 @@ def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path, monkeypa
     assert len(max(re.findall("[0-9]+", error["message"]), key=len)) < 10
 
 
+def test_stdout_is_written_in_chunks_of_one_whole_document(capsys, tmp_path, monkeypatch):
+    # one part per chunk: stdout gets one writelines of many chunks, the same
+    # bytes as before, and a digit-limit error found after many chunks still
+    # prints only the error document
+    monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
+    writes = []
+    real = type(sys.stdout).writelines
+    monkeypatch.setattr(type(sys.stdout), "writelines",
+                        lambda self, chunks: writes.append(len(chunks)) or real(self, chunks))
+    assert main(["incidences", fixture_path("dual-hesse.json")]) == 0
+    golden = (Path(__file__).parent / "golden" / "incidences-dual-hesse.json").read_text()
+    assert capsys.readouterr().out == golden
+    assert len(writes) == 1 and writes[0] > 100
+    big = 10**2200
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"field": "Q", "lines": [
+        [1, 0, 1], [0, 1, 1], [1, 1, 3], [1, 0, big + 7], [0, 1, big + 9], [big + 12, 1, 3]]}))
+    monkeypatch.setattr(arrangements, "MAX_COEFFICIENT_BITS", 10**6)
+    error = run_cli_malformed(capsys, "incidences", str(path))["error"]
+    assert error["details"] == {"limit": sys.get_int_max_str_digits()}
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["catalog", "--out", str(out)])

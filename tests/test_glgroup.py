@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import prod
 
@@ -106,6 +107,17 @@ def test_swap_matrix_action():
     assert act(F2Matrix(4, list(swap.rows)), src) == dst  # rows given as a list
 
 
+def test_act_is_the_forward_image():
+    # a 3-cycle of the coordinates is no involution: m s and m^-1 s differ,
+    # and act gives m s
+    m = F2Matrix(3, (0b001, 0b100, 0b010))
+    s = PointSet.from_codes(3, [0b100, 0b110])
+    forward = PointSet.from_points([matrix_apply(m, p) for p in s.points()])
+    inverse = PointSet.from_codes(3, [c for c in range(1, 8) if m.apply_code(c) in s.codes()])
+    assert forward != inverse
+    assert act(m, s) == forward
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_action_preserves_size_and_evenness(gl3, data):
@@ -207,12 +219,13 @@ def test_census_json_shape(lemma_report):
         assert set(orbit) == {"representative", "size", "stabilizer_order"}
 
 
+def brute_image(mask: int, perm) -> int:
+    return sum(1 << perm[p] for p in range(len(perm)) if mask >> p & 1)
+
+
 def orbit_union(masks, perms) -> list[int]:
     """Every image of every mask, by brute force."""
-    return sorted({
-        sum(1 << perm[p] for p in range(len(perm)) if mask >> p & 1)
-        for mask in masks for perm in perms
-    })
+    return sorted({brute_image(mask, perm) for mask in masks for perm in perms})
 
 
 def assert_burnside_matches_oracle(family, k, perms, closed):
@@ -299,3 +312,87 @@ def test_census_of_small_sets_together(k):
     assert [(o.size, o.stabilizer_order) for o in census.orbits] == [
         SMALL_SET_ORBITS[k, size] for size in (0, 1, 2)]
     assert burnside_orbit_count(k, family) == 3
+
+
+def brute_perms(group) -> list[tuple[int, ...]]:
+    """The point permutation of every matrix, one apply_code per point."""
+    return [tuple(m.apply_code(c) for c in range(1 << m.k)) for m in group]
+
+
+def brute_census(family, perms) -> list[tuple[int, int, int]]:
+    """(least member, size, stabilizer order) of every orbit of ``family``,
+    which must be closed, by applying every permutation to every point."""
+    rest, orbits = set(family), []
+    while rest:
+        rep = min(rest)
+        images = [brute_image(rep, perm) for perm in perms]
+        orbit = set(images)
+        orbits.append((rep, len(orbit), images.count(rep)))
+        rest -= orbit
+    return orbits
+
+
+@pytest.fixture(scope="module")
+def brute_gl(gl3, gl4):
+    return {3: brute_perms(gl3), 4: brute_perms(gl4)}
+
+
+def assert_census_matches_brute_force(k, perms, data):
+    """A family closed under GL(k, 2): the union of the orbits of 1-3 random
+    sets; then the same family less one member of an orbit of more than one
+    set, which neither the census nor Burnside may accept."""
+    seeds = data.draw(st.lists(st.integers(0, (1 << (1 << k)) - 1).map(lambda x: x & ~1),
+                               min_size=1, max_size=3))
+    family = orbit_union(seeds, perms)
+    sets = [PointSet(k, mask) for mask in family]
+    expected = brute_census(family, perms)
+    census = orbit_census(k, sets)
+    assert [(o.representative.mask, o.size, o.stabilizer_order) for o in census.orbits] == expected
+    assert burnside_orbit_count(k, sets) == len(expected)
+    for seed in seeds:
+        orbit_min = min(brute_image(seed, perm) for perm in perms)
+        assert canonical_form(PointSet(k, seed)).mask == orbit_min
+    moved = [(rep, stab) for rep, size, stab in expected if size > 1]
+    if moved:
+        rep, stab = data.draw(st.sampled_from(moved))
+        orbit = {brute_image(rep, perm) for perm in perms}
+        dropped = data.draw(st.sampled_from(sorted(orbit)))
+        partial = [PointSet(k, mask) for mask in family if mask != dropped]
+        with pytest.raises(ValidationError, match="not closed") as err:
+            orbit_census(k, partial)
+        assert err.value.details == {"missing_mask": dropped}
+        with pytest.raises(ValidationError, match="not a multiple of the group order") as err:
+            burnside_orbit_count(k, partial)
+        # every set but the dropped one keeps its stabilizer
+        assert err.value.details == {
+            "total_fixed": len(expected) * len(perms) - stab, "group_order": len(perms)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_census_burnside_and_canonical_form_match_brute_force_gl3(brute_gl, data):
+    assert_census_matches_brute_force(3, brute_gl[3], data)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_census_burnside_and_canonical_form_match_brute_force_gl4(brute_gl, data):
+    assert_census_matches_brute_force(4, brute_gl[4], data)
+
+
+def test_census_passes_hold_no_per_element_list(te8):
+    # With the table built, the census and the Burnside recount of the 435
+    # sets peak at ~0.3 MB traced: each pass keeps only the distinct images or
+    # one value per pair of points.  A list of the 20160 images (1.7 MB) or a
+    # joined copy of the table (0.3 MB of bytes and 1.6 MB of buffer views)
+    # would pass the bound.
+    masks = [s.mask for s in te8]
+    _gl_table(4)
+    tracemalloc.start()
+    try:
+        census, _, burnside = glgroup.gl_orbit_census(4, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (census.orbit_count, burnside) == (2, 2)
+    assert peak < 1_000_000
