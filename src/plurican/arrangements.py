@@ -15,18 +15,21 @@ line pair.  Genericity is never assumed: the incidence report states the
 actual multiplicities.
 
 `ExactScalar` appears only at input, in `ProjLine(coeffs)`, and in the
-derived leading-1 `ProjLine.coeffs` and `IncidencePoint.coords`; JSON output
-is written from the integer vectors directly.
+derived leading-1 `ProjLine.coeffs`.  An incidence report is a value: its
+points are (key, lines) pairs of integer tuples, and JSON output is written
+from those integers directly (`_key_json`, and `_points_json` for the
+`points` array of the command line).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import MalformedInputError, Record, ValidationError, is_int
+from .errors import MalformedInputError, Record, ValidationError, digit_limit_error, is_int
 from .f2geom import F2Point, PointSet, is_totally_even
 
 if TYPE_CHECKING:
@@ -36,7 +39,6 @@ __all__ = [
     "ExactScalar",
     "ProjLine",
     "LabeledArrangement",
-    "IncidencePoint",
     "IncidenceReport",
     "CampedelliReport",
     "ExtensionReport",
@@ -220,49 +222,37 @@ class ProjLine(Record):
         return f"ProjLine{self.coeffs}"
 
 
-class IncidencePoint(Record):
-    """An intersection point: its canonical key and the lines through it."""
-
-    key: tuple[int, ...]
-    lines: tuple[int, ...]
-
-    @property
-    def coords(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-        return _leading_one(self.key)
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.lines)
-
-
 class IncidenceReport(Record):
-    """All pairwise intersection points of an arrangement, grouped exactly."""
+    """All pairwise intersection points of an arrangement, grouped exactly:
+    each point is the pair (key, lines) of its canonical key and the sorted
+    indices of the lines through it, and the histogram holds the sorted
+    (multiplicity, count) pairs."""
 
-    points: list[IncidencePoint]
-    histogram: dict[int, int]
+    points: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    histogram: tuple[tuple[int, int], ...]
     line_count: int
 
     def __post_init__(self):
-        pairs = sum(m * (m - 1) // 2 * c for m, c in self.histogram.items())
+        pairs = sum(m * (m - 1) // 2 * c for m, c in self.histogram)
         if pairs != self.line_count * (self.line_count - 1) // 2:
             raise ValidationError(
                 "intersection grouping lost pairs: sum C(mult, 2) != C(lines, 2)",
                 pair_sum=pairs, line_count=self.line_count,
             )
 
-    def as_json(self) -> dict:
+    def as_json(self, points=None) -> dict:
+        """The JSON form; ``points``, when given, stands for the array of
+        point objects (the command line passes the text of `_points_json`)."""
+        if points is None:
+            points = [
+                {"coords": _key_json(key), "lines": list(lines), "multiplicity": len(lines)}
+                for key, lines in self.points
+            ]
         return {
             "line_count": self.line_count,
             "point_count": len(self.points),
-            "histogram": [[m, c] for m, c in sorted(self.histogram.items(), reverse=True)],
-            "points": [
-                {
-                    "coords": _key_json(p.key),
-                    "lines": list(p.lines),
-                    "multiplicity": p.multiplicity,
-                }
-                for p in self.points
-            ],
+            "histogram": [[m, c] for m, c in reversed(self.histogram)],
+            "points": points,
         }
 
 
@@ -293,18 +283,19 @@ class LabeledArrangement(Record):
                 raise ValidationError("labels of mixed dimensions")
 
 
-# Peak memory grows with the number of line pairs, by about 1.8 KB per pair
-# for generic rational lines with small coefficients (peak RSS of a cold
-# `plurican incidences`, Python 3.11: 300 lines 84 MB, 400 lines 142 MB), so
+# Peak memory grows with the number of line pairs, by about 0.9 KB per pair
+# for generic rational lines with 7-bit coefficients (peak RSS of a cold
+# `plurican incidences`, Python 3.11: 300 lines 57 MB, 400 lines 88 MB), so
 # more lines than this are refused before any pair is formed; at the cap,
-# 179700 pairs take about 0.3 GB.
+# 179700 pairs take about 0.2 GB.
 MAX_INCIDENCE_LINES = 600
 
-# Each bit of the longest canonical line entry adds about 4 bytes of peak RSS
-# per pair (cold `plurican incidences`, 300 generic lines: over Q 7 bits 1.9 KB
-# per pair, 127 bits 2.3 KB; over Q(omega) 126 bits 3.2 KB), so longer entries
-# are refused before any pair is formed; at both caps, 600 lines take about
-# 0.4 GB over Q and 0.6 GB over Q(omega).
+# Each bit of the longest canonical line entry adds about 4.5 bytes of peak
+# RSS per pair (cold `plurican incidences`, generic lines, 300 / 400 lines:
+# over Q 7 bits 57 / 88 MB, 127 bits 83 / 131 MB; over Q(omega) 126 bits
+# 144 / 225 MB, about half of it the output text), so longer entries are
+# refused before any pair is formed; at both caps, 600 lines take about
+# 0.3 GB over Q and 0.5 GB over Q(omega).
 MAX_COEFFICIENT_BITS = 128
 
 
@@ -338,16 +329,20 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
         if key is None:
             raise ValidationError("lines coincide; no unique intersection")
         by_key.setdefault(key, set()).update((i, j))
-    leads = {key: next(x for x in key if x) for key in by_key}
     # Distinct fractions x / L and y / M with L, M <= max lead differ by at
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
-    shift = 2 * max(leads.values()).bit_length() + 1
-    order = sorted(by_key, key=lambda key: tuple((x << shift) // leads[key] for x in key))
-    points = [IncidencePoint(key, tuple(sorted(by_key[key]))) for key in order]
-    histogram: dict[int, int] = {}
-    for p in points:
-        histogram[p.multiplicity] = histogram.get(p.multiplicity, 0) + 1
+    # The lead of a key is its first nonzero entry, a0, a1 or a2: the
+    # leading coordinate of a key is (lead, 0).
+    shift = 2 * max(key[0] or key[2] or key[4] for key in by_key).bit_length() + 1
+
+    def sort_key(key):
+        lead = key[0] or key[2] or key[4]
+        return [(x << shift) // lead for x in key]
+
+    order = sorted(by_key, key=sort_key)
+    points = tuple((key, tuple(sorted(by_key[key]))) for key in order)
+    histogram = tuple(sorted(Counter(len(lines) for _, lines in points).items()))
     return IncidenceReport(points=points, histogram=histogram, line_count=len(lines))
 
 
@@ -355,14 +350,14 @@ class CampedelliReport(Record):
     """Validity report for 7-line covering data with (Z/2)^3 labels."""
 
     passed: bool
-    violations: list[dict]
-    histogram: dict[int, int]
+    violations: tuple[dict, ...]
+    histogram: tuple[tuple[int, int], ...]
 
     def as_json(self) -> dict:
         return {
             "passed": self.passed,
-            "histogram": [[m, c] for m, c in sorted(self.histogram.items(), reverse=True)],
-            "violations": self.violations,
+            "histogram": [[m, c] for m, c in reversed(self.histogram)],
+            "violations": list(self.violations),
         }
 
 
@@ -386,31 +381,31 @@ def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
             }
         )
     report = compute_incidences(arr)
-    for p in report.points:
-        if p.multiplicity >= 4:
+    for key, lines in report.points:
+        if len(lines) >= 4:
             violations.append(
                 {
                     "kind": "multiple-point",
-                    "multiplicity": p.multiplicity,
-                    "point": _key_json(p.key),
-                    "lines": list(p.lines),
+                    "multiplicity": len(lines),
+                    "point": _key_json(key),
+                    "lines": list(lines),
                 }
             )
-        elif p.multiplicity == 3:
+        elif len(lines) == 3:
             s = 0
-            for i in p.lines:
+            for i in lines:
                 s ^= arr.labels[i].code
             if s == 0:
                 violations.append(
                     {
                         "kind": "zero-sum-triple",
-                        "point": _key_json(p.key),
-                        "lines": list(p.lines),
-                        "labels": [list(arr.labels[i].coords) for i in p.lines],
+                        "point": _key_json(key),
+                        "lines": list(lines),
+                        "labels": [list(arr.labels[i].coords) for i in lines],
                     }
                 )
     return CampedelliReport(
-        passed=not violations, violations=violations, histogram=report.histogram
+        passed=not violations, violations=tuple(violations), histogram=report.histogram
     )
 
 
@@ -507,6 +502,51 @@ def _key_json(key) -> list:
         return [x // g, lead // g]
 
     return [[part(a), part(b)] if b else [part(a)] for a, b in zip(key[::2], key[1::2])]
+
+
+# The text of one point object of the `points` array, which sits at depth 1
+# of the `incidences` document, as `json.dumps(indent=2, sort_keys=True)`
+# writes it: a coordinate [[a_num, a_den]] when b == 0, else
+# [[a_num, a_den], [b_num, b_den]], each number reduced as in `_key_json`.
+_PART = "[\n            %d,\n            %d\n          ]"
+_COORD_A = "[\n          " + _PART + "\n        ]"
+_COORD_AB = "[\n          " + _PART + ",\n          " + _PART + "\n        ]"
+_POINT = (
+    '{\n      "coords": [\n        %s,\n        %s,\n        %s\n      ],\n'
+    '      "lines": [\n        %s\n      ],\n      "multiplicity": %d\n    }'
+)
+
+
+def _points_json(points):
+    """Yield the text of ``[{"coords": ..., "lines": ..., "multiplicity": ...},
+    ...]``, the `points` array of `IncidenceReport.as_json`, indented for
+    depth 1 of a JSON document: an opening part, then one part per point.
+
+    The parts are written from the (key, lines) integers with fixed-shape
+    ``%d`` templates, so no per-point dict is built.  A number past the
+    interpreter's int/str digit limit is a MalformedInputError.
+    """
+    if not points:
+        yield "[]"
+        return
+    yield "[\n    "
+    sep = ""
+    try:
+        for (a0, b0, a1, b1, a2, b2), lines in points:
+            lead = a0 or a1 or a2  # as in `compute_incidences`
+            coords = []
+            for a, b in ((a0, b0), (a1, b1), (a2, b2)):
+                g = gcd(a, lead)
+                if b:
+                    h = gcd(b, lead)
+                    coords.append(_COORD_AB % (a // g, lead // g, b // h, lead // h))
+                else:
+                    coords.append(_COORD_A % (a // g, lead // g))
+            yield sep + _POINT % (*coords, ",\n        ".join(map(str, lines)), len(lines))
+            sep = ",\n    "
+    except ValueError as exc:  # more digits than the int/str limit
+        raise digit_limit_error() from exc
+    yield "\n  ]"
 
 
 def load_arrangement(data: dict) -> LabeledArrangement:

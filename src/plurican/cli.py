@@ -9,10 +9,14 @@ command-line errors (an unknown command, a missing or unparsable option),
 which print a JSON error document on stdout like any other, a result with an
 integer too long to print (more digits than the interpreter's int/str
 conversion limit) and an ``--out`` file that cannot be written; an error
-document that cannot be written to ``--out`` goes to stdout.  Identical
-inputs produce byte-identical output: the same bytes as
-``json.dumps(indent=2, sort_keys=True)``, built by the `json_text` walk in
-chunks and written chunk by chunk.  Every command runs in one process;
+document that cannot be written to ``--out`` goes to stdout.  A stdout that
+cannot be written (a full device, a closed descriptor, a reader that exits
+early) ends the command with exit 2 (``STDOUT_UNWRITABLE``): nothing more is
+written and nothing goes to stderr.  Identical inputs produce byte-identical
+output: the same bytes as ``json.dumps(indent=2, sort_keys=True)``, built by
+the `json_text` walk in chunks and written chunk by chunk; the ``points``
+array of ``incidences`` is written by `arrangements._points_json` inside
+that walk.  Every command runs in one process;
 ``--workers N`` is accepted and validated (N < 1 is malformed input) and
 does not change the output.
 """
@@ -21,13 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # each handler imports the modules it runs, so a command loads only those
-from .errors import DomainError, MalformedInputError, is_int_instance
+from .errors import DomainError, MalformedInputError, digit_limit_error, is_int_instance
 
 SCHEMA = "plurican/1"
 
@@ -311,7 +316,9 @@ def cmd_incidences(args) -> tuple[dict, int]:
 
     arr = arrangements.load_arrangement(_load_json(args.file))
     report = arrangements.compute_incidences(arr)
-    return {"command": "incidences", **report.as_json()}, 0
+    # the points array, the bulk of the document, is written from its integers
+    points = _Written(arrangements._points_json(report.points), depth=1)
+    return {"command": "incidences", **report.as_json(points)}, 0
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
@@ -475,12 +482,24 @@ def json_text(value) -> str:
 _CHUNK_PARTS = 4096
 
 
+class _Written:
+    """JSON text already written for a value at ``depth`` of the document,
+    as an iterable of parts, which `_json_chunks` copies as they are."""
+
+    __slots__ = ("parts", "depth")
+
+    def __init__(self, parts, depth: int):
+        self.parts, self.depth = parts, depth
+
+
 def _json_chunks(value) -> list[str]:
     """The text of :func:`json_text` as consecutive chunks of about
     ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of
     every part nor one string of the whole text.  Every chunk is built before
     anything is written, so an integer past the interpreter's int/str digit
-    limit is a MalformedInputError, not a partial document.
+    limit is a MalformedInputError, not a partial document.  The parts of a
+    `_Written` value are copied into the chunks at the depth it was written
+    for; at any other depth it is a TypeError.
     """
     chunks: list[str] = []
     parts: list[str] = []
@@ -501,12 +520,13 @@ def _json_chunks(value) -> list[str]:
             try:
                 append(int_repr(v))
             except ValueError as exc:  # more digits than the int/str limit
-                limit = sys.get_int_max_str_digits()
-                raise MalformedInputError(
-                    f"the result has an integer with more than {limit} digits, the "
-                    "interpreter's limit for converting an integer to text",
-                    limit=limit,
-                ) from exc
+                raise digit_limit_error() from exc
+        elif isinstance(v, _Written) and v.depth == depth:
+            for part in v.parts:
+                append(part)
+                if len(parts) >= _CHUNK_PARTS:
+                    chunks.append("".join(parts))
+                    parts.clear()
         elif not isinstance(v, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
         elif not v:
@@ -550,6 +570,14 @@ class _OutUnwritable(MalformedInputError):
     """Writing to ``--out`` failed, possibly partway."""
 
 
+class _StdoutUnwritable(Exception):
+    """Writing to stdout failed, possibly partway, or there is no stdout."""
+
+
+# exit code when stdout cannot be written; nothing more is written
+STDOUT_UNWRITABLE = 2
+
+
 class _InternalError(DomainError):
     """An exception that is a fault of the program, not of its input (exit
     3); its type is the witness.  A DomainError only to share ``as_json``."""
@@ -565,7 +593,13 @@ def _emit(payload: dict, out: Path | None) -> None:
     chunks = _json_chunks({"schema": SCHEMA, **payload})
     chunks.append("\n")
     if out is None:
-        sys.stdout.writelines(chunks)
+        if sys.stdout is None:  # the descriptor was closed at start-up
+            raise _StdoutUnwritable
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a failed write shows here, not at exit
+        except OSError as exc:
+            raise _StdoutUnwritable from exc
         return
     try:
         out.write_text("".join(chunks), encoding="utf-8")
@@ -574,6 +608,18 @@ def _emit(payload: dict, out: Path | None) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except _StdoutUnwritable:
+        # Python flushes stdout again at exit; pointed at os.devnull, that
+        # flush succeeds and prints no "Exception ignored" on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return STDOUT_UNWRITABLE
+
+
+def _run(argv) -> int:
     out = None  # an error before --out is parsed goes to stdout
     try:
         args = build_parser().parse_args(argv)
@@ -585,6 +631,8 @@ def main(argv=None) -> int:
         payload, code = _HANDLERS[args.command](args)
         _emit(payload, out)
         return code
+    except _StdoutUnwritable:
+        raise  # nothing more is written
     except MalformedInputError as exc:
         error, code = exc, 2
     except DomainError as exc:

@@ -14,6 +14,8 @@ included, as a number (:func:`is_int_instance`), as ``json`` does.
 
 from __future__ import annotations
 
+import sys
+
 
 class DomainError(ValueError):
     """Input violates a documented mathematical rule of some operation."""
@@ -48,6 +50,17 @@ class MalformedInputError(DomainError):
     """Input file or value cannot be parsed against its documented schema."""
 
     kind = "malformed-input"
+
+
+def digit_limit_error() -> MalformedInputError:
+    """The error for a result that holds an integer with more digits than
+    the interpreter converts to text; the integer itself is not quoted."""
+    limit = sys.get_int_max_str_digits()
+    return MalformedInputError(
+        f"the result has an integer with more than {limit} digits, the "
+        "interpreter's limit for converting an integer to text",
+        limit=limit,
+    )
 
 
 def is_int(x) -> bool:

@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from plurican import arrangements, cli, torsion
 from plurican.cli import MAX_DIGITS, main
+from test_arrangements import tangent_lines
 
 GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
 
@@ -441,11 +443,14 @@ def test_stdout_is_written_in_chunks_of_one_whole_document(capsys, tmp_path, mon
     writes = []
     real = type(sys.stdout).writelines
     monkeypatch.setattr(type(sys.stdout), "writelines",
-                        lambda self, chunks: writes.append(len(chunks)) or real(self, chunks))
+                        lambda self, chunks: writes.append(chunks) or real(self, chunks))
     assert main(["incidences", fixture_path("dual-hesse.json")]) == 0
     golden = (Path(__file__).parent / "golden" / "incidences-dual-hesse.json").read_text()
     assert capsys.readouterr().out == golden
-    assert len(writes) == 1 and writes[0] > 100
+    # the points array streams one part per point, so each of the 12 points
+    # is a chunk of its own
+    assert len(writes) == 1 and len(writes[0]) > 12
+    assert [chunk.count('"coords"') for chunk in writes[0] if '"coords"' in chunk] == [1] * 12
     big = 10**2200
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"field": "Q", "lines": [
@@ -508,3 +513,46 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["covering_count"] == 8
+
+
+def plurican_env(unbuffered: bool) -> dict:
+    """The environment of a ``python -m plurican`` child, stdout buffered or
+    not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", ["dev-full", "closed", "early-reader"])
+def test_unwritable_stdout_ends_quietly(tmp_path, case, unbuffered):
+    # catalog > /dev/full, catalog >&- and incidences ... | head -c 10
+    env = plurican_env(unbuffered)
+    command = [sys.executable, "-m", "plurican"]
+    if case == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(command + ["catalog"], stdout=full, stderr=subprocess.PIPE,
+                                  env=env)
+        code, err = proc.returncode, proc.stderr
+    elif case == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command, "catalog"],
+                              stderr=subprocess.PIPE, env=env)
+        code, err = proc.returncode, proc.stderr
+    else:
+        # 4950 points, about 1.7 MB, more than a pipe holds
+        path = tmp_path / "tangents.json"
+        path.write_text(json.dumps(tangent_lines(100)))
+        proc = subprocess.Popen(command + ["incidences", str(path)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait()
+    assert (code, err) == (cli.STDOUT_UNWRITABLE, b"")

@@ -13,7 +13,6 @@ from plurican.arrangements import (
     CampedelliReport,
     ExactScalar,
     ExtensionReport,
-    IncidencePoint,
     IncidenceReport,
     LabeledArrangement,
     ProjLine,
@@ -67,8 +66,8 @@ def test_records_are_frozen_values():
 
 
 @pytest.mark.parametrize("record", [
-    IncidenceReport([], {}, 0),
-    CampedelliReport(True, [], {}),
+    IncidenceReport((), (), 0),
+    CampedelliReport(True, (), ()),
     ExtensionReport(True, True, EvenSetType(EvenSetTag.TYPE_I, None)),
 ], ids=lambda record: type(record).__name__)
 def test_reports_are_frozen(record):
@@ -89,7 +88,7 @@ def test_record_fields_are_the_annotations():
             return self.a + self.b
 
     assert Parent._fields == Child._fields == ("b", "a")
-    assert IncidencePoint._fields == ("key", "lines")
+    assert IncidenceReport._fields == ("points", "histogram", "line_count")
     child = Child(1, a=2)
     assert (child.b, child.a, child.total()) == (1, 2, 3)
     assert repr(child) == "Child(b=1, a=2)"

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plurican
-from plurican.cli import json_text
+from plurican.arrangements import _points_json
+from plurican.cli import _Written, json_text
 from plurican.errors import MalformedInputError
 from plurican.evenclass import EvenSetTag
 
@@ -92,6 +93,30 @@ def test_integer_past_the_digit_limit_is_malformed_input():
     assert not re.search("[0-9]{10}", str(err.value))  # the integer is not quoted
     # one digit fewer still prints
     assert json_text([10**limit - 1]) == json.dumps([10**limit - 1], indent=2)
+
+
+def test_points_writer_past_the_digit_limit_is_malformed_input():
+    # MAX_COEFFICIENT_BITS keeps real keys far below the limit; a key built
+    # by hand still meets the writer's own check
+    limit = sys.get_int_max_str_digits()
+    key = (1, 0, 10**limit, 0, 0, 0)
+    with pytest.raises(MalformedInputError) as err:
+        list(_points_json([(key, (0, 1))]))
+    assert err.value.details == {"limit": limit}
+    assert not re.search("[0-9]{10}", str(err.value))
+    one_fewer = [((1, 0, 10**limit - 1, 0, 0, 0), (0, 1))]
+    assert len("".join(_points_json(one_fewer))) > limit
+
+
+def test_written_text_only_at_its_depth():
+    points = [((1, 0, 0, 0, 0, 0), (0, 1))]
+    text = json_text({"points": _Written(_points_json(points), depth=1)})
+    assert text == json.dumps({"points": [
+        {"coords": [[[1, 1]], [[0, 1]], [[0, 1]]], "lines": [0, 1], "multiplicity": 2}
+    ]}, indent=2)
+    with pytest.raises(TypeError):
+        json_text({"report": {"points": _Written(_points_json(points), depth=1)}})
+    assert json_text({"points": _Written(_points_json(()), depth=1)}) == '{\n  "points": []\n}'
 
 
 def _json_writes(tree: ast.AST):
