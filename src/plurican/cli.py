@@ -24,6 +24,7 @@ does not change the output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -162,15 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: Path):
+    # a parsed document is a tree, with no cycle to collect: the collector
+    # skips the parse, and the frozen result is not scanned again later
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
         # past the interpreter's int/str digit limit; RecursionError, nesting
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return data
 
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:

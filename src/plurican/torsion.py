@@ -5,6 +5,14 @@ factor form); elements are coordinate tuples reduced modulo the factor
 orders and numbered in lexicographic order.  An automorphism is a permutation
 of those numbers, so orbit counting never forms an element tuple.
 
+A column of numbers, one per element or per table entry, is held as 32-bit
+lanes of one Python int (`_pack`): adding a constant to every lane, or
+reducing every lane mod n, is then a few big-int operations.  Lanes stay
+exact while every number fits in 32 bits and n <= 2^31, which holds for
+groups of order up to `_LANE_ORDER` = 2^31; `MAX_ACTION_ORDER` = 2^20 keeps
+every automorphism action inside it.  A permutation is built as lanes and
+unpacked once.
+
 A permutation table is read one coordinate column at a time
 (`FiniteAbelianGroup.positions`): a bad element raises exactly the error
 `FiniteAbelianGroup.element` raises for it, and the first bad element in
@@ -14,6 +22,8 @@ of pairs has reached the group order, so its size is bounded by the input.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import gcd, prod
 from operator import itemgetter
 
@@ -24,8 +34,80 @@ from .errors import (
 GroupElement = tuple[int, ...]
 
 # Automorphism actions and orbit counts hold one entry per group element, so
-# a group of larger order is refused before anything is allocated.
+# a group of larger order is refused before anything is allocated.  The cap
+# is also below `_LANE_ORDER`, so every lane of an action's permutation is
+# exact.
 MAX_ACTION_ORDER = 1 << 20
+
+# Groups up to this order have every position, and every factor order n,
+# small enough for 32-bit lane arithmetic (a lane below 2n plus 2^31 - n
+# still fits); `positions` of a larger group goes element by element.
+_LANE_ORDER = 1 << 31
+_LANE = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+def _pack(values) -> int:
+    """Integers in range(2^32) as the 32-bit lanes of one int, the first
+    value in the lowest lane; OverflowError for any other integer."""
+    return int.from_bytes(array(_LANE, values), sys.byteorder)
+
+
+def _unpack(lanes: int, count: int) -> array:
+    """The first `count` lanes of `lanes`; inverse of `_pack`."""
+    return array(_LANE, lanes.to_bytes(4 * count, sys.byteorder))
+
+
+def _ones(count: int) -> int:
+    """1 in each of `count` lanes."""
+    return _pack(array(_LANE, [1]) * count)
+
+
+def _high_lanes(lanes: int, ones: int) -> int:
+    """1 in each lane whose bit 31 is set, 0 in the others."""
+    return lanes >> 31 & ones
+
+
+def _add_mod(x: int, y: int, n: int, ones: int) -> int:
+    """The lanes of x + y mod n, for lanes of x and y in range(n) (n <= 2^31)."""
+    x += y
+    # every lane is below 2n: take n off the lanes at n or above
+    return x - n * _high_lanes(x + ((1 << 31) - n) * ones, ones)
+
+
+def _pack_mod(col: list[int], n: int, ones: int) -> int:
+    """The integers col reduced mod n, as lanes (n <= 2^31).  A column
+    already in range(n) is packed as it is: it packs without overflow, no
+    lane has bit 31 set, and none reaches n once 2^31 - n is added."""
+    try:
+        lanes = _pack(col)
+    except OverflowError:  # some entry is negative or at least 2^32
+        pass
+    else:
+        if not _high_lanes(lanes | lanes + ((1 << 31) - n) * ones, ones):
+            return lanes
+    return _pack([c % n for c in col])
+
+
+def _extend(col: int, size: int, a: int, m: int, n: int) -> int:
+    """Column `col` of `size` lanes in range(n), followed by copies with
+    a, 2a, ..., (m - 1)a added to every lane mod n (a in range(n)): the
+    column once a factor of order m, whose basis element has coordinate a,
+    is put in front of the group.  The loop runs over the copies or over
+    the lanes of col, whichever is shorter."""
+    if m <= size:
+        ones = _ones(size)
+        step = a * ones
+        blocks = [col]
+        for _ in range(m - 1):
+            blocks.append(_add_mod(blocks[-1], step, n, ones))
+        return int.from_bytes(b"".join(x.to_bytes(4 * size, sys.byteorder) for x in blocks),
+                              sys.byteorder)
+    ones = _ones(m)
+    steps = _pack([c * a % n for c in range(m)])
+    out = array(_LANE, bytes(4 * size * m))
+    for k, v in enumerate(_unpack(col, size)):
+        out[k::size] = _unpack(_add_mod(steps, v * ones, n, ones), m)
+    return _pack(out)
 
 
 def _check_action_order(G: "FiniteAbelianGroup") -> None:
@@ -75,21 +157,24 @@ class FiniteAbelianGroup(Record):
 
     def positions(self, elements) -> list[int]:
         """The positions `index(element(a))` of a list of coordinate arrays
-        (lists or tuples), computed one coordinate column at a time.
+        (lists or tuples), computed one coordinate column at a time, as
+        lanes, for a group of order up to `_LANE_ORDER`.
 
         The lengths and then each column's types are checked in bulk; when a
-        check fails, the elements go through `element` in order, so the first
-        bad one raises exactly what `element` raises for it.
+        check fails, or the group is larger, the elements go through
+        `element` in order, so the first bad one raises exactly what
+        `element` raises for it.
         """
-        pos = [0] * len(elements)
-        if set(map(len, elements)) <= {self.rank}:
+        if self.order <= _LANE_ORDER and set(map(len, elements)) <= {self.rank}:
+            ones = _ones(len(elements))
+            pos = 0
             for j, n in enumerate(self.cyclic_orders):
                 col = list(map(itemgetter(j), elements))
                 if not all_int(col):
                     break
-                pos = [p * n + c % n for p, c in zip(pos, col)]
+                pos = pos * n + _pack_mod(col, n, ones)
             else:
-                return pos
+                return _unpack(pos, len(elements)).tolist()
         return [self.index(self.element(a)) for a in elements]
 
     def element_at(self, i: int) -> GroupElement:
@@ -149,8 +234,9 @@ class AutAction:
 
     `perm` is built by additivity from the images f_j of the basis elements
     e_j, (x_1, ..., x_r) -> x_1 f_1 + ... + x_r f_r, well defined exactly
-    when n_j f_j = 0.  `from_matrix` and `from_table` parse the two file
-    forms into basis images.
+    when n_j f_j = 0, one coordinate column at a time as lanes (`_extend`).
+    `from_matrix` and `from_table` parse the two file forms into basis
+    images.
     """
 
     def __init__(self, group: FiniteAbelianGroup, basis_images):
@@ -166,15 +252,16 @@ class AutAction:
                     f"map does not preserve the group operation: {n} * f_{j} != 0",
                     basis=j, image=list(f),
                 )
-        perm = [0] * group.order
+        perm = 0
         for i, n in enumerate(orders):
-            # coordinate i of every image; x + c e_j maps to phi(x) + c f_j
-            col = [0]
-            for f, m in zip(images, orders):
-                steps = [c * f[i] % n for c in range(m)]
-                col = [(v + s) % n for v in col for s in steps]
-            perm = [p * n + v for p, v in zip(perm, col)]
-        self.perm = tuple(perm)
+            # coordinate i of every image, from the last basis element back;
+            # x + c e_j maps to phi(x) + c f_j
+            col, size = 0, 1
+            for f, m in zip(reversed(images), reversed(orders)):
+                col = _extend(col, size, f[i], m, n)
+                size *= m
+            perm = perm * n + col
+        self.perm = tuple(_unpack(perm, group.order).tolist())
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, entries) -> "AutAction":
@@ -194,8 +281,11 @@ class AutAction:
             raise ValidationError(f"automorphism matrix must be {r} x {r}")
         if r:
             n = group.cyclic_orders[0]
-            det = _int_det(entries)
-            if gcd(det % n, n) != 1:
+            # det(M mod n) = det(M) mod n, and reduced entries keep the
+            # elimination and the reported det small
+            entries = [[x % n for x in row] for row in entries]
+            det = _int_det(entries) % n
+            if gcd(det, n) != 1:
                 raise ValidationError(
                     f"matrix is not invertible modulo {n} (det = {det})", det=det, n=n
                 )

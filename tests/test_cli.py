@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from plurican import arrangements, cli, torsion
 from plurican.cli import MAX_DIGITS, main
+from plurican.errors import MalformedInputError
 from test_arrangements import tangent_lines
 
 GOLDEN_AUT = Path(__file__).parent / "golden" / "aut-z3-squared.json"
@@ -214,6 +216,39 @@ def test_components_group_too_large_for_automorphisms(capsys, tmp_path):
     assert data["schema"] == "plurican/1"
     assert data["error"]["kind"] == "validation"
     assert data["error"]["details"] == {"order": 10**12, "limit": torsion.MAX_ACTION_ORDER}
+
+
+def test_components_singular_matrix_with_huge_entries(capsys, tmp_path):
+    # det = 10^8000 has more digits than an int may print; it is reported mod n
+    aut = tmp_path / "m.json"
+    aut.write_text(json.dumps({"generators": [
+        {"kind": "matrix", "entries": [[10**4000, 0], [0, 10**4000]]}]}), encoding="utf-8")
+    code, data = run_cli(capsys, "components", "--group", "5,5", "--d", "2", "--aut", str(aut))
+    assert code == 1
+    assert data["error"]["kind"] == "validation"
+    assert data["error"]["details"] == {"det": 0, "n": 5}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_json_input_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"generators": [{"kind": "matrix", "entries": [[2]]}]}),
+                    encoding="utf-8")
+    bad.write_text("{", encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli._load_json(good)["generators"][0]["entries"] == [[2]]
+        assert gc.isenabled() is enabled
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(MalformedInputError):
+                cli._load_json(path)
+            assert gc.isenabled() is enabled
+        for path, code in ((good, 0), (bad, 2)):
+            assert main(["components", "--group", "5", "--d", "2", "--aut", str(path)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("label", [[True, 0, 0], [1.0, 0, 0], [0, 0.0, 1]])

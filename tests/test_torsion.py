@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations, product
 from math import gcd, prod
 
@@ -223,8 +224,10 @@ def _det(m) -> int:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 9), st.integers(0, 3), st.data())
-def test_matrix_and_table_permutations_match_matrix_product(n, r, data):
+@given(st.sampled_from([*range(2, 10), 257]), st.data())
+def test_matrix_and_table_permutations_match_matrix_product(n, data):
+    # 257: lanes wider than a byte, in both loops of `torsion._extend`
+    r = data.draw(st.integers(0, 3 if n < 10 else 2))
     matrix = data.draw(st.lists(
         st.lists(st.integers(-2 * n, 2 * n), min_size=r, max_size=r), min_size=r, max_size=r))
     if gcd(_det(matrix) % n, n) != 1:
@@ -346,13 +349,15 @@ def _inject(fault: str, pairs: list, orders, draw) -> None:
         value = {
             "bool": lambda: side[c] % 2 == 1,
             "float": lambda: side[c] + draw(st.sampled_from([0.0, 0.5])),
-            "unreduced": lambda: side[c] + orders[c] * draw(st.integers(-2, 2)),
+            # past n, 2^31 or 2^32, or negative: each column gets `c % n`
+            "unreduced": lambda: side[c] + draw(st.sampled_from(
+                [orders[c] * k for k in (-2, -1, 1, 2)] + [2**31, 2**32, -2**32, 10**30, -10**30])),
         }[fault]()
         pair[s] = [*side[:c], value, *side[c + 1:]]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=3), st.data())
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=3) | st.just([257]), st.data())
 def test_from_table_matches_element_by_element_oracle(orders, data):
     G = FiniteAbelianGroup(orders)
     # x -> (u_1 x_1, ..., u_r x_r) with units u_j is an automorphism
@@ -368,6 +373,47 @@ def test_from_table_matches_element_by_element_oracle(orders, data):
             _inject(fault, pairs, orders, data.draw)
     expected = _outcome(table_positions_oracle, G, pairs)
     assert _outcome(lambda: AutAction.from_table(G, pairs).perm) == expected
+
+
+def test_lanes_at_the_action_cap():
+    n = torsion.MAX_ACTION_ORDER
+    assert AutAction.from_matrix(FiniteAbelianGroup((n,)), [[3]]).perm == tuple(
+        3 * i % n for i in range(n))
+
+
+@pytest.mark.parametrize("orders", [
+    (1 << 31,),  # the largest order on lanes: n = 2^31 leaves no bias
+    (3, 1 << 30),  # just past it, element by element
+    (1 << 16, 1 << 16),
+    (1 << 20, 1 << 20),  # positions past 2^32
+])
+def test_positions_of_groups_beyond_the_action_cap(orders):
+    G = FiniteAbelianGroup(orders)
+    top = [n - 1 for n in orders]
+    elements = [[0] * len(orders), top, [n + 1 for n in orders], [-1] * len(orders),
+                [2**31 + 1] * len(orders), [2**32 + 5] * len(orders), [10**30] * len(orders)]
+    assert G.positions(elements) == [G.index(G.element(a)) for a in elements]
+
+
+# tracemalloc peak of `from_table` on the 75600-element (16, 27, 25, 7)
+# table, Python 3.11: 11.3 MB reading one coordinate column at a time, 15.1
+# MB when all 604800 coordinates are first flattened into one list
+TABLE_PEAK_BOUND = 13_000_000
+
+
+def test_from_table_peak_memory():
+    orders, units = (16, 27, 25, 7), (5, 2, 3, 3)
+    pairs = [[list(x), [u * c % n for u, c, n in zip(units, x, orders)]]
+             for x in product(*map(range, orders))]
+    G = FiniteAbelianGroup(orders)
+    tracemalloc.start()
+    try:
+        aut = AutAction.from_table(G, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aut.perm[G.index((1, 1, 1, 1))] == G.index(units)
+    assert peak < TABLE_PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_permutation_table_needs_basis_images_of_right_order():
@@ -390,6 +436,10 @@ def test_matrix_action_rejections():
         AutAction.from_matrix(FiniteAbelianGroup((5, 5)), [[1, 2], [2, 4]])
     with pytest.raises(ValidationError):  # det = 2 shares a factor with 4
         AutAction.from_matrix(FiniteAbelianGroup((4,)), [[2]])
+    # the determinant is taken, and reported, mod n
+    with pytest.raises(ValidationError, match=r"\(det = 3\)") as err:
+        AutAction.from_matrix(FiniteAbelianGroup((6,) * 2), [[6**40 + 1, 2], [1, -1]])
+    assert err.value.details == {"det": 3, "n": 6}
 
 
 def test_generator_group_mismatch():
