@@ -1,0 +1,123 @@
+"""32-bit lanes: the arithmetic behind `torsion`'s actions and table positions.
+
+A column of numbers, one per group element or per table entry, is held as
+the 32-bit lanes of one Python int (`pack`): adding a constant to every
+lane, or reducing every lane mod n, is then a few big-int operations.
+Lanes stay exact while every number fits in 32 bits and n <= 2^31.  A
+finished column is unpacked once, into an `array` of `LANE` items.
+
+Only code that builds an action or reads a table imports this module, so
+the commands that use closed forms load neither it nor `array`.
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+from operator import itemgetter
+
+from .errors import all_int
+
+LANE = next(code for code in "IL" if array(code).itemsize == 4)
+
+# `positions` packs this many elements at a time, so its big-int
+# temporaries stay a few times 16 KB whatever the length of the table
+CHUNK = 4096
+
+
+def pack(values) -> int:
+    """Integers in range(2^32) as the 32-bit lanes of one int, the first
+    value in the lowest lane; OverflowError for any other integer."""
+    return int.from_bytes(array(LANE, values), sys.byteorder)
+
+
+def unpack(lanes: int, count: int) -> array:
+    """The first `count` lanes of `lanes`; inverse of `pack`."""
+    return array(LANE, lanes.to_bytes(4 * count, sys.byteorder))
+
+
+def full(count: int, value: int) -> array:
+    """An array of `count` items, each `value`."""
+    return array(LANE, [value]) * count
+
+
+def _ones(count: int) -> int:
+    """1 in each of `count` lanes."""
+    return pack(full(count, 1))
+
+
+def _high_lanes(lanes: int, ones: int) -> int:
+    """1 in each lane whose bit 31 is set, 0 in the others."""
+    return lanes >> 31 & ones
+
+
+def _add_mod(x: int, y: int, n: int, ones: int) -> int:
+    """The lanes of x + y mod n, for lanes of x and y in range(n) (n <= 2^31)."""
+    x += y
+    # every lane is below 2n: take n off the lanes at n or above
+    return x - n * _high_lanes(x + ((1 << 31) - n) * ones, ones)
+
+
+def _pack_mod(col: list[int], n: int, ones: int) -> int:
+    """The integers col reduced mod n, as lanes (n <= 2^31).  A column
+    already in range(n) is packed as it is: it packs without overflow, no
+    lane has bit 31 set, and none reaches n once 2^31 - n is added."""
+    try:
+        lanes = pack(col)
+    except OverflowError:  # some entry is negative or at least 2^32
+        pass
+    else:
+        if not _high_lanes(lanes | lanes + ((1 << 31) - n) * ones, ones):
+            return lanes
+    return pack([c % n for c in col])
+
+
+def extend(col: int, size: int, a: int, m: int, n: int) -> int:
+    """Column `col` of `size` lanes in range(n), followed by copies with
+    a, 2a, ..., (m - 1)a added to every lane mod n (a in range(n)): the
+    column once a factor of order m, whose basis element has coordinate a,
+    is put in front of the group.  The loop runs over the copies or over
+    the lanes of col, whichever is shorter."""
+    if m <= size:
+        ones = _ones(size)
+        step = a * ones
+        blocks = [col]
+        for _ in range(m - 1):
+            blocks.append(_add_mod(blocks[-1], step, n, ones))
+        return int.from_bytes(b"".join(x.to_bytes(4 * size, sys.byteorder) for x in blocks),
+                              sys.byteorder)
+    ones = _ones(m)
+    steps = pack([c * a % n for c in range(m)])
+    out = array(LANE, bytes(4 * size * m))
+    for k, v in enumerate(unpack(col, size)):
+        out[k::size] = unpack(_add_mod(steps, v * ones, n, ones), m)
+    return pack(out)
+
+
+def _chunk_positions(chunk, orders) -> array | None:
+    """Mixed-radix positions of a chunk of coordinate arrays, one column
+    at a time, or None when some array has the wrong length or some column
+    holds a value that is not exactly an int."""
+    if not set(map(len, chunk)) <= {len(orders)}:
+        return None
+    ones = _ones(len(chunk))
+    pos = 0
+    for j, n in enumerate(orders):
+        col = list(map(itemgetter(j), chunk))
+        if not all_int(col):
+            return None
+        pos = pos * n + _pack_mod(col, n, ones)
+    return unpack(pos, len(chunk))
+
+
+def positions(elements, orders, position) -> array:
+    """The positions of a list of coordinate arrays in a group with cyclic
+    factor orders `orders` (order at most 2^31), `CHUNK` elements at a time.
+    A chunk that fails a check goes through `position` element by element,
+    so the first bad element raises exactly what `position` raises."""
+    out = array(LANE)
+    for start in range(0, len(elements), CHUNK):
+        chunk = elements[start:start + CHUNK]
+        pos = _chunk_positions(chunk, orders)
+        out.extend(map(position, chunk) if pos is None else pos)
+    return out

@@ -33,7 +33,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # each handler imports the modules it runs, so a command loads only those
-from .errors import DomainError, MalformedInputError, digit_limit_error, is_int_instance
+from .errors import (
+    DomainError, MalformedInputError, ValidationError, digit_limit_error, is_int_instance,
+)
 
 SCHEMA = "plurican/1"
 
@@ -206,7 +208,11 @@ def _parse_group(spec: str) -> FiniteAbelianGroup:
 
 
 def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
-    from .torsion import AutAction
+    """The automorphisms of an ``--aut`` file.  A file whose generators
+    would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
+    refused before any spec is parsed; on a group of order above
+    ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead."""
+    from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
     data = _load_json(path)
     if isinstance(data, dict):
@@ -216,6 +222,13 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     if not isinstance(raw, list):
         raise MalformedInputError(
             f"{path}: expected a 'generators' array of automorphism specs"
+        )
+    entries = len(raw) * G.order
+    if G.order <= MAX_ACTION_ORDER and entries > MAX_ACTION_ENTRIES:
+        raise ValidationError(
+            f"{len(raw)} automorphisms of a group of order {G.order} need {entries} "
+            f"action entries, above the limit {MAX_ACTION_ENTRIES}",
+            entries=entries, limit=MAX_ACTION_ENTRIES,
         )
     gens = []
     for item in raw:

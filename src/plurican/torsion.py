@@ -3,29 +3,27 @@
 Groups are given by explicit cyclic factors (not necessarily in invariant
 factor form); elements are coordinate tuples reduced modulo the factor
 orders and numbered in lexicographic order.  An automorphism is a permutation
-of those numbers, so orbit counting never forms an element tuple.
+of those numbers, held as an `array` of 32-bit items (`AutAction.perm`), so
+orbit counting never forms an element tuple and an action costs 4 bytes per
+element.
 
-A column of numbers, one per element or per table entry, is held as 32-bit
-lanes of one Python int (`_pack`): adding a constant to every lane, or
-reducing every lane mod n, is then a few big-int operations.  Lanes stay
-exact while every number fits in 32 bits and n <= 2^31, which holds for
-groups of order up to `_LANE_ORDER` = 2^31; `MAX_ACTION_ORDER` = 2^20 keeps
-every automorphism action inside it.  A permutation is built as lanes and
-unpacked once.
+Actions and table positions are computed one coordinate column at a time as
+32-bit lanes of one Python int (`_lanes`, imported only where an action is
+built or a table read).  Lanes stay exact while every number fits in 32 bits and
+n <= 2^31, which holds for groups of order up to `_LANE_ORDER` = 2^31;
+`MAX_ACTION_ORDER` = 2^20 keeps every automorphism action inside it.
 
-A permutation table is read one coordinate column at a time
-(`FiniteAbelianGroup.positions`): a bad element raises exactly the error
-`FiniteAbelianGroup.element` raises for it, and the first bad element in
-table order wins.  The per-element table is allocated only once the number
-of pairs has reached the group order, so its size is bounded by the input.
+A permutation table is read one coordinate column at a time, in chunks of
+elements (`FiniteAbelianGroup.positions`): a bad element raises exactly the
+error `FiniteAbelianGroup.element` raises for it, and the first bad element
+in table order wins.  The per-element table, a 32-bit array, is allocated
+only once the number of pairs has reached the group order, so its size is
+bounded by the input, and its checks hold no Python int per element.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from math import gcd, prod
-from operator import itemgetter
 
 from .errors import (
     HypothesisError, MalformedInputError, Record, ValidationError, all_int, check_int,
@@ -39,75 +37,15 @@ GroupElement = tuple[int, ...]
 # exact.
 MAX_ACTION_ORDER = 1 << 20
 
+# Each generator of an automorphism file becomes an action of one entry per
+# group element, so `components --aut` refuses a file whose generators would
+# hold more entries than this in all, before it parses any of them.
+MAX_ACTION_ENTRIES = 1 << 22
+
 # Groups up to this order have every position, and every factor order n,
 # small enough for 32-bit lane arithmetic (a lane below 2n plus 2^31 - n
 # still fits); `positions` of a larger group goes element by element.
 _LANE_ORDER = 1 << 31
-_LANE = next(code for code in "IL" if array(code).itemsize == 4)
-
-
-def _pack(values) -> int:
-    """Integers in range(2^32) as the 32-bit lanes of one int, the first
-    value in the lowest lane; OverflowError for any other integer."""
-    return int.from_bytes(array(_LANE, values), sys.byteorder)
-
-
-def _unpack(lanes: int, count: int) -> array:
-    """The first `count` lanes of `lanes`; inverse of `_pack`."""
-    return array(_LANE, lanes.to_bytes(4 * count, sys.byteorder))
-
-
-def _ones(count: int) -> int:
-    """1 in each of `count` lanes."""
-    return _pack(array(_LANE, [1]) * count)
-
-
-def _high_lanes(lanes: int, ones: int) -> int:
-    """1 in each lane whose bit 31 is set, 0 in the others."""
-    return lanes >> 31 & ones
-
-
-def _add_mod(x: int, y: int, n: int, ones: int) -> int:
-    """The lanes of x + y mod n, for lanes of x and y in range(n) (n <= 2^31)."""
-    x += y
-    # every lane is below 2n: take n off the lanes at n or above
-    return x - n * _high_lanes(x + ((1 << 31) - n) * ones, ones)
-
-
-def _pack_mod(col: list[int], n: int, ones: int) -> int:
-    """The integers col reduced mod n, as lanes (n <= 2^31).  A column
-    already in range(n) is packed as it is: it packs without overflow, no
-    lane has bit 31 set, and none reaches n once 2^31 - n is added."""
-    try:
-        lanes = _pack(col)
-    except OverflowError:  # some entry is negative or at least 2^32
-        pass
-    else:
-        if not _high_lanes(lanes | lanes + ((1 << 31) - n) * ones, ones):
-            return lanes
-    return _pack([c % n for c in col])
-
-
-def _extend(col: int, size: int, a: int, m: int, n: int) -> int:
-    """Column `col` of `size` lanes in range(n), followed by copies with
-    a, 2a, ..., (m - 1)a added to every lane mod n (a in range(n)): the
-    column once a factor of order m, whose basis element has coordinate a,
-    is put in front of the group.  The loop runs over the copies or over
-    the lanes of col, whichever is shorter."""
-    if m <= size:
-        ones = _ones(size)
-        step = a * ones
-        blocks = [col]
-        for _ in range(m - 1):
-            blocks.append(_add_mod(blocks[-1], step, n, ones))
-        return int.from_bytes(b"".join(x.to_bytes(4 * size, sys.byteorder) for x in blocks),
-                              sys.byteorder)
-    ones = _ones(m)
-    steps = _pack([c * a % n for c in range(m)])
-    out = array(_LANE, bytes(4 * size * m))
-    for k, v in enumerate(_unpack(col, size)):
-        out[k::size] = _unpack(_add_mod(steps, v * ones, n, ones), m)
-    return _pack(out)
 
 
 def _check_action_order(G: "FiniteAbelianGroup") -> None:
@@ -155,27 +93,25 @@ class FiniteAbelianGroup(Record):
             i = i * n + x
         return i
 
-    def positions(self, elements) -> list[int]:
+    def positions(self, elements):
         """The positions `index(element(a))` of a list of coordinate arrays
-        (lists or tuples), computed one coordinate column at a time, as
-        lanes, for a group of order up to `_LANE_ORDER`.
+        (lists or tuples): an `array` of 32-bit lanes for a group of order
+        up to `_LANE_ORDER`, computed in chunks one coordinate column at a
+        time (`_lanes.positions`), and a list for a larger group.
 
         The lengths and then each column's types are checked in bulk; when a
         check fails, or the group is larger, the elements go through
         `element` in order, so the first bad one raises exactly what
         `element` raises for it.
         """
-        if self.order <= _LANE_ORDER and set(map(len, elements)) <= {self.rank}:
-            ones = _ones(len(elements))
-            pos = 0
-            for j, n in enumerate(self.cyclic_orders):
-                col = list(map(itemgetter(j), elements))
-                if not all_int(col):
-                    break
-                pos = pos * n + _pack_mod(col, n, ones)
-            else:
-                return _unpack(pos, len(elements)).tolist()
-        return [self.index(self.element(a)) for a in elements]
+        def position(a) -> int:
+            return self.index(self.element(a))
+
+        if self.order > _LANE_ORDER:
+            return list(map(position, elements))
+        from . import _lanes
+
+        return _lanes.positions(elements, self.cyclic_orders, position)
 
     def element_at(self, i: int) -> GroupElement:
         """The element at position i; inverse of `index`."""
@@ -234,7 +170,8 @@ class AutAction:
 
     `perm` is built by additivity from the images f_j of the basis elements
     e_j, (x_1, ..., x_r) -> x_1 f_1 + ... + x_r f_r, well defined exactly
-    when n_j f_j = 0, one coordinate column at a time as lanes (`_extend`).
+    when n_j f_j = 0, one coordinate column at a time as lanes
+    (`_lanes.extend`), and unpacked once into an `array` of 32-bit items.
     `from_matrix` and `from_table` parse the two file forms into basis
     images.
     """
@@ -252,16 +189,18 @@ class AutAction:
                     f"map does not preserve the group operation: {n} * f_{j} != 0",
                     basis=j, image=list(f),
                 )
+        from . import _lanes
+
         perm = 0
         for i, n in enumerate(orders):
             # coordinate i of every image, from the last basis element back;
             # x + c e_j maps to phi(x) + c f_j
             col, size = 0, 1
             for f, m in zip(reversed(images), reversed(orders)):
-                col = _extend(col, size, f[i], m, n)
+                col = _lanes.extend(col, size, f[i], m, n)
                 size *= m
             perm = perm * n + col
-        self.perm = tuple(_unpack(perm, group.order).tolist())
+        self.perm = _lanes.unpack(perm, group.order)
 
     @classmethod
     def from_matrix(cls, group: FiniteAbelianGroup, entries) -> "AutAction":
@@ -315,16 +254,24 @@ class AutAction:
                 "integer arrays"
             )
         pos = group.positions(flat)
+        del flat  # a reference per coordinate array: freed before the table
+        order = group.order
         # every position is in range(order), so fewer pairs than elements
         # leave one out, and at least as many bound the table's size
-        if len(pairs) < group.order:
+        if len(pairs) < order:
             raise ValidationError("permutation table must be defined on every element")
-        table = [None] * group.order
+        from . import _lanes
+
+        table = _lanes.full(order, order)  # `order`: no pair for this element
         for i, j in zip(pos[0::2], pos[1::2]):
             table[i] = j
-        if None in table:
+        del pos
+        hit = bytearray(order + 1)  # hit[j] = 1 for every image j
+        for j in table:
+            hit[j] = 1
+        if hit[order]:
             raise ValidationError("permutation table must be defined on every element")
-        if len(set(table)) != group.order:
+        if 0 in hit[:order]:
             raise ValidationError("permutation table is not a bijection")
         if table[0] != 0:
             raise ValidationError("permutation table does not fix the identity")
@@ -336,7 +283,7 @@ class AutAction:
             aut = cls(group, map(group.element_at, basis))
         except ValidationError as exc:  # some n_j f_j != 0
             raise ValidationError(message, **exc.details) from exc
-        if tuple(table) != aut.perm:
+        if table != aut.perm:
             at = next(i for i, (p, q) in enumerate(zip(table, aut.perm)) if p != q)
             raise ValidationError(message, at=list(group.element_at(at)))
         return aut

@@ -218,6 +218,43 @@ def test_components_group_too_large_for_automorphisms(capsys, tmp_path):
     assert data["error"]["details"] == {"order": 10**12, "limit": torsion.MAX_ACTION_ORDER}
 
 
+def test_components_refuses_many_generators_before_building_any(capsys, tmp_path, monkeypatch):
+    # five 20 x 20 identities, ~4 KB: five actions of 2^20 entries on (Z/2)^20
+    identity = [[int(i == j) for j in range(20)] for i in range(20)]
+    aut = tmp_path / "many.json"
+    aut.write_text(json.dumps({"generators": [{"kind": "matrix", "entries": identity}] * 5},
+                              separators=(",", ":")), encoding="utf-8")
+    assert aut.stat().st_size < 5000
+    # on (Z/4)^20, above the action cap, the first generator meets that cap
+    code, data = run_cli(capsys, "components", "--group", ",".join(["4"] * 20), "--d", "3",
+                         "--aut", str(aut))
+    assert code == 1
+    assert data["error"]["details"] == {"order": 1 << 40, "limit": torsion.MAX_ACTION_ORDER}
+
+    def no_action(*args):
+        raise AssertionError("an action was built")
+
+    monkeypatch.setattr(torsion.AutAction, "from_matrix", no_action)
+    limit = torsion.MAX_ACTION_ENTRIES
+    assert limit >= 2 * 5**7  # the benchmark's two matrices on (Z/5)^7
+    code, data = run_cli(capsys, "components", "--group", ",".join(["2"] * 20), "--d", "3",
+                         "--aut", str(aut))
+    assert code == 1
+    assert data["error"]["kind"] == "validation"
+    assert data["error"]["details"] == {"entries": 5 << 20, "limit": limit}
+
+
+def test_components_generator_cap_counts_every_entry(capsys, monkeypatch):
+    # two generators on the 9 elements of Z/3 x Z/3: 18 entries
+    argv = ["components", "--group", "3,3", "--d", "2", "--aut", str(GOLDEN_AUT)]
+    monkeypatch.setattr(torsion, "MAX_ACTION_ENTRIES", 18)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(torsion, "MAX_ACTION_ENTRIES", 17)
+    code, data = run_cli(capsys, *argv)
+    assert code == 1
+    assert data["error"]["details"] == {"entries": 18, "limit": 17}
+
+
 def test_components_singular_matrix_with_huge_entries(capsys, tmp_path):
     # det = 10^8000 has more digits than an int may print; it is reported mod n
     aut = tmp_path / "m.json"

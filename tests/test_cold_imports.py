@@ -6,7 +6,9 @@ first.  Here each command line runs in a new ``python -c`` through
 `plurican.cli.main`: its stdout must match the golden capture where one
 exists, and the ``plurican`` modules in ``sys.modules`` at exit must be
 exactly the listed ones, and no command may load ``dataclasses`` (about 13 ms
-of a cold start).  Structural only: nothing is timed.
+of a cold start).  ``array`` is watched too: only a command that builds an
+automorphism action loads it, with the lane helpers of ``plurican._lanes``.
+Structural only: nothing is timed.
 """
 
 import os
@@ -29,12 +31,13 @@ from plurican.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 sys.stderr.write(" ".join(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("plurican", "dataclasses"))))
+    m for m in sys.modules if m.split(".")[0] in ("plurican", "dataclasses", "array"))))
 sys.exit(code)
 """
 
 CLI = {"plurican", "plurican.cli", "plurican.errors"}
 TORSION = {"plurican.torsion"}
+ACTIONS = TORSION | {"plurican._lanes", "array"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
 ARRANGEMENTS = {"plurican.arrangements", "plurican.f2geom"}
 CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
@@ -43,7 +46,7 @@ CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.g
 GOLDEN_LOADS = {
     "catalog": INVARIANTS,
     "invariants-pa37-k2-333": INVARIANTS,
-    "components-aut": TORSION,
+    "components-aut": ACTIONS,
     "components-d0": TORSION,
     "incidences-dual-hesse": ARRANGEMENTS,
     "check-arrangement-campedelli-generic": ARRANGEMENTS,

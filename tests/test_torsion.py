@@ -1,5 +1,9 @@
+import contextlib
+import io
+import json
 import random
 import tracemalloc
+from array import array
 from itertools import permutations, product
 from math import gcd, prod
 
@@ -17,7 +21,7 @@ from _oracles import (
     table_positions_oracle,
     tor_d_elements,
 )
-from plurican import torsion
+from plurican import cli, torsion
 from plurican.errors import DomainError, HypothesisError, MalformedInputError, ValidationError
 from plurican.torsion import (
     AutAction,
@@ -206,6 +210,21 @@ def test_orbit_count_matches_burnside_randomized():
         assert orbit_count(G, gens) == burnside_orbit_count(G, gens)
 
 
+def test_perm_is_an_array_of_32_bit_positions():
+    # x -> (x_0, 2 x_0 + 3 x_1) on Z/2 x Z/4 as a table, and two matrices on
+    # a group with equal factors; orbits against the Burnside oracle
+    G = FiniteAbelianGroup((2, 4))
+    pairs = [[[a, b], [a, (2 * a + 3 * b) % 4]] for a, b in brute_elements((2, 4))]
+    H = FiniteAbelianGroup((5, 5))
+    for group, gens in [(G, [AutAction.from_table(G, pairs)]),
+                        (H, [AutAction.from_matrix(H, [[-1, 0], [0, -1]]),
+                             AutAction.from_matrix(H, [[0, 1], [1, 0]])])]:
+        for aut in gens:
+            assert isinstance(aut.perm, array) and aut.perm.itemsize == 4
+            assert sorted(aut.perm) == list(range(group.order))
+        assert orbit_count(group, gens) == burnside_orbit_count(group, gens)
+
+
 def test_permutation_table_automorphism():
     G = FiniteAbelianGroup((5,))
     pairs = [[[x], [(-x) % 5]] for x in range(5)]
@@ -241,9 +260,9 @@ def test_matrix_and_table_permutations_match_matrix_product(n, data):
         tuple(sum(row[j] * x[j] for j in range(r)) % n for row in matrix) for x in elements
     ]
     expected = tuple(position[y] for y in images)
-    assert AutAction.from_matrix(G, matrix).perm == expected
+    assert tuple(AutAction.from_matrix(G, matrix).perm) == expected
     pairs = [[list(x), list(y)] for x, y in zip(elements, images)]
-    assert AutAction.from_table(G, pairs).perm == expected
+    assert tuple(AutAction.from_table(G, pairs).perm) == expected
 
 
 def test_positions_follow_element_order():
@@ -372,12 +391,12 @@ def test_from_table_matches_element_by_element_oracle(orders, data):
         if pairs:
             _inject(fault, pairs, orders, data.draw)
     expected = _outcome(table_positions_oracle, G, pairs)
-    assert _outcome(lambda: AutAction.from_table(G, pairs).perm) == expected
+    assert _outcome(lambda: tuple(AutAction.from_table(G, pairs).perm)) == expected
 
 
 def test_lanes_at_the_action_cap():
     n = torsion.MAX_ACTION_ORDER
-    assert AutAction.from_matrix(FiniteAbelianGroup((n,)), [[3]]).perm == tuple(
+    assert tuple(AutAction.from_matrix(FiniteAbelianGroup((n,)), [[3]]).perm) == tuple(
         3 * i % n for i in range(n))
 
 
@@ -392,28 +411,65 @@ def test_positions_of_groups_beyond_the_action_cap(orders):
     top = [n - 1 for n in orders]
     elements = [[0] * len(orders), top, [n + 1 for n in orders], [-1] * len(orders),
                 [2**31 + 1] * len(orders), [2**32 + 5] * len(orders), [10**30] * len(orders)]
-    assert G.positions(elements) == [G.index(G.element(a)) for a in elements]
+    assert list(G.positions(elements)) == [G.index(G.element(a)) for a in elements]
 
 
-# tracemalloc peak of `from_table` on the 75600-element (16, 27, 25, 7)
-# table, Python 3.11: 11.3 MB reading one coordinate column at a time, 15.1
-# MB when all 604800 coordinates are first flattened into one list
-TABLE_PEAK_BOUND = 13_000_000
+TABLE_ORDERS, TABLE_UNITS = (16, 27, 25, 7), (5, 2, 3, 3)
+
+
+def _unit_table() -> list:
+    """The 75600 pairs of x -> (5 x_0, 2 x_1, 3 x_2, 3 x_3) on Z/16 x Z/27 x Z/25 x Z/7."""
+    return [[list(x), [u * c % n for u, c, n in zip(TABLE_UNITS, x, TABLE_ORDERS)]]
+            for x in product(*map(range, TABLE_ORDERS))]
+
+
+# tracemalloc peak of `from_table` above its input on the 75600-element
+# table, Python 3.11: 2.15 MB with the table and the permutation as 32-bit
+# arrays and positions packed 4096 elements at a time; the bound leaves 0.45
+# MB of margin.  Keeping the list of coordinate arrays alive past
+# `positions` peaked at 3.0 MB, a table of Python ints (a list and a tuple
+# next to a tuple permutation) at 11.3 MB, and a list of all 604800
+# coordinates at 15.1 MB.
+TABLE_PEAK_BOUND = 2_600_000
 
 
 def test_from_table_peak_memory():
-    orders, units = (16, 27, 25, 7), (5, 2, 3, 3)
-    pairs = [[list(x), [u * c % n for u, c, n in zip(units, x, orders)]]
-             for x in product(*map(range, orders))]
-    G = FiniteAbelianGroup(orders)
+    pairs = _unit_table()
+    G = FiniteAbelianGroup(TABLE_ORDERS)
     tracemalloc.start()
     try:
         aut = AutAction.from_table(G, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert aut.perm[G.index((1, 1, 1, 1))] == G.index(units)
+    assert aut.perm[G.index((1, 1, 1, 1))] == G.index(TABLE_UNITS)
     assert peak < TABLE_PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_components_table_peaks_at_its_parsed_json(tmp_path):
+    # the parsed table is ~20 MB of lists and ints; nothing the command
+    # builds from it may hold much more than that beside it
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
+                    encoding="utf-8")
+    parse = _traced_peak(lambda: cli._load_json(path))
+    out = io.StringIO()
+    argv = ["components", "--group", ",".join(map(str, TABLE_ORDERS)), "--d", "2",
+            "--aut", str(path)]
+    with contextlib.redirect_stdout(out):
+        command = _traced_peak(lambda: cli.main(argv))
+    assert json.loads(out.getvalue())["orbit_count"] > 0
+    assert command <= parse + 1_000_000, (
+        f"command {command / 1e6:.1f} MB, parse {parse / 1e6:.1f} MB")
 
 
 def test_permutation_table_needs_basis_images_of_right_order():
