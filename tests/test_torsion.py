@@ -456,8 +456,8 @@ def _traced_peak(call) -> int:
 
 
 def test_components_table_peaks_at_its_parsed_json(tmp_path):
-    # the parsed table is ~20 MB of lists and ints; nothing the command
-    # builds from it may hold much more than that beside it
+    # the parsed table is ~20 MB of lists and ints; what the command builds
+    # from it may lift the peak at most 1 MB above that of the parse
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
                     encoding="utf-8")
