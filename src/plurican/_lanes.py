@@ -72,12 +72,29 @@ def _pack_mod(col: list[int], n: int, ones: int) -> int:
     return pack([c % n for c in col])
 
 
+def _repeat(col: int, bits: int, m: int) -> int:
+    """`col` (below 2^bits) repeated m times, the first copy lowest, by doubling."""
+    out = done = 0
+    while m:
+        if m & 1:
+            out |= col << done
+            done += bits
+        m >>= 1
+        if m:
+            col |= col << bits
+            bits *= 2
+    return out
+
+
 def extend(col: int, size: int, a: int, m: int, n: int) -> int:
     """Column `col` of `size` lanes in range(n), followed by copies with
     a, 2a, ..., (m - 1)a added to every lane mod n (a in range(n)): the
     column once a factor of order m, whose basis element has coordinate a,
-    is put in front of the group.  The loop runs over the copies or over
-    the lanes of col, whichever is shorter."""
+    is put in front of the group.  When a is 0 every copy is the column;
+    otherwise the loop runs over the copies or over the lanes of col,
+    whichever is shorter."""
+    if not a:
+        return _repeat(col, 32 * size, m)
     if m <= size:
         ones = _ones(size)
         step = a * ones

@@ -283,19 +283,19 @@ class LabeledArrangement(Record):
                 raise ValidationError("labels of mixed dimensions")
 
 
-# Peak memory grows with the number of line pairs, by about 0.9 KB per pair
+# Peak memory grows with the number of line pairs, by about 0.5 KB per pair
 # for generic rational lines with 7-bit coefficients (peak RSS of a cold
-# `plurican incidences`, Python 3.11: 300 lines 57 MB, 400 lines 88 MB), so
+# `plurican incidences`, Python 3.11: 300 lines 41 MB, 400 lines 58 MB), so
 # more lines than this are refused before any pair is formed; at the cap,
-# 179700 pairs take about 0.2 GB.
+# 179700 pairs take about 0.12 GB.
 MAX_INCIDENCE_LINES = 600
 
-# Each bit of the longest canonical line entry adds about 4.5 bytes of peak
+# Each bit of the longest canonical line entry adds about 2.5 bytes of peak
 # RSS per pair (cold `plurican incidences`, generic lines, 300 / 400 lines:
-# over Q 7 bits 57 / 88 MB, 127 bits 83 / 131 MB; over Q(omega) 126 bits
-# 144 / 225 MB, about half of it the output text), so longer entries are
-# refused before any pair is formed; at both caps, 600 lines take about
-# 0.3 GB over Q and 0.5 GB over Q(omega).
+# over Q 7 bits 41 / 58 MB, 127 bits 57 / 82 MB; over Q(omega) 126 bits
+# 90 / 134 MB, the points array written as it is made), so longer entries
+# are refused before any pair is formed; at both caps, 600 lines take about
+# 0.17 GB over Q and 0.29 GB over Q(omega).
 MAX_COEFFICIENT_BITS = 128
 
 
@@ -323,12 +323,19 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
                               bits=bits, limit=MAX_COEFFICIENT_BITS)
     if len(lines) < 2:
         raise ValidationError("need at least two lines to intersect")
-    by_key: dict[tuple[int, ...], set[int]] = {}
+    # the lines through each point, ascending: pairs come in lexicographic
+    # order, so at a point through l1 < l2 < ... the pairs (l1, x) come
+    # first, (l1, l2) first of all, and a later pair (l2, y) adds no line
+    by_key: dict[tuple[int, ...], list[int]] = {}
     for i, j in combinations(range(len(vecs)), 2):
         key = _canonical(_cross(vecs[i], vecs[j]))
         if key is None:
             raise ValidationError("lines coincide; no unique intersection")
-        by_key.setdefault(key, set()).update((i, j))
+        through = by_key.get(key)
+        if through is None:
+            by_key[key] = [i, j]
+        elif through[0] == i:
+            through.append(j)
     # Distinct fractions x / L and y / M with L, M <= max lead differ by at
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
@@ -341,7 +348,7 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
         return [(x << shift) // lead for x in key]
 
     order = sorted(by_key, key=sort_key)
-    points = tuple((key, tuple(sorted(by_key[key]))) for key in order)
+    points = tuple((key, tuple(by_key[key])) for key in order)
     histogram = tuple(sorted(Counter(len(lines) for _, lines in points).items()))
     return IncidenceReport(points=points, histogram=histogram, line_count=len(lines))
 
@@ -547,6 +554,15 @@ def _points_json(points):
     except ValueError as exc:  # more digits than the int/str limit
         raise digit_limit_error() from exc
     yield "\n  ]"
+
+
+def _points_top(points) -> int:
+    """The largest |entry| of the keys of ``points``.  No reduced x // g or
+    lead // g that `_points_json` writes for them is longer, and a line index
+    or multiplicity, below `MAX_INCIDENCE_LINES`, has 3 digits against an
+    int/str limit of at least 640: when this prints, all of them do."""
+    keys = [key for key, _ in points]
+    return max(max(map(max, keys), default=0), -min(map(min, keys), default=0))
 
 
 def load_arrangement(data: dict) -> LabeledArrangement:

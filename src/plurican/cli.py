@@ -14,9 +14,11 @@ cannot be written (a full device, a closed descriptor, a reader that exits
 early) ends the command with exit 2 (``STDOUT_UNWRITABLE``): nothing more is
 written and nothing goes to stderr.  Identical inputs produce byte-identical
 output: the same bytes as ``json.dumps(indent=2, sort_keys=True)``, built by
-the `json_text` walk in chunks and written chunk by chunk; the ``points``
-array of ``incidences`` is written by `arrangements._points_json` inside
-that walk.  Every command runs in one process;
+the `json_text` walk in chunks and written chunk by chunk, to stdout or to
+``--out``.  The ``points`` array of ``incidences`` is made by
+`arrangements._points_json` as it is written, a batch of points at a time,
+once its longest number is known to print; the rest of the document is
+built before the first write.  Every command runs in one process;
 ``--workers N`` is accepted and validated (N < 1 is malformed input) and
 does not change the output.
 """
@@ -29,6 +31,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -339,8 +342,10 @@ def cmd_incidences(args) -> tuple[dict, int]:
 
     arr = arrangements.load_arrangement(_load_json(args.file))
     report = arrangements.compute_incidences(arr)
-    # the points array, the bulk of the document, is written from its integers
-    points = _Written(arrangements._points_json(report.points), depth=1)
+    # the points array, the bulk of the document, is written from its
+    # integers as it goes out, once its longest number is known to print
+    points = _Written(arrangements._points_json(report.points), depth=1,
+                      top=arrangements._points_top(report.points))
     return {"command": "incidences", **report.as_json(points)}, 0
 
 
@@ -497,34 +502,51 @@ def json_text(value) -> str:
     raise TypeError; the package prints none.  The separators of each depth
     are built once and shared by every item at that depth.
     """
-    return "".join(_json_chunks(value))
+    texts: list[str] = []
+    _write(texts.append, _json_chunks(value))
+    return "".join(texts)
 
 
-# parts joined into one chunk of _json_chunks; the part list stays this
-# short however long the text is
+# parts joined into one chunk of _json_chunks, or into one write of _write;
+# the part list stays this short however long the text is
 _CHUNK_PARTS = 4096
 
 
 class _Written:
     """JSON text already written for a value at ``depth`` of the document,
-    as an iterable of parts, which `_json_chunks` copies as they are."""
+    as an iterable of parts, and an integer ``top`` at least as long as
+    every number in the text: when ``top`` prints, the parts are joined only
+    as the text is written (see `_json_chunks`)."""
 
-    __slots__ = ("parts", "depth")
+    __slots__ = ("parts", "depth", "top")
 
-    def __init__(self, parts, depth: int):
-        self.parts, self.depth = parts, depth
+    def __init__(self, parts, depth: int, top: int):
+        self.parts, self.depth, self.top = parts, depth, top
 
 
-def _json_chunks(value) -> list[str]:
-    """The text of :func:`json_text` as consecutive chunks of about
-    ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of
-    every part nor one string of the whole text.  Every chunk is built before
-    anything is written, so an integer past the interpreter's int/str digit
-    limit is a MalformedInputError, not a partial document.  The parts of a
-    `_Written` value are copied into the chunks at the depth it was written
-    for; at any other depth it is a TypeError.
+def _prints(n: int) -> bool:
+    """Whether int.__repr__ converts n (it has no more digits than the
+    interpreter's int/str conversion limit)."""
+    try:
+        int.__repr__(n)
+    except ValueError:
+        return False
+    return True
+
+
+def _json_chunks(value) -> list:
+    """The text of :func:`json_text` as consecutive chunks: strings of about
+    ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of every
+    part nor one string of the whole text, and the deferred parts of a
+    `_Written` value whose ``top`` prints, which `_write` joins as it goes.
+    Every string chunk is built before anything is written, and no deferred
+    number is longer than a ``top`` that prints, so an integer past the
+    interpreter's int/str digit limit is a MalformedInputError, not a partial
+    document.  The parts of a `_Written` value whose ``top`` does not print
+    are copied into the chunks.  A `_Written` value at a depth other than its
+    own is a TypeError.
     """
-    chunks: list[str] = []
+    chunks: list = []
     parts: list[str] = []
     append, encode, int_repr = parts.append, encode_basestring_ascii, int.__repr__
     # per depth: open list, open dict, item separator, close list, close dict
@@ -545,6 +567,11 @@ def _json_chunks(value) -> list[str]:
             except ValueError as exc:  # more digits than the int/str limit
                 raise digit_limit_error() from exc
         elif isinstance(v, _Written) and v.depth == depth:
+            if _prints(v.top):
+                chunks.append("".join(parts))
+                parts.clear()
+                chunks.append(v.parts)
+                return
             for part in v.parts:
                 append(part)
                 if len(parts) >= _CHUNK_PARTS:
@@ -589,6 +616,23 @@ def _json_chunks(value) -> list[str]:
     return chunks
 
 
+def _write(write, chunks) -> None:
+    """Pass the text of `_json_chunks` chunks to ``write``: each string
+    chunk, and the parts of each deferred one joined ``_CHUNK_PARTS`` at a
+    time, one batch of parts and its text alive at once."""
+    for chunk in chunks:
+        if isinstance(chunk, str):
+            write(chunk)
+            continue
+        parts, batch = iter(chunk), []
+        while True:
+            batch.extend(islice(parts, _CHUNK_PARTS))
+            if not batch:
+                break
+            write("".join(batch))
+            batch.clear()
+
+
 class _OutUnwritable(MalformedInputError):
     """Writing to ``--out`` failed, possibly partway."""
 
@@ -619,13 +663,14 @@ def _emit(payload: dict, out: Path | None) -> None:
         if sys.stdout is None:  # the descriptor was closed at start-up
             raise _StdoutUnwritable
         try:
-            sys.stdout.writelines(chunks)
+            _write(sys.stdout.write, chunks)
             sys.stdout.flush()  # a failed write shows here, not at exit
         except OSError as exc:
             raise _StdoutUnwritable from exc
         return
     try:
-        out.write_text("".join(chunks), encoding="utf-8")
+        with out.open("w", encoding="utf-8") as fh:
+            _write(fh.write, chunks)
     except OSError as exc:
         raise _OutUnwritable(f"cannot write {out}: {exc}") from exc
 

@@ -414,22 +414,25 @@ def tangent_lines(count: int) -> dict:
 
 
 class Sink:
-    """A stdout that keeps only the number of characters written."""
+    """A stdout that keeps only the number of characters written, in all
+    and in its longest write."""
 
     def __init__(self):
-        self.size = 0
+        self.size = self.longest = 0
 
-    def writelines(self, chunks):
-        self.size += sum(map(len, chunks))
+    def write(self, text):
+        self.size += len(text)
+        self.longest = max(self.longest, len(text))
 
     def flush(self):
         pass
 
 
 # tracemalloc peak of `incidences` on 150 tangents (11175 points, 3.8 MB of
-# text), Python 3.11: 7.3 MB when the points array is written from its
-# integers, 13.0 MB when each point also becomes a dict for the JSON walk
-PEAK_BOUND = 10_000_000
+# text), Python 3.11: 6.3 MB when the points array is written to stdout as it
+# is made, 7.7 MB when its whole text is made first, 13.0 MB when each point
+# also becomes a dict for the JSON walk
+PEAK_BOUND = 7_000_000
 
 
 def test_incidences_peak_memory(tmp_path, monkeypatch):
@@ -444,6 +447,7 @@ def test_incidences_peak_memory(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert sink.size > 3_500_000
+    assert sink.longest <= sink.size // 2
     assert peak < PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
 
 

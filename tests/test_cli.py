@@ -508,21 +508,21 @@ def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path, monkeypa
 
 
 def test_stdout_is_written_in_chunks_of_one_whole_document(capsys, tmp_path, monkeypatch):
-    # one part per chunk: stdout gets one writelines of many chunks, the same
-    # bytes as before, and a digit-limit error found after many chunks still
-    # prints only the error document
+    # one part per chunk: stdout gets one write per chunk, the same bytes as
+    # before, and a digit-limit error found after many chunks still prints
+    # only the error document
     monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
     writes = []
-    real = type(sys.stdout).writelines
-    monkeypatch.setattr(type(sys.stdout), "writelines",
-                        lambda self, chunks: writes.append(chunks) or real(self, chunks))
+    real = type(sys.stdout).write
+    monkeypatch.setattr(type(sys.stdout), "write",
+                        lambda self, text: writes.append(text) or real(self, text))
     assert main(["incidences", fixture_path("dual-hesse.json")]) == 0
     golden = (Path(__file__).parent / "golden" / "incidences-dual-hesse.json").read_text()
     assert capsys.readouterr().out == golden
     # the points array streams one part per point, so each of the 12 points
-    # is a chunk of its own
-    assert len(writes) == 1 and len(writes[0]) > 12
-    assert [chunk.count('"coords"') for chunk in writes[0] if '"coords"' in chunk] == [1] * 12
+    # is a write of its own
+    assert len(writes) > 12
+    assert [text.count('"coords"') for text in writes if '"coords"' in text] == [1] * 12
     big = 10**2200
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"field": "Q", "lines": [
@@ -564,18 +564,45 @@ def test_out_failing_partway_is_not_written_again(capsys, tmp_path, monkeypatch)
     out = tmp_path / "report.json"
     calls = []
 
-    def write_text(self, text, encoding=None):
-        calls.append(self)
-        if len(calls) > 1:
-            return Path.write_bytes(self, text.encode())
-        Path.write_bytes(self, text[:10].encode())
-        raise OSError(errno.ENOSPC, "No space left on device")
+    class FullDisk:
+        """A file that takes the first 10 characters, then fails."""
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = Path.open
+
+    def open_full(self, mode="r", *args, **kwargs):
+        if mode != "w":
+            return real_open(self, mode, *args, **kwargs)
+        calls.append(self)
+        return FullDisk()
+
+    monkeypatch.setattr(Path, "open", open_full)
     data = run_cli_malformed(capsys, "catalog", "--out", str(out))
     assert calls == [out]
     assert data["error"]["message"] == f"cannot write {out}: [Errno 28] No space left on device"
     assert out.read_text() == '{\n  "comma'  # the first 10 characters of the report
+
+
+def test_out_streams_the_same_bytes_as_stdout(capsys, tmp_path):
+    path = tmp_path / "tangents.json"
+    path.write_text(json.dumps(tangent_lines(150)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["incidences", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["incidences", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    assert stdout.count('"coords"') == 150 * 149 // 2
 
 
 def test_cli_subprocess_entry():

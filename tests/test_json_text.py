@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plurican
-from plurican.arrangements import _points_json
-from plurican.cli import _Written, json_text
+from plurican import cli
+from plurican.arrangements import _key_json, _points_json, _points_top
+from plurican.cli import _emit, _json_chunks, _Written, json_text
 from plurican.errors import MalformedInputError
 from plurican.evenclass import EvenSetTag
 
@@ -110,13 +111,73 @@ def test_points_writer_past_the_digit_limit_is_malformed_input():
 
 def test_written_text_only_at_its_depth():
     points = [((1, 0, 0, 0, 0, 0), (0, 1))]
-    text = json_text({"points": _Written(_points_json(points), depth=1)})
+    text = json_text({"points": _Written(_points_json(points), depth=1, top=1)})
     assert text == json.dumps({"points": [
         {"coords": [[[1, 1]], [[0, 1]], [[0, 1]]], "lines": [0, 1], "multiplicity": 2}
     ]}, indent=2)
     with pytest.raises(TypeError):
-        json_text({"report": {"points": _Written(_points_json(points), depth=1)}})
-    assert json_text({"points": _Written(_points_json(()), depth=1)}) == '{\n  "points": []\n}'
+        json_text({"report": {"points": _Written(_points_json(points), depth=1, top=1)}})
+    empty = _Written(_points_json(()), depth=1, top=0)
+    assert json_text({"points": empty}) == '{\n  "points": []\n}'
+
+
+def written_points(points) -> _Written:
+    """The `points` array of ``points`` as the `incidences` command writes it."""
+    return _Written(_points_json(points), depth=1, top=_points_top(points))
+
+
+def points_dicts(points) -> list:
+    return [{"coords": _key_json(key), "lines": list(lines), "multiplicity": len(lines)}
+            for key, lines in points]
+
+
+class Recorder:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_points_past_the_digit_limit_leave_no_partial_document(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    points = [((1, 0, 0, 0, 0, 0), (0, 1)), ((1, 0, 10**limit, 0, 0, 0), (0, 2))]
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(MalformedInputError) as err:
+        _emit({"command": "incidences", "points": written_points(points)}, None)
+    assert stdout.writes == []
+    assert err.value.details == {"limit": limit}
+    with pytest.raises(MalformedInputError) as again:
+        json_text({"command": "incidences", "points": written_points(points)})
+    assert (str(again.value), again.value.details) == (str(err.value), err.value.details)
+
+
+def test_deferred_points_give_the_whole_text(monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
+    limit = sys.get_int_max_str_digits()
+    p, q = 10 ** (limit - 1), 10 ** (limit - 1) + 1
+    for points, deferred in [
+        ([((1, 0, 0, 0, 0, 0), (0, 1)), ((0, 0, 3, 0, 1, -2), (0, 2, 3))], True),
+        # the largest entry p q does not print, but the reduced p and q do:
+        # the text is made in full before it is written
+        ([((p * q, 0, p, 0, q, 0), (0, 1))], False),
+    ]:
+        value = {"a": [1], "points": written_points(points), "z": "end"}
+        chunks = _json_chunks({"a": [1], "points": written_points(points), "z": "end"})
+        assert all(isinstance(chunk, str) for chunk in chunks) is not deferred
+        assert json_text(value) == json.dumps(
+            {"a": [1], "points": points_dicts(points), "z": "end"}, indent=2, sort_keys=True)
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        _emit({"points": written_points(points)}, None)
+        assert "".join(stdout.writes) == json_text(
+            {"schema": "plurican/1", "points": points_dicts(points)}) + "\n"
 
 
 def _json_writes(tree: ast.AST):

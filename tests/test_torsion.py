@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    aut_apply,
     brute_component_bound,
     brute_elements,
     brute_is_divisible,
@@ -398,6 +399,29 @@ def test_lanes_at_the_action_cap():
     n = torsion.MAX_ACTION_ORDER
     assert tuple(AutAction.from_matrix(FiniteAbelianGroup((n,)), [[3]]).perm) == tuple(
         3 * i % n for i in range(n))
+
+
+def test_zero_coordinates_repeat_the_column():
+    # the identity on (Z/2)^20: 380 of its 400 column steps add 0
+    G = FiniteAbelianGroup((2,) * 20)
+    identity = [[int(i == j) for j in range(20)] for i in range(20)]
+    perm = AutAction.from_matrix(G, identity).perm
+    assert perm == array(perm.typecode, range(2**20))
+    # basis images with zero coordinates: 1 to 257 copies of a column,
+    # against x_1 f_1 + ... + x_r f_r element by element
+    for orders, images in [
+        ((7, 7, 7), [(0, 3, 0), (1, 0, 0), (0, 0, 2)]),
+        ((2, 4), [(1, 2), (0, 1)]),
+        ((2, 4), [(0, 2), (1, 3)]),
+        ((3, 2, 3), [(0, 0, 2), (0, 1, 0), (1, 0, 0)]),
+        ((257, 257), [(0, 1), (1, 0)]),
+    ]:
+        G = FiniteAbelianGroup(orders)
+        aut = AutAction(G, images)
+        for e in brute_elements(orders):
+            image = tuple(sum(x * f[i] for x, f in zip(e, images)) % n
+                          for i, n in enumerate(orders))
+            assert aut_apply(aut, e) == image
 
 
 @pytest.mark.parametrize("orders", [
