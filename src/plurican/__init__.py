@@ -38,8 +38,8 @@ _EXPORTS = {
     "torsion": ("AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
                 "cplus_total", "is_divisible", "orbit_count", "theorem_mod_component_bound",
                 "tor_d_order"),
-    "arrangements": ("ExactScalar", "LabeledArrangement", "ProjLine", "analyze_extension",
-                     "check_campedelli", "compute_incidences"),
+    "arrangements": ("LabeledArrangement", "ProjLine", "analyze_extension", "check_campedelli",
+                     "compute_incidences"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

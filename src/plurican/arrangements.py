@@ -14,8 +14,10 @@ canonical form of their cross product, and no field division happens per
 line pair.  Genericity is never assumed: the incidence report states the
 actual multiplicities.
 
-`ExactScalar` appears only at input, in `ProjLine(coeffs)`, and in the
-derived leading-1 `ProjLine.coeffs`.  An incidence report is a value: its
+A coefficient a + b*omega appears as such only at input, where
+`ProjLine(coeffs)` takes an (a, b) pair of ints or Fractions (or a plain a),
+and in the derived leading-1 `ProjLine.coeffs`, (a, b) pairs of Fractions;
+no field arithmetic is done on them.  An incidence report is a value: its
 points are (key, lines) pairs of integer tuples, and JSON output is written
 from those integers directly (`_key_json`, and `_points_json` for the
 `points` array of the command line).
@@ -36,7 +38,6 @@ if TYPE_CHECKING:
     from .evenclass import EvenSetType
 
 __all__ = [
-    "ExactScalar",
     "ProjLine",
     "LabeledArrangement",
     "IncidenceReport",
@@ -51,100 +52,11 @@ __all__ = [
 
 
 def _rational(x) -> Fraction:
+    if type(x) is Fraction:  # immutable, so kept as is
+        return x
     if is_int(x) or isinstance(x, Fraction):
         return Fraction(x)
-    raise ValidationError(f"ExactScalar components must be integers or Fractions, got {x!r}")
-
-
-class ExactScalar(Record):
-    """An element a + b*omega of Q(omega), with exact rational a and b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __init__(self, a=0, b=0):
-        # Fractions are immutable, so one given as a component is kept as is
-        super().__init__(a if type(a) is Fraction else _rational(a),
-                         b if type(b) is Fraction else _rational(b))
-
-    @classmethod
-    def omega(cls) -> "ExactScalar":
-        return cls(0, 1)
-
-    @staticmethod
-    def _coerce(value) -> "ExactScalar":
-        if isinstance(value, ExactScalar):
-            return value
-        if is_int(value) or isinstance(value, Fraction):
-            return ExactScalar(value)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a - self.b * other.b,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ExactScalar":
-        # 1 / (a + b w) = ((a - b) - b w) / (a^2 - a b + b^2)
-        n = self.a * self.a - self.a * self.b + self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(omega)")
-        return ExactScalar((self.a - self.b) / n, -self.b / n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    __hash__ = Record.__hash__
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"ExactScalar({self.a})"
-        return f"ExactScalar({self.a}, {self.b})"
+    raise ValidationError(f"coefficient components must be integers or Fractions, got {x!r}")
 
 
 def _cross(u, v) -> tuple[int, ...]:
@@ -186,24 +98,26 @@ def _canonical(vec) -> tuple[int, ...] | None:
     return tuple(x // g for x in key)
 
 
-def _leading_one(key) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-    """The coordinates key / lead, lead > 0 the first nonzero entry."""
+def _leading_one(key) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The coordinates key / lead, lead > 0 the first nonzero entry, as
+    (a, b) pairs."""
     lead = next(x for x in key if x)
-    return tuple(
-        ExactScalar(Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2])
-    )
+    return tuple((Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2]))
 
 
 class ProjLine(Record):
-    """A projective line, stored as the canonical key of its coefficients."""
+    """A projective line, stored as the canonical key of its coefficients.
+
+    Each of the three coefficients a + b*omega is an int or Fraction a, or
+    an (a, b) pair of them."""
 
     vec: tuple[int, ...]
 
     def __init__(self, coeffs):
-        scalars = tuple(c if isinstance(c, ExactScalar) else ExactScalar(c) for c in coeffs)
-        if len(scalars) != 3:
-            raise ValidationError(f"expected 3 coefficients, got {len(scalars)}")
-        parts = [x for c in scalars for x in (c.a, c.b)]
+        pairs = tuple(c if isinstance(c, tuple) and len(c) == 2 else (c, 0) for c in coeffs)
+        parts = [_rational(x) for c in pairs for x in c]
+        if len(pairs) != 3:
+            raise ValidationError(f"expected 3 coefficients, got {len(pairs)}")
         den = lcm(*(x.denominator for x in parts))
         vec = _canonical([x.numerator * (den // x.denominator) for x in parts])
         if vec is None:
@@ -211,8 +125,9 @@ class ProjLine(Record):
         super().__init__(vec)
 
     @property
-    def coeffs(self) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-        """The coefficients normalized so that the first nonzero one is 1."""
+    def coeffs(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The coefficients normalized so that the first nonzero one is 1,
+        as (a, b) pairs."""
         return _leading_one(self.vec)
 
     def is_rational(self) -> bool:
@@ -481,21 +396,24 @@ def _fraction_from_json(value) -> Fraction:
     raise MalformedInputError(f"cannot parse rational {value!r}")
 
 
-def _scalar_from_json(value, allow_omega: bool) -> ExactScalar:
+_ZERO = Fraction(0)
+
+
+def _scalar_from_json(value, allow_omega: bool) -> tuple[Fraction, Fraction]:
     if is_int(value):
-        return ExactScalar(value)
+        return Fraction(value), _ZERO
     if not isinstance(value, list):
         raise MalformedInputError(f"cannot parse coefficient {value!r}")
     if len(value) == 2 and all(map(is_int, value)):
-        return ExactScalar(_fraction_from_json(value))
+        return _fraction_from_json(value), _ZERO
     if len(value) == 1:
-        return ExactScalar(_fraction_from_json(value[0]))
+        return _fraction_from_json(value[0]), _ZERO
     if len(value) == 2:
         if not allow_omega:
             raise MalformedInputError(
                 "omega component present but field is Q; use field Q(omega)"
             )
-        return ExactScalar(_fraction_from_json(value[0]), _fraction_from_json(value[1]))
+        return _fraction_from_json(value[0]), _fraction_from_json(value[1])
     raise MalformedInputError(f"cannot parse coefficient {value!r}")
 
 
@@ -525,14 +443,31 @@ _POINT = (
 
 
 def _points_json(points):
-    """Yield the text of ``[{"coords": ..., "lines": ..., "multiplicity": ...},
+    """The text of ``[{"coords": ..., "lines": ..., "multiplicity": ...},
     ...]``, the `points` array of `IncidenceReport.as_json`, indented for
-    depth 1 of a JSON document: an opening part, then one part per point.
+    depth 1 of a JSON document, as parts: an opening part, then one part per
+    point.
 
     The parts are written from the (key, lines) integers with fixed-shape
     ``%d`` templates, so no per-point dict is built.  A number past the
-    interpreter's int/str digit limit is a MalformedInputError.
+    interpreter's int/str digit limit is a MalformedInputError, raised here
+    and not while the parts are read: no reduced x // g or lead // g is
+    longer than the largest |key entry|, and a line index or multiplicity,
+    below `MAX_INCIDENCE_LINES`, has 3 digits against a limit of at least
+    640.  So when that entry prints, the parts are a generator that makes
+    each as it is read; when it does not, they are made here, as a list.
     """
+    keys = [key for key, _ in points]
+    top = max(max(map(max, keys), default=0), -min(map(min, keys), default=0))
+    parts = _point_parts(points)
+    try:
+        int.__repr__(top)
+    except ValueError:  # more digits than the int/str limit
+        return list(parts)
+    return parts
+
+
+def _point_parts(points):
     if not points:
         yield "[]"
         return
@@ -554,15 +489,6 @@ def _points_json(points):
     except ValueError as exc:  # more digits than the int/str limit
         raise digit_limit_error() from exc
     yield "\n  ]"
-
-
-def _points_top(points) -> int:
-    """The largest |entry| of the keys of ``points``.  No reduced x // g or
-    lead // g that `_points_json` writes for them is longer, and a line index
-    or multiplicity, below `MAX_INCIDENCE_LINES`, has 3 digits against an
-    int/str limit of at least 640: when this prints, all of them do."""
-    keys = [key for key, _ in points]
-    return max(max(map(max, keys), default=0), -min(map(min, keys), default=0))
 
 
 def load_arrangement(data: dict) -> LabeledArrangement:

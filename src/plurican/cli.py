@@ -16,8 +16,9 @@ written and nothing goes to stderr.  Identical inputs produce byte-identical
 output: the same bytes as ``json.dumps(indent=2, sort_keys=True)``, built by
 the `json_text` walk in chunks and written chunk by chunk, to stdout or to
 ``--out``.  The ``points`` array of ``incidences`` is made by
-`arrangements._points_json` as it is written, a batch of points at a time,
-once its longest number is known to print; the rest of the document is
+`arrangements._points_json`, which checks first that its longest number
+prints: if so, its text is made as it is written, a batch of points at a
+time; if not, in full before the first write.  The rest of the document is
 built before the first write.  Every command runs in one process;
 ``--workers N`` is accepted and validated (N < 1 is malformed input) and
 does not change the output.
@@ -343,9 +344,8 @@ def cmd_incidences(args) -> tuple[dict, int]:
     arr = arrangements.load_arrangement(_load_json(args.file))
     report = arrangements.compute_incidences(arr)
     # the points array, the bulk of the document, is written from its
-    # integers as it goes out, once its longest number is known to print
-    points = _Written(arrangements._points_json(report.points), depth=1,
-                      top=arrangements._points_top(report.points))
+    # integers as it goes out (a digit-limit error is raised here, first)
+    points = _Written(arrangements._points_json(report.points), depth=1)
     return {"command": "incidences", **report.as_json(points)}, 0
 
 
@@ -514,37 +514,25 @@ _CHUNK_PARTS = 4096
 
 class _Written:
     """JSON text already written for a value at ``depth`` of the document,
-    as an iterable of parts, and an integer ``top`` at least as long as
-    every number in the text: when ``top`` prints, the parts are joined only
-    as the text is written (see `_json_chunks`)."""
+    as an iterable of parts that `_write` joins only as the text is written.
+    Reading the parts raises no error: a lazy iterable, such as the one of
+    `arrangements._points_json`, must have checked its numbers first."""
 
-    __slots__ = ("parts", "depth", "top")
+    __slots__ = ("parts", "depth")
 
-    def __init__(self, parts, depth: int, top: int):
-        self.parts, self.depth, self.top = parts, depth, top
-
-
-def _prints(n: int) -> bool:
-    """Whether int.__repr__ converts n (it has no more digits than the
-    interpreter's int/str conversion limit)."""
-    try:
-        int.__repr__(n)
-    except ValueError:
-        return False
-    return True
+    def __init__(self, parts, depth: int):
+        self.parts, self.depth = parts, depth
 
 
 def _json_chunks(value) -> list:
     """The text of :func:`json_text` as consecutive chunks: strings of about
     ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of every
-    part nor one string of the whole text, and the deferred parts of a
-    `_Written` value whose ``top`` prints, which `_write` joins as it goes.
-    Every string chunk is built before anything is written, and no deferred
-    number is longer than a ``top`` that prints, so an integer past the
-    interpreter's int/str digit limit is a MalformedInputError, not a partial
-    document.  The parts of a `_Written` value whose ``top`` does not print
-    are copied into the chunks.  A `_Written` value at a depth other than its
-    own is a TypeError.
+    part nor one string of the whole text, and the deferred parts of each
+    `_Written` value, which `_write` joins as it goes.  Every string chunk is
+    built before anything is written, and deferred parts raise no error, so
+    an integer past the interpreter's int/str digit limit is a
+    MalformedInputError, not a partial document.  A `_Written` value at a
+    depth other than its own is a TypeError.
     """
     chunks: list = []
     parts: list[str] = []
@@ -567,16 +555,9 @@ def _json_chunks(value) -> list:
             except ValueError as exc:  # more digits than the int/str limit
                 raise digit_limit_error() from exc
         elif isinstance(v, _Written) and v.depth == depth:
-            if _prints(v.top):
-                chunks.append("".join(parts))
-                parts.clear()
-                chunks.append(v.parts)
-                return
-            for part in v.parts:
-                append(part)
-                if len(parts) >= _CHUNK_PARTS:
-                    chunks.append("".join(parts))
-                    parts.clear()
+            chunks.append("".join(parts))
+            parts.clear()
+            chunks.append(v.parts)
         elif not isinstance(v, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
         elif not v:

@@ -20,6 +20,7 @@ applying an automorphism to an element tuple and a matrix to a point.  The
 package itself works on element positions and point permutations.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -255,8 +256,13 @@ def burnside_orbit_count(G, generators) -> int:
     return count
 
 
-# Scalars of Q(omega) as pairs (a, b) of Fractions meaning a + b*omega,
-# omega^2 = -1 - omega.
+# Scalars of Q(omega) as pairs (a, b) of ints or Fractions meaning
+# a + b*omega, omega^2 = -1 - omega: the field arithmetic of the tests,
+# independent of the integer path of `arrangements._cross` and `_canonical`.
+
+
+def _qw_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
 def _qw_mul(x, y):
@@ -268,8 +274,9 @@ def _qw_sub(x, y):
 
 
 def _qw_inv(x):
+    # 1 / (a + b w) = ((a - b) - b w) / (a^2 - a b + b^2); ZeroDivisionError on 0
     n = x[0] * x[0] - x[0] * x[1] + x[1] * x[1]
-    return ((x[0] - x[1]) / n, -x[1] / n)
+    return (Fraction(x[0] - x[1], n), Fraction(-x[1], n))
 
 
 def leading_one_incidences(lines) -> dict:

@@ -13,13 +13,14 @@ from fractions import Fraction
 from importlib import resources
 
 from _oracles import (
+    _qw_add,
+    _qw_mul,
     brute_is_divisible,
     brute_tor_d_order,
     enumerate_gl,
     null_space_count_by_weight,
 )
 from plurican.arrangements import (
-    ExactScalar,
     LabeledArrangement,
     ProjLine,
     check_campedelli,
@@ -207,13 +208,12 @@ def test_criterion_8_dual_hesse_exactness():
         mat = _random_invertible_matrix(rng)
         moved = []
         for line in arr.lines:
-            coeffs = tuple(
-                sum(
-                    (ExactScalar(mat[i][j]) * line.coeffs[j] for j in range(3)),
-                    ExactScalar(0),
-                )
-                for i in range(3)
-            )
+            coeffs = []
+            for row in mat:
+                total = (0, 0)
+                for entry, c in zip(row, line.coeffs):
+                    total = _qw_add(total, _qw_mul((entry, 0), c))
+                coeffs.append(total)
             moved.append(ProjLine(coeffs))
         assert compute_incidences(LabeledArrangement(tuple(moved))).histogram == ((3, 12),)
     elapsed = time.perf_counter() - start

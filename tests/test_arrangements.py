@@ -10,7 +10,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from _oracles import leading_one_incidences
+from _oracles import _qw_add, _qw_inv, _qw_mul, _qw_sub, leading_one_incidences
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from plurican.errors import MalformedInputError, ValidationError
 from plurican.evenclass import TYPE_II_REPRESENTATIVE, EvenSetTag
 from plurican.f2geom import F2Point
 from plurican.arrangements import (
-    ExactScalar,
     LabeledArrangement,
     ProjLine,
     analyze_extension,
@@ -29,12 +28,13 @@ from plurican.arrangements import (
 )
 from plurican.cli import main
 
-OMEGA = ExactScalar.omega()
+# scalars a + b*omega of Q(omega) as (a, b) pairs, with the oracle's arithmetic
+ONE, OMEGA = (1, 0), (0, 1)
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 7)
 )
-scalars = st.builds(ExactScalar, rationals, rationals)
+scalars = st.tuples(rationals, rationals)
 
 
 def fixture(name: str) -> dict:
@@ -43,7 +43,7 @@ def fixture(name: str) -> dict:
 
 
 def moment_lines(count: int) -> list[ProjLine]:
-    return [ProjLine((ExactScalar(i), ExactScalar(-1), ExactScalar(i * i))) for i in range(count)]
+    return [ProjLine(((i, 0), (-1, 0), (i * i, 0))) for i in range(count)]
 
 
 def labels3(codes) -> list[F2Point]:
@@ -54,77 +54,69 @@ def labels3(codes) -> list[F2Point]:
 
 
 def test_omega_relations():
-    assert OMEGA * OMEGA == ExactScalar(-1, -1)
-    assert OMEGA * OMEGA * OMEGA == ExactScalar(1)
-    assert OMEGA.inverse() * OMEGA == ExactScalar(1)
+    assert _qw_mul(OMEGA, OMEGA) == (-1, -1)
+    assert _qw_mul(_qw_mul(OMEGA, OMEGA), OMEGA) == ONE
+    assert _qw_mul(_qw_inv(OMEGA), OMEGA) == ONE
 
 
 def test_rationals_embed():
-    x = ExactScalar(Fraction(3, 4))
-    assert x.is_rational()
-    assert x + Fraction(1, 4) == ExactScalar(1)
-    assert (x * 4) == ExactScalar(3)
+    x = (Fraction(3, 4), 0)
+    assert _qw_add(x, (Fraction(1, 4), 0)) == ONE
+    assert _qw_mul(x, (4, 0)) == (3, 0)
+    assert _qw_inv(x) == (Fraction(4, 3), 0)
+    # a rational coefficient is a pair with b = 0, or its a alone
+    assert ProjLine((x, ONE, (0, 0))) == ProjLine((Fraction(3, 4), 1, 0)) == ProjLine((3, 4, 0))
+    assert ProjLine((x, ONE, (0, 0))).is_rational()
 
 
 @settings(max_examples=200)
 @given(scalars, scalars, scalars)
 def test_field_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert x * y == y * x
+    assert _qw_add(_qw_add(x, y), z) == _qw_add(x, _qw_add(y, z))
+    assert _qw_mul(_qw_mul(x, y), z) == _qw_mul(x, _qw_mul(y, z))
+    assert _qw_mul(x, _qw_add(y, z)) == _qw_add(_qw_mul(x, y), _qw_mul(x, z))
+    assert _qw_add(x, y) == _qw_add(y, x)
+    assert _qw_mul(x, y) == _qw_mul(y, x)
+    assert _qw_sub(_qw_add(x, y), y) == x
 
 
 @settings(max_examples=200)
 @given(scalars)
 def test_multiplicative_inverse(x):
-    if not x.is_zero():
-        assert x * x.inverse() == ExactScalar(1)
-        assert x / x == ExactScalar(1)
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        ExactScalar(0).inverse()
-
-
-def test_scalar_is_immutable_and_hashable():
-    x = ExactScalar(1, 2)
-    with pytest.raises(AttributeError):
-        x.a = Fraction(5)
-    assert hash(ExactScalar(1, 2)) == hash(x)
+    if x != (0, 0):
+        assert _qw_mul(x, _qw_inv(x)) == ONE
+        assert _qw_inv(_qw_inv(x)) == x
 
 
 # --- lines and incidence ----------------------------------------------------
 
 
-rational_scalars = st.builds(ExactScalar, rationals)
-nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
+rational_scalars = st.tuples(rationals, st.just(Fraction(0)))
+nonzero_scalars = scalars.filter(lambda x: x != (0, 0))
 
 
 @st.composite
-def coefficient_triples(draw) -> tuple[tuple[ExactScalar, ...], bool]:
+def coefficient_triples(draw) -> tuple[tuple[tuple[Fraction, Fraction], ...], bool]:
     """A nonzero triple over Q or Q(omega), and whether it was drawn over Q."""
     rational = draw(st.booleans())
     triple = st.tuples(*[rational_scalars if rational else scalars] * 3)
-    return draw(triple.filter(lambda t: any(not c.is_zero() for c in t))), rational
+    return draw(triple.filter(lambda t: any(c != (0, 0) for c in t))), rational
 
 
 @settings(max_examples=200, deadline=None)
 @given(coefficient_triples(), nonzero_scalars)
-@example(((ExactScalar(2), ExactScalar(4), ExactScalar(-6)), True), OMEGA)
-@example(((OMEGA, OMEGA * 2, OMEGA * -3), False), ExactScalar(-1))
+@example((((2, 0), (4, 0), (-6, 0)), True), OMEGA)
+@example(((OMEGA, (0, 2), (0, -3)), False), (-1, 0))
 def test_line_normalization_identifies_scalings(drawn, scale):
     coeffs, rational = drawn
     line = ProjLine(coeffs)
-    scaled = ProjLine(tuple(scale * c for c in coeffs))
+    scaled = ProjLine(tuple(_qw_mul(scale, c) for c in coeffs))
     assert scaled == line and hash(scaled) == hash(line)
     assert ProjLine(line.coeffs) == line
-    assert next(c for c in line.coeffs if not c.is_zero()) == ExactScalar(1)
+    assert next(c for c in line.coeffs if c != (0, 0)) == ONE
     # a triple drawn over Q(omega) may still be a multiple of a rational one
-    first = next(c for c in coeffs if not c.is_zero())
-    assert line.is_rational() == all((c / first).is_rational() for c in coeffs)
+    inverse = _qw_inv(next(c for c in coeffs if c != (0, 0)))
+    assert line.is_rational() == all(_qw_mul(c, inverse)[1] == 0 for c in coeffs)
     if rational:
         assert line.is_rational()
 
@@ -132,13 +124,10 @@ def test_line_normalization_identifies_scalings(drawn, scale):
 def leading_one_json(coeffs) -> list:
     """The JSON form of a coefficient triple divided by its first nonzero
     entry, computed on (a, b) Fraction pairs."""
-    pairs = [(c.a, c.b) for c in coeffs]
-    la, lb = next(x for x in pairs if x != (0, 0))
-    norm = la * la - la * lb + lb * lb
-    ia, ib = (la - lb) / norm, -lb / norm
+    inverse = _qw_inv(next(c for c in coeffs if c != (0, 0)))
     out = []
-    for a, b in pairs:
-        qa, qb = a * ia - b * ib, a * ib + b * ia - b * ib
+    for c in coeffs:
+        qa, qb = _qw_mul(c, inverse)
         out.append([[qa.numerator, qa.denominator]] + ([[qb.numerator, qb.denominator]] if qb else []))
     return out
 
@@ -159,12 +148,14 @@ def test_arrangement_json_lines_match_leading_one_oracle(drawn):
 
 def test_zero_line_rejected():
     with pytest.raises(ValidationError):
-        ProjLine((ExactScalar(0), ExactScalar(0), ExactScalar(0)))
+        ProjLine(((0, 0), (0, 0), (0, 0)))
+    with pytest.raises(ValidationError):
+        ProjLine((0, Fraction(0), (0, 0)))
 
 
 def test_intersection_of_axes():
-    x_axis = ProjLine((ExactScalar(0), ExactScalar(1), ExactScalar(0)))  # y = 0
-    y_axis = ProjLine((ExactScalar(1), ExactScalar(0), ExactScalar(0)))  # x = 0
+    x_axis = ProjLine(((0, 0), (1, 0), (0, 0)))  # y = 0
+    y_axis = ProjLine(((1, 0), (0, 0), (0, 0)))  # x = 0
     report = compute_incidences(LabeledArrangement((x_axis, y_axis)))
     ((key, lines),) = report.points
     assert key == (0, 0, 0, 0, 1, 0)  # the point (0 : 0 : 1)
@@ -174,9 +165,9 @@ def test_intersection_of_axes():
 
 def test_three_concurrent_lines():
     lines = [
-        ProjLine((ExactScalar(1), ExactScalar(0), ExactScalar(0))),
-        ProjLine((ExactScalar(0), ExactScalar(1), ExactScalar(0))),
-        ProjLine((ExactScalar(1), ExactScalar(1), ExactScalar(0))),
+        ProjLine(((1, 0), (0, 0), (0, 0))),
+        ProjLine(((0, 0), (1, 0), (0, 0))),
+        ProjLine(((1, 0), (1, 0), (0, 0))),
     ]
     report = compute_incidences(LabeledArrangement(tuple(lines)))
     assert report.histogram == ((3, 1),)
@@ -189,8 +180,8 @@ def test_three_generic_lines():
 
 
 def test_duplicate_lines_rejected():
-    line = ProjLine((ExactScalar(1), ExactScalar(2), ExactScalar(3)))
-    scaled = ProjLine((ExactScalar(2), ExactScalar(4), ExactScalar(6)))
+    line = ProjLine(((1, 0), (2, 0), (3, 0)))
+    scaled = ProjLine(((2, 0), (4, 0), (6, 0)))
     with pytest.raises(ValidationError):
         LabeledArrangement((line, scaled))
 
@@ -214,7 +205,7 @@ def test_pair_identity_on_random_arrangements(data):
     raw = data.draw(st.lists(coeffs, min_size=n, max_size=n))
     lines = []
     for t in raw:
-        line = ProjLine(tuple(ExactScalar(c) for c in t))
+        line = ProjLine(tuple((c, 0) for c in t))
         if line not in lines:
             lines.append(line)
     if len(lines) < 2:
@@ -224,12 +215,14 @@ def test_pair_identity_on_random_arrangements(data):
     assert pairs == len(lines) * (len(lines) - 1) // 2
 
 
+def dot(u, v):
+    """The sum of u[i] * v[i] over Q(omega)."""
+    return _qw_add(_qw_add(_qw_mul(u[0], v[0]), _qw_mul(u[1], v[1])), _qw_mul(u[2], v[2]))
+
+
 def apply_matrix(matrix, line: ProjLine) -> ProjLine:
-    coeffs = tuple(
-        sum((ExactScalar(matrix[i][j]) * line.coeffs[j] for j in range(3)), ExactScalar(0))
-        for i in range(3)
-    )
-    return ProjLine(coeffs)
+    """The line with coefficient column vector ``matrix`` times ``line.coeffs``."""
+    return ProjLine(tuple(dot([(x, 0) for x in row], line.coeffs) for row in matrix))
 
 
 def test_projective_invariance_of_histogram():
@@ -248,21 +241,20 @@ def test_projective_invariance_of_histogram():
 
 def cross(u, v):
     return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+        _qw_sub(_qw_mul(u[1], v[2]), _qw_mul(u[2], v[1])),
+        _qw_sub(_qw_mul(u[2], v[0]), _qw_mul(u[0], v[2])),
+        _qw_sub(_qw_mul(u[0], v[1]), _qw_mul(u[1], v[0])),
     )
 
 
 def move(matrix, coeffs) -> ProjLine:
-    """The line with coefficient row vector ``coeffs`` times ``matrix``."""
-    return ProjLine(tuple(
-        sum((coeffs[i] * matrix[i][j] for i in range(3)), ExactScalar(0)) for j in range(3)
-    ))
+    """The line with coefficient row vector ``coeffs`` times ``matrix``, both
+    of (a, b) pairs."""
+    return ProjLine(tuple(dot(coeffs, [row[j] for row in matrix]) for j in range(3)))
 
 
 def oracle_json(arr: LabeledArrangement) -> dict:
-    return leading_one_incidences([tuple((c.a, c.b) for c in line.coeffs) for line in arr.lines])
+    return leading_one_incidences([line.coeffs for line in arr.lines])
 
 
 @st.composite
@@ -270,20 +262,20 @@ def moved_arrangements(draw, omega: bool) -> LabeledArrangement:
     """Free lines and concurrent pencils with small (Eisenstein) integer
     coefficients, moved by a random invertible map with fractional entries."""
     ints = st.integers(-3, 3)
-    planted_scalar = st.builds(ExactScalar, ints, ints if omega else st.just(0))
+    planted_scalar = st.tuples(ints, ints if omega else st.just(0))
     triple = st.tuples(planted_scalar, planted_scalar, planted_scalar)
     planted = draw(st.lists(triple, max_size=4))
     for _ in range(draw(st.integers(0, 3))):
         centre = draw(triple)
         planted += [cross(centre, draw(triple)) for _ in range(draw(st.integers(2, 4)))]
     fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    entry = st.builds(ExactScalar, fractions, fractions if omega else st.just(0))
+    entry = st.tuples(fractions, fractions if omega else st.just(0))
     row = st.lists(entry, min_size=3, max_size=3)
     matrix = draw(st.lists(row, min_size=3, max_size=3))
-    assume(not sum(cross(matrix[1], matrix[2])[i] * matrix[0][i] for i in range(3)).is_zero())
+    assume(dot(cross(matrix[1], matrix[2]), matrix[0]) != (0, 0))
     lines: list[ProjLine] = []
     for coeffs in planted:
-        if any(not c.is_zero() for c in coeffs):
+        if any(c != (0, 0) for c in coeffs):
             line = move(matrix, coeffs)
             if line not in lines:
                 lines.append(line)
@@ -299,17 +291,16 @@ def test_incidences_match_leading_one_oracle(omega, data):
     assert compute_incidences(arr).as_json() == oracle_json(arr)
 
 
-def coords_of(key) -> tuple[ExactScalar, ...]:
+def coords_of(key) -> tuple[tuple[Fraction, Fraction], ...]:
     """The leading-1 coordinates key / lead of a point key, lead its first
     nonzero entry."""
     lead = next(x for x in key if x)
-    return tuple(ExactScalar(Fraction(a, lead), Fraction(b, lead))
-                 for a, b in zip(key[::2], key[1::2]))
+    return tuple((Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2]))
 
 
-def conjugate(coords) -> tuple[ExactScalar, ...]:
+def conjugate(coords) -> tuple[tuple[Fraction, Fraction], ...]:
     """Complex conjugation, omega -> omega^2: a + b*omega -> (a - b) - b*omega."""
-    return tuple(ExactScalar(c.a - c.b, -c.b) for c in coords)
+    return tuple((a - b, -b) for a, b in coords)
 
 
 def assert_conjugation_invariant(arr: LabeledArrangement) -> None:
@@ -340,10 +331,10 @@ def test_conjugate_dual_hesse():
 def test_point_reached_as_v_and_omega_v():
     # four lines through (1 : 1 : 0); pair (0, 1) gives the cross product v,
     # pair (2, 3) gives omega * v
-    coeffs = [(0, 0, 1), (1, -1, 0), (1, -1, 1 + OMEGA), (1, -1, 1), (1, 1, 1)]
+    coeffs = [(0, 0, 1), (1, -1, 0), (1, -1, (1, 1)), (1, -1, 1), (1, 1, 1)]
     lines = tuple(ProjLine(t) for t in coeffs)
     v = cross(lines[0].coeffs, lines[1].coeffs)
-    assert cross(lines[2].coeffs, lines[3].coeffs) == tuple(OMEGA * c for c in v)
+    assert cross(lines[2].coeffs, lines[3].coeffs) == tuple(_qw_mul(OMEGA, c) for c in v)
     arr = LabeledArrangement(lines)
     report = compute_incidences(arr)
     assert report.histogram == ((2, 4), (4, 1))
@@ -372,7 +363,7 @@ def as_json_text(report) -> str:
 
 # a 4-fold point, and a point whose coordinates mix b == 0 and b != 0
 MIXED = LabeledArrangement(tuple(
-    ProjLine(t) for t in [(0, 0, 1), (1, -1, 0), (1, -1, 1 + OMEGA), (1, -1, 1), (1, 1, 1)]
+    ProjLine(t) for t in [(0, 0, 1), (1, -1, 0), (1, -1, (1, 1)), (1, -1, 1), (1, 1, 1)]
 ))
 
 
@@ -469,8 +460,9 @@ def test_incidences_do_no_per_pair_field_arithmetic(monkeypatch, omega):
         [(1, 0, -i) for i in side] + [(0, 1, -j) for j in side]
         + [(1, 1, -k - 7) for k in side]
     )
-    matrix = [[1, 2, 0], [0, 1, OMEGA if omega else Fraction(1, 2)], [3, 0, 1]]
-    arr = LabeledArrangement(tuple(move(matrix, t) for t in planted))
+    entry = OMEGA if omega else (Fraction(1, 2), 0)
+    matrix = [[(1, 0), (2, 0), (0, 0)], [(0, 0), ONE, entry], [(3, 0), (0, 0), ONE]]
+    arr = LabeledArrangement(tuple(move(matrix, [(x, 0) for x in t]) for t in planted))
     calls = 0
 
     def counted(method):
@@ -480,8 +472,9 @@ def test_incidences_do_no_per_pair_field_arithmetic(monkeypatch, omega):
             return method(*args)
         return wrapper
 
-    for name in ("__mul__", "__rmul__", "inverse"):
-        monkeypatch.setattr(ExactScalar, name, counted(getattr(ExactScalar, name)))
+    # the rational arithmetic a field path would run on the components
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
     report = compute_incidences(arr)
     budget = len(arr.lines) + len(report.points)
     assert 2 * budget < comb(len(arr.lines), 2)

@@ -1,6 +1,6 @@
 """One integer rule for the whole package: exactly an int, never a bool.
 
-Library parameters, `ExactScalar` components and JSON input all go through
+Library parameters, `ProjLine` coefficient components and JSON input all go through
 `plurican.errors.is_int` / `all_int` / `check_int`; no other module tests for
 integers.
 """
@@ -14,7 +14,7 @@ import pytest
 
 import plurican
 from plurican._pool import check_workers
-from plurican.arrangements import ExactScalar, ProjLine
+from plurican.arrangements import ProjLine
 from plurican.errors import ValidationError, all_int, check_int, is_int
 from plurican.evenclass import enumerate_totally_even
 from plurican.f2geom import F2Point, Hyperplane, PointSet
@@ -75,9 +75,10 @@ def test_check_int_bounds_and_message():
     lambda: enumerate_totally_even(True),
     lambda: check_workers(True),
     lambda: check_workers(1.0),
-    lambda: ExactScalar(0.1),
-    lambda: ExactScalar(1, False),
-    lambda: ExactScalar("1/2"),
+    lambda: ProjLine(((0.1, 0), 0, 1)),
+    lambda: ProjLine(((1, False), 0, 1)),
+    lambda: ProjLine((("1/2", 0), 0, 1)),
+    lambda: ProjLine(((1, 0, 0), 0, 1)),
     lambda: ProjLine((0.1, True, 3)),
     lambda: ProjLine((1, True, 3)),
     lambda: F2Point(3, 1.5),
@@ -93,16 +94,6 @@ def test_check_int_bounds_and_message():
 def test_non_integers_are_rejected(call):
     with pytest.raises(ValidationError):
         call()
-
-
-def test_exact_scalar_arithmetic_rejects_bool():
-    one = ExactScalar(1)
-    assert one == 1 and one == Fraction(1) and one != True  # noqa: E712
-    with pytest.raises(TypeError):
-        one + True
-    with pytest.raises(TypeError):
-        one * 0.5
-    assert ExactScalar(Fraction(1, 2), -3).b == -3
 
 
 def _integer_checks(tree: ast.AST):

@@ -11,7 +11,6 @@ import plurican
 from plurican import invariants
 from plurican.arrangements import (
     CampedelliReport,
-    ExactScalar,
     ExtensionReport,
     IncidenceReport,
     LabeledArrangement,
@@ -102,10 +101,9 @@ def test_arrangement_values():
     assert LabeledArrangement(lines) == LabeledArrangement(tuple(lines), ())
     assert ProjLine((2, 4, 6)) == ProjLine((1, 2, 3))
     assert hash(ProjLine((2, 4, 6))) == hash(ProjLine((1, 2, 3)))
-    half = ExactScalar(Fraction(1, 2), 1)
-    assert half == ExactScalar(1, 2) / 2 != ExactScalar(Fraction(1, 2))
-    assert hash(half) == hash(ExactScalar(1, 2) / 2)
-    assert ExactScalar(3) == 3 and hash(ExactScalar(3)) == hash(ExactScalar(Fraction(3)))
+    half = ProjLine(((Fraction(1, 2), 1), 0, 1))
+    assert half == ProjLine(((1, 2), 0, 2)) != ProjLine((Fraction(1, 2), 0, 1))
+    assert hash(half) == hash(ProjLine(((1, 2), 0, 2)))
 
 
 def test_miyaoka_yau_flag():

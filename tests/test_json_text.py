@@ -8,6 +8,7 @@ import re
 import sys
 from enum import Enum, IntEnum
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import plurican
 from plurican import cli
-from plurican.arrangements import _key_json, _points_json, _points_top
-from plurican.cli import _emit, _json_chunks, _Written, json_text
+from plurican.arrangements import _key_json, _points_json
+from plurican.cli import _emit, _Written, json_text
 from plurican.errors import MalformedInputError
 from plurican.evenclass import EvenSetTag
 
@@ -111,19 +112,19 @@ def test_points_writer_past_the_digit_limit_is_malformed_input():
 
 def test_written_text_only_at_its_depth():
     points = [((1, 0, 0, 0, 0, 0), (0, 1))]
-    text = json_text({"points": _Written(_points_json(points), depth=1, top=1)})
+    text = json_text({"points": _Written(_points_json(points), depth=1)})
     assert text == json.dumps({"points": [
         {"coords": [[[1, 1]], [[0, 1]], [[0, 1]]], "lines": [0, 1], "multiplicity": 2}
     ]}, indent=2)
     with pytest.raises(TypeError):
-        json_text({"report": {"points": _Written(_points_json(points), depth=1, top=1)}})
-    empty = _Written(_points_json(()), depth=1, top=0)
+        json_text({"report": {"points": _Written(_points_json(points), depth=1)}})
+    empty = _Written(_points_json(()), depth=1)
     assert json_text({"points": empty}) == '{\n  "points": []\n}'
 
 
 def written_points(points) -> _Written:
     """The `points` array of ``points`` as the `incidences` command writes it."""
-    return _Written(_points_json(points), depth=1, top=_points_top(points))
+    return _Written(_points_json(points), depth=1)
 
 
 def points_dicts(points) -> list:
@@ -162,15 +163,14 @@ def test_deferred_points_give_the_whole_text(monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
     limit = sys.get_int_max_str_digits()
     p, q = 10 ** (limit - 1), 10 ** (limit - 1) + 1
-    for points, deferred in [
-        ([((1, 0, 0, 0, 0, 0), (0, 1)), ((0, 0, 3, 0, 1, -2), (0, 2, 3))], True),
+    for points, parts in [
+        ([((1, 0, 0, 0, 0, 0), (0, 1)), ((0, 0, 3, 0, 1, -2), (0, 2, 3))], GeneratorType),
         # the largest entry p q does not print, but the reduced p and q do:
-        # the text is made in full before it is written
-        ([((p * q, 0, p, 0, q, 0), (0, 1))], False),
+        # the parts are made in full before any is written
+        ([((p * q, 0, p, 0, q, 0), (0, 1))], list),
     ]:
+        assert type(_points_json(points)) is parts
         value = {"a": [1], "points": written_points(points), "z": "end"}
-        chunks = _json_chunks({"a": [1], "points": written_points(points), "z": "end"})
-        assert all(isinstance(chunk, str) for chunk in chunks) is not deferred
         assert json_text(value) == json.dumps(
             {"a": [1], "points": points_dicts(points), "z": "end"}, indent=2, sort_keys=True)
         stdout = Recorder()
