@@ -47,7 +47,6 @@ __all__ = [
     "check_campedelli",
     "analyze_extension",
     "load_arrangement",
-    "arrangement_to_json",
 ]
 
 
@@ -129,9 +128,6 @@ class ProjLine(Record):
         """The coefficients normalized so that the first nonzero one is 1,
         as (a, b) pairs."""
         return _leading_one(self.vec)
-
-    def is_rational(self) -> bool:
-        return not any(self.vec[1::2])
 
     def __repr__(self):
         return f"ProjLine{self.coeffs}"
@@ -518,14 +514,3 @@ def load_arrangement(data: dict) -> LabeledArrangement:
             except ValidationError as exc:
                 raise MalformedInputError(f"bad label {raw!r}: {exc}") from exc
     return LabeledArrangement(tuple(lines), tuple(labels))
-
-
-def arrangement_to_json(arr: LabeledArrangement) -> dict:
-    fld = "Q" if all(line.is_rational() for line in arr.lines) else "Q(omega)"
-    out = {
-        "field": fld,
-        "lines": [_key_json(line.vec) for line in arr.lines],
-    }
-    if arr.labels:
-        out["labels"] = [list(lab.coords) for lab in arr.labels]
-    return out

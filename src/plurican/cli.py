@@ -13,13 +13,13 @@ document that cannot be written to ``--out`` goes to stdout.  A stdout that
 cannot be written (a full device, a closed descriptor, a reader that exits
 early) ends the command with exit 2 (``STDOUT_UNWRITABLE``): nothing more is
 written and nothing goes to stderr.  Identical inputs produce byte-identical
-output: the same bytes as ``json.dumps(indent=2, sort_keys=True)``, built by
-the `json_text` walk in chunks and written chunk by chunk, to stdout or to
-``--out``.  The ``points`` array of ``incidences`` is made by
-`arrangements._points_json`, which checks first that its longest number
-prints: if so, its text is made as it is written, a batch of points at a
-time; if not, in full before the first write.  The rest of the document is
-built before the first write.  Every command runs in one process;
+output: the text of ``json.dumps(indent=2, sort_keys=True)``, made by that
+one call in `_emit` and written to stdout or to ``--out``.  The ``points``
+array of ``incidences`` is made by `arrangements._points_json`, which
+checks first that its longest number prints: if so, its text is made as it
+is written, a batch of points at a time; if not, in full before the first
+write.  `_emit` splices it into the rest of the document, which is made
+before the first write.  Every command runs in one process;
 ``--workers N`` is accepted and validated (N < 1 is malformed input) and
 does not change the output.
 """
@@ -33,13 +33,10 @@ import os
 import re
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # each handler imports the modules it runs, so a command loads only those
-from .errors import (
-    DomainError, MalformedInputError, ValidationError, digit_limit_error, is_int_instance,
-)
+from .errors import DomainError, MalformedInputError, ValidationError, digit_limit_error
 
 SCHEMA = "plurican/1"
 
@@ -345,7 +342,7 @@ def cmd_incidences(args) -> tuple[dict, int]:
     report = arrangements.compute_incidences(arr)
     # the points array, the bulk of the document, is written from its
     # integers as it goes out (a digit-limit error is raised here, first)
-    points = _Written(arrangements._points_json(report.points), depth=1)
+    points = _Written(arrangements._points_json(report.points))
     return {"command": "incidences", **report.as_json(points)}, 0
 
 
@@ -490,117 +487,33 @@ _HANDLERS = {
 }
 
 
-def json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in
-    about 40% of its time (with ``indent`` set, json runs its pure-Python
-    encoder; this walk makes fewer calls and concatenates nothing per item).
-
-    Types are tested as ``json.encoder`` tests them and in the same order:
-    str (subclasses too, through ``encode_basestring_ascii``), None, True,
-    False, int (``int.__repr__``, so int subclasses print as plain ints),
-    list or tuple, dict (keys sorted).  Floats, non-str keys and other types
-    raise TypeError; the package prints none.  The separators of each depth
-    are built once and shared by every item at that depth.
-    """
-    texts: list[str] = []
-    _write(texts.append, _json_chunks(value))
-    return "".join(texts)
-
-
-# parts joined into one chunk of _json_chunks, or into one write of _write;
-# the part list stays this short however long the text is
+# parts joined into one write of `_write`; the part list stays this short
+# however long the text is
 _CHUNK_PARTS = 4096
 
 
 class _Written:
-    """JSON text already written for a value at ``depth`` of the document,
-    as an iterable of parts that `_write` joins only as the text is written.
-    Reading the parts raises no error: a lazy iterable, such as the one of
-    `arrangements._points_json`, must have checked its numbers first."""
+    """The JSON text of a top-level value of a document, indented for that
+    depth, as an iterable of parts that `_write` joins only as the text is
+    written.  `_emit` dumps the document with ``_MARK`` in its place, then
+    splits the text at the marker's JSON form, so no other string of that
+    document may be ``_MARK``.  Reading the parts raises no error: a lazy
+    iterable, such as the one of `arrangements._points_json`, must have
+    checked its numbers first."""
 
-    __slots__ = ("parts", "depth")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts, depth: int):
-        self.parts, self.depth = parts, depth
+    def __init__(self, parts):
+        self.parts = parts
 
 
-def _json_chunks(value) -> list:
-    """The text of :func:`json_text` as consecutive chunks: strings of about
-    ``_CHUNK_PARTS`` parts each, so that stdout needs neither a list of every
-    part nor one string of the whole text, and the deferred parts of each
-    `_Written` value, which `_write` joins as it goes.  Every string chunk is
-    built before anything is written, and deferred parts raise no error, so
-    an integer past the interpreter's int/str digit limit is a
-    MalformedInputError, not a partial document.  A `_Written` value at a
-    depth other than its own is a TypeError.
-    """
-    chunks: list = []
-    parts: list[str] = []
-    append, encode, int_repr = parts.append, encode_basestring_ascii, int.__repr__
-    # per depth: open list, open dict, item separator, close list, close dict
-    levels: list[tuple[str, str, str, str, str]] = []
-
-    def write(v, depth: int) -> None:
-        if isinstance(v, str):
-            append(encode(v))
-        elif v is None:
-            append("null")
-        elif v is True:
-            append("true")
-        elif v is False:
-            append("false")
-        elif is_int_instance(v):
-            try:
-                append(int_repr(v))
-            except ValueError as exc:  # more digits than the int/str limit
-                raise digit_limit_error() from exc
-        elif isinstance(v, _Written) and v.depth == depth:
-            chunks.append("".join(parts))
-            parts.clear()
-            chunks.append(v.parts)
-        elif not isinstance(v, (list, tuple, dict)):
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-        elif not v:
-            append("[]" if isinstance(v, (list, tuple)) else "{}")
-        else:
-            if depth == len(levels):
-                inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-                levels.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
-            open_list, open_dict, sep, close_list, close_dict = levels[depth]
-            if isinstance(v, (list, tuple)):
-                lead = open_list  # then sep before every later item
-                for item in v:
-                    append(lead)
-                    lead = sep
-                    write(item, depth + 1)
-                    if len(parts) >= _CHUNK_PARTS:
-                        chunks.append("".join(parts))
-                        parts.clear()
-                append(close_list)
-            else:
-                lead = open_dict
-                for key, item in sorted(v.items()):
-                    if not isinstance(key, str):
-                        raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    append(lead)
-                    lead = sep
-                    append(encode(key))
-                    append(": ")
-                    write(item, depth + 1)
-                    if len(parts) >= _CHUNK_PARTS:
-                        chunks.append("".join(parts))
-                        parts.clear()
-                append(close_dict)
-
-    write(value, 0)
-    chunks.append("".join(parts))
-    return chunks
+_MARK, _MARK_JSON = "\0written", '"\\u0000written"'  # the second is json.dumps(_MARK)
 
 
 def _write(write, chunks) -> None:
-    """Pass the text of `_json_chunks` chunks to ``write``: each string
-    chunk, and the parts of each deferred one joined ``_CHUNK_PARTS`` at a
-    time, one batch of parts and its text alive at once."""
+    """Pass the text of ``chunks`` to ``write``: each string chunk, and the
+    parts of each deferred one joined ``_CHUNK_PARTS`` at a time, one batch
+    of parts and its text alive at once."""
     for chunk in chunks:
         if isinstance(chunk, str):
             write(chunk)
@@ -638,8 +551,22 @@ class _InternalError(DomainError):
 
 
 def _emit(payload: dict, out: Path | None) -> None:
-    chunks = _json_chunks({"schema": SCHEMA, **payload})
-    chunks.append("\n")
+    document = {"schema": SCHEMA, **payload}
+    written = None
+    for key, value in document.items():
+        if isinstance(value, _Written):
+            written, document[key] = value, _MARK
+    # the text is whole before the first write, so a digit-limit error leaves
+    # no partial document; unchecked, a cycle is a RecursionError (exit 3)
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, check_circular=False)
+    except ValueError as exc:  # an integer with more digits than the int/str limit
+        raise digit_limit_error() from exc
+    if written is None:  # not searched: an error message may hold _MARK
+        chunks = [text, "\n"]
+    else:
+        head, _, tail = text.partition(_MARK_JSON)
+        chunks = [head, written.parts, tail, "\n"]
     if out is None:
         if sys.stdout is None:  # the descriptor was closed at start-up
             raise _StdoutUnwritable

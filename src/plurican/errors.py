@@ -7,9 +7,7 @@ except :class:`MalformedInputError` which is exit 2.
 
 For library arguments and JSON input alike, an integer is exactly an ``int``,
 never a ``bool`` (:func:`is_int`; :func:`all_int` for a whole column of
-values at once; :func:`check_int` for parameters).  Output is the one
-exception: the JSON writer prints every int instance, int subclasses
-included, as a number (:func:`is_int_instance`), as ``json`` does.
+values at once; :func:`check_int` for parameters).
 """
 
 from __future__ import annotations
@@ -72,13 +70,6 @@ def all_int(values) -> bool:
     """True iff every value is exactly an int: :func:`is_int` for a whole
     column in one pass over the types."""
     return set(map(type, values)) <= {int}
-
-
-def is_int_instance(x) -> bool:
-    """True iff x is an int or an int subclass, bool included: the test
-    ``json.encoder`` makes, after its bool tests, to print x as a number.
-    For output only (`cli.json_text`); input goes through :func:`is_int`."""
-    return isinstance(x, int)
 
 
 def check_int(x, message: str, lo: int | None = None, hi: int | None = None) -> int:

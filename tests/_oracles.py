@@ -16,14 +16,16 @@ full rank (the package builds the group's permutation table by linearity
 and lists no matrix).
 
 It also holds the helpers that only tests call: listing the d-torsion,
-applying an automorphism to an element tuple and a matrix to a point.  The
-package itself works on element positions and point permutations.
+applying an automorphism to an element tuple and a matrix to a point, and
+writing an arrangement as its JSON input.  The package itself works on
+element positions and point permutations, and only reads arrangements.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
+from plurican.arrangements import _key_json
 from plurican.errors import MalformedInputError, ValidationError
 from plurican.f2geom import F2Point
 from plurican.glgroup import F2Matrix
@@ -313,3 +315,21 @@ def leading_one_incidences(lines) -> dict:
             for point, idx in sorted(by_point.items())
         ],
     }
+
+
+def is_rational(line) -> bool:
+    """Whether a `ProjLine` is defined over Q: every b of its key is 0."""
+    return not any(line.vec[1::2])
+
+
+def arrangement_to_json(arr) -> dict:
+    """The JSON input form of a `LabeledArrangement`, which
+    `arrangements.load_arrangement` reads back."""
+    fld = "Q" if all(map(is_rational, arr.lines)) else "Q(omega)"
+    out = {
+        "field": fld,
+        "lines": [_key_json(line.vec) for line in arr.lines],
+    }
+    if arr.labels:
+        out["labels"] = [list(lab.coords) for lab in arr.labels]
+    return out
