@@ -6,12 +6,17 @@ lane, or reducing every lane mod n, is then a few big-int operations.
 Lanes stay exact while every number fits in 32 bits and n <= 2^31.  A
 finished column is unpacked once, into an `array` of `LANE` items.
 
+`table_positions` reads the positions of an automorphism file of the
+common shape from its text, a slice at a time, without a parsed tree.
+
 Only code that builds an action or reads a table imports this module, so
 the commands that use closed forms load neither it nor `array`.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 from array import array
 from operator import itemgetter
@@ -138,3 +143,95 @@ def positions(elements, orders, position) -> array:
         pos = _chunk_positions(chunk, orders)
         out.extend(map(position, chunk) if pos is None else pos)
     return out
+
+
+def _shape(pattern: str) -> re.Pattern:
+    r"""``pattern`` with each space standing for JSON whitespace: only
+    ``[ \t\n\r]``, not ``\s``, which also takes U+00A0, ``\x0b``, ``\x1c``
+    and other characters that JSON refuses."""
+    return re.compile(pattern.replace(" ", "[ \t\n\r]*"))
+
+
+# The automorphism file that `table_positions` reads:
+#   {"generators": [{"kind": "permutation", "pairs": [PAIR, ...]}, ...]}
+_HEAD = _shape(r' \{ "generators" : \[ ')
+_SPEC = _shape(r'\{ "kind" : "permutation" , "pairs" : \[ ')
+_NO_SPECS = _shape(r'\] \} \Z')
+_NEXT = _shape(r' \} (?:(,) |\] \} \Z)')  # after a pairs array
+# A pair of int arrays ends in "]]" and its array in "]]]", so in a file
+# of that shape the first "]]]" ends the array and each "]]," ends a pair;
+# elsewhere a cut is a guess that the slice's checks refuse.
+_LAST_PAIR = _shape(r'\] \]( \])')
+_PAIR_END = _shape(r'\] \]( ,)')
+
+# characters of a pairs array decoded at a time (a slice then runs to the
+# end of the pair it cuts into)
+_SLICE = 1 << 16
+
+
+def table_positions(text: str, orders) -> list[array] | None:
+    """The positions of each table of an automorphism file of the shape
+    above, on a group with cyclic factor orders `orders` (order at most
+    2^31): one array per spec, of element and image positions alternately.
+    None for a text of any other shape.
+
+    No tree is built: ``json.loads`` decodes each pairs array a slice of
+    about `_SLICE` characters at a time, each cut just after a pair, and
+    `_chunk_positions` takes each slice at once.  The cuts fall only at the
+    array's commas, so when every slice decodes to pairs of int arrays of
+    the group's rank, ``json.loads`` of the whole text gives the same
+    pairs, and no element in them is bad.  Any other slice, or any other
+    text between the slices, gives None."""
+    m = _HEAD.match(text)
+    if m is None:
+        return None
+    if _NO_SPECS.match(text, m.end()):
+        return []
+    tables, i = [], m.end()
+    while True:
+        m = _SPEC.match(text, i)
+        if m is None:
+            return None
+        walked = _pairs_positions(text, m.end(), orders)
+        if walked is None:
+            return None
+        pos, i = walked
+        tables.append(pos)
+        m = _NEXT.match(text, i)
+        if m is None:
+            return None
+        if m.group(1) is None:
+            return tables
+        i = m.end()
+
+
+def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
+    """The positions of the pairs array whose first pair (or closing
+    bracket) is at i, and the index just after the array; or None."""
+    pos = array(LANE)
+    if text.startswith("]", i):
+        return pos, i + 1
+    last = _LAST_PAIR.search(text, i)
+    if last is None:
+        return None
+    end = last.start(1)  # just after the last pair
+    while True:
+        cut = _PAIR_END.search(text, i + _SLICE, end)
+        stop = end if cut is None else cut.start(1)
+        try:
+            pairs = json.loads("[" + text[i:stop] + "]")
+        except (ValueError, RecursionError):
+            return None
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+            return None
+        flat = [x for pair in pairs for x in pair]
+        del pairs  # the pair lists go before the columns are built
+        if not set(map(type, flat)) <= {list}:
+            return None
+        chunk = _chunk_positions(flat, orders)
+        if chunk is None:
+            return None
+        pos.extend(chunk)
+        if cut is None:
+            return pos, last.end()
+        i = cut.end()

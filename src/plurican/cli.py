@@ -165,23 +165,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: Path):
-    # a parsed document is a tree, with no cycle to collect: the collector
-    # skips the parse, and the frozen result is not scanned again later
+def _without_gc(call, *args):
+    """``call(*args)`` with the cyclic collector paused: a JSON parse or
+    walk makes many containers and no cycle."""
     enabled = gc.isenabled()
     gc.disable()
     try:
+        return call(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_json(path: Path):
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
         # past the interpreter's int/str digit limit; RecursionError, nesting
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
+
+
+def _load_json(path: Path):
+    # a parsed document is a tree: the frozen result is not scanned again
+    data = _without_gc(_parse_json, path)
     gc.freeze()
     return data
 
@@ -208,13 +218,49 @@ def _parse_group(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(orders)
 
 
+def _table_positions(G: FiniteAbelianGroup, path: Path):
+    """The positions of each table of an ``--aut`` file of the common
+    shape (`_lanes.table_positions`), read without building a tree; None
+    for a file of any other shape, or a group of order above
+    ``torsion.MAX_ACTION_ORDER``: `_load_json` then reads the file, with
+    the same results and errors."""
+    from .torsion import MAX_ACTION_ORDER
+
+    if G.order > MAX_ACTION_ORDER:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        return None
+    from . import _lanes
+
+    return _without_gc(_lanes.table_positions, text, G.cyclic_orders)
+
+
 def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     """The automorphisms of an ``--aut`` file.  A file whose generators
     would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
-    refused before any spec is parsed; on a group of order above
-    ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead."""
+    refused before any action is built; on a group of order above
+    ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead.
+    A file of permutation tables of the common shape is walked by
+    `_table_positions`; any other goes through `_load_json`, with the same
+    results and errors."""
     from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
+    def check_entries(count: int) -> None:
+        entries = count * G.order
+        if G.order <= MAX_ACTION_ORDER and entries > MAX_ACTION_ENTRIES:
+            raise ValidationError(
+                f"{count} automorphisms of a group of order {G.order} need {entries} "
+                f"action entries, above the limit {MAX_ACTION_ENTRIES}",
+                entries=entries, limit=MAX_ACTION_ENTRIES,
+            )
+
+    tables = _table_positions(G, path)
+    if tables is not None:
+        check_entries(len(tables))
+        return [AutAction._from_positions(G, pos) for pos in tables]
     data = _load_json(path)
     if isinstance(data, dict):
         raw = data.get("generators")
@@ -224,13 +270,7 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
         raise MalformedInputError(
             f"{path}: expected a 'generators' array of automorphism specs"
         )
-    entries = len(raw) * G.order
-    if G.order <= MAX_ACTION_ORDER and entries > MAX_ACTION_ENTRIES:
-        raise ValidationError(
-            f"{len(raw)} automorphisms of a group of order {G.order} need {entries} "
-            f"action entries, above the limit {MAX_ACTION_ENTRIES}",
-            entries=entries, limit=MAX_ACTION_ENTRIES,
-        )
+    check_entries(len(raw))
     gens = []
     for item in raw:
         if not isinstance(item, dict) or "kind" not in item:

@@ -255,17 +255,25 @@ class AutAction:
             )
         pos = group.positions(flat)
         del flat  # a reference per coordinate array: freed before the table
+        return cls._from_positions(group, pos)
+
+    @classmethod
+    def _from_positions(cls, group: FiniteAbelianGroup, pos) -> "AutAction":
+        """The checks of `from_table` that follow parsing, on `pos`, the
+        positions of a table's elements and images alternately, in table
+        order.  `pos` is emptied once the per-element table is filled, so
+        its memory is freed before the checks run."""
         order = group.order
         # every position is in range(order), so fewer pairs than elements
         # leave one out, and at least as many bound the table's size
-        if len(pairs) < order:
+        if len(pos) < 2 * order:
             raise ValidationError("permutation table must be defined on every element")
         from . import _lanes
 
         table = _lanes.full(order, order)  # `order`: no pair for this element
         for i, j in zip(pos[0::2], pos[1::2]):
             table[i] = j
-        del pos
+        del pos[:]
         hit = bytearray(order + 1)  # hit[j] = 1 for every image j
         for j in table:
             hit[j] = 1

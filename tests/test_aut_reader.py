@@ -1,0 +1,266 @@
+"""`components --aut` reads a file of permutation tables of the common
+shape with `cli._table_positions`, a slice of the pairs array at a time,
+and any other file with `cli._load_json`.  Both must give the same
+actions, or the same error document and exit code: each case here runs
+through both, the second with `_table_positions` patched to return None.
+The slice size is patched down too, so small files meet every cut."""
+
+import contextlib
+import gc
+import io
+import json
+import tempfile
+from itertools import product
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plurican import _lanes, cli
+from plurican.errors import DomainError
+from plurican.torsion import AutAction, FiniteAbelianGroup
+from test_golden import CASES
+
+SLICES = (1, 7, _lanes._SLICE)
+
+
+def unit_table(orders, units) -> list:
+    """The pairs of x -> (u_1 x_1, ..., u_r x_r) in lexicographic order."""
+    return [[list(x), [u * c % n for u, c, n in zip(units, x, orders)]]
+            for x in product(*map(range, orders))]
+
+
+def permutation(pairs) -> dict:
+    return {"kind": "permutation", "pairs": pairs}
+
+
+def document(*specs) -> str:
+    return json.dumps({"generators": list(specs)})
+
+
+def outcome(group: str, path: Path) -> tuple:
+    """(exit code, stdout) of `components --aut`, and the perm arrays of
+    `_load_generators`, or its error's type, message and details."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["components", "--group", group, "--d", "2", "--aut", str(path)])
+    try:
+        gens = [g.perm for g in cli._load_generators(cli._parse_group(group), path)]
+    except DomainError as exc:
+        gens = (type(exc), str(exc), exc.details)
+    return code, out.getvalue(), gens
+
+
+def both_paths(group: str, text: str, slice_size: int) -> tuple:
+    """The outcome of a file holding ``text`` (as UTF-8, line ends as
+    given) through the walk; it must equal the outcome through the
+    general parser."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "aut.json"
+        path.write_bytes(text.encode("utf-8"))
+        mp.setattr(_lanes, "_SLICE", slice_size)
+        walked = outcome(group, path)
+        mp.setattr(cli, "_table_positions", lambda G, path: None)
+        parsed = outcome(group, path)
+    assert walked == parsed
+    return walked
+
+
+Z2Z3 = "2,3"
+PAIRS = unit_table((2, 3), (1, 2))
+BASE = document(permutation(PAIRS))
+NOT_BIJECTION = [[a, [0, 0]] for a, _ in PAIRS]
+
+
+def with_coordinate(value, pair: int = 3, side: int = 1, at: int = 1) -> str:
+    """BASE with one coordinate's text replaced by ``value``."""
+    pairs = json.loads(BASE)["generators"][0]["pairs"]
+    pairs[pair][side][at] = "@"
+    return document(permutation(pairs)).replace('"@"', value)
+
+
+FIXED = {
+    "base": (Z2Z3, BASE),
+    "nbsp-after-brace": (Z2Z3, "{\u00a0" + BASE[1:]),
+    "nbsp-between-pairs": (Z2Z3, BASE.replace("]], [[", "]],\u00a0[[", 1)),
+    "vt-before-colon": (Z2Z3, BASE.replace('"generators":', '"generators"\x0b:')),
+    "fs-in-pair": (Z2Z3, BASE.replace("], [", "],\x1c[", 1)),
+    "fs-at-end": (Z2Z3, BASE + "\x1c"),
+    "bom": (Z2Z3, "\ufeff" + BASE),
+    "crlf": (Z2Z3, json.dumps(json.loads(BASE), indent=2).replace("\n", "\r\n")),
+    "cr": (Z2Z3, json.dumps(json.loads(BASE), indent=1).replace("\n", "\r")),
+    "bool": (Z2Z3, with_coordinate("true")),
+    "float": (Z2Z3, with_coordinate("2.0")),
+    "exponent": (Z2Z3, with_coordinate("2e0")),
+    "nan": (Z2Z3, with_coordinate("NaN")),
+    "nested": (Z2Z3, with_coordinate("[2]")),
+    "string": (Z2Z3, with_coordinate('"2"')),
+    "negative": (Z2Z3, with_coordinate("-1")),
+    "past-2^32": (Z2Z3, with_coordinate(str(2**32 + 2))),
+    "4300-digits": (Z2Z3, with_coordinate("3" * 4300)),
+    "4301-digits": (Z2Z3, with_coordinate("3" * 4301)),
+    "wrong-rank": (Z2Z3, BASE.replace("[1, 2]]", "[1, 2, 0]]", 1)),
+    "short-pair": (Z2Z3, BASE.replace("[[1, 2], [1, 1]], ", "[[1, 2]], ")),
+    "extra-key": (Z2Z3, BASE.replace("]]]}", ']]], "note": 1}')),
+    "duplicate-key": (Z2Z3, BASE.replace("]]]}", ']]], "pairs": []}')),
+    "reordered-keys": (Z2Z3, json.dumps(
+        {"generators": [{"pairs": PAIRS, "kind": "permutation"}]})),
+    "extra-top-key": (Z2Z3, BASE[:-1] + ', "more": []}'),
+    "duplicate-generators": (Z2Z3, BASE[:-1] + ', "generators": []}'),
+    "trailing-garbage": (Z2Z3, BASE + "x"),
+    "trailing-bracket": (Z2Z3, BASE + "]"),
+    "truncated": (Z2Z3, BASE[:-1]),
+    "truncated-in-pairs": (Z2Z3, BASE[:len(BASE) // 2]),
+    "two-permutations": (Z2Z3, document(permutation(PAIRS), permutation(PAIRS[::-1]))),
+    "second-not-bijection": (Z2Z3, document(permutation(PAIRS), permutation(NOT_BIJECTION))),
+    "matrix-then-permutation": (
+        "3,3", document({"kind": "matrix", "entries": [[0, 1], [1, 0]]},
+                        permutation(unit_table((3, 3), (2, 2))))),
+    "permutation-then-matrix": (
+        "3,3", document(permutation(unit_table((3, 3), (2, 2))),
+                        {"kind": "matrix", "entries": [[0, 1], [1, 0]]})),
+    "empty-pairs": (Z2Z3, document(permutation([]))),
+    "no-generators": (Z2Z3, document()),
+    "top-level-list": (Z2Z3, json.dumps([permutation(PAIRS)])),
+    "trivial-group": ("", document(permutation([[[], []]]))),
+    # 5 x 2^20 entries, above MAX_ACTION_ENTRIES = 2^22
+    "over-the-entry-cap": (",".join(["2"] * 20), document(*[permutation([])] * 5)),
+    "over-the-order-cap": ("2097152", document(permutation([[[0], [0]]]))),
+}
+
+
+@pytest.mark.parametrize("slice_size", SLICES)
+@pytest.mark.parametrize("case", sorted(FIXED))
+def test_walk_matches_the_general_parser(case, slice_size):
+    group, text = FIXED[case]
+    both_paths(group, text, slice_size)
+
+
+GOLDEN_TABLES = sorted(name for name, (argv, _) in CASES.items()
+                       if name.startswith("components-") and "--aut" in argv)
+
+
+@pytest.mark.parametrize("slice_size", SLICES)
+@pytest.mark.parametrize("case", GOLDEN_TABLES)
+def test_walk_matches_the_general_parser_on_golden_files(case, slice_size):
+    argv, code = CASES[case]
+    group, path = argv[argv.index("--group") + 1], Path(argv[argv.index("--aut") + 1])
+    assert both_paths(group, path.read_text(encoding="utf-8"), slice_size)[0] == code
+
+
+@pytest.mark.parametrize("case", ["nbsp-after-brace", "vt-before-colon", "fs-at-end"])
+def test_non_json_whitespace_is_malformed_input(case):
+    code, out, _ = both_paths(*FIXED[case], _lanes._SLICE)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed-input"
+
+
+def test_valid_cases_take_the_walk(tmp_path):
+    for case in ["base", "crlf", "cr", "negative", "past-2^32", "4300-digits",
+                 "two-permutations", "empty-pairs", "no-generators", "trivial-group"]:
+        group, text = FIXED[case]
+        path = tmp_path / f"{case}.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert cli._table_positions(cli._parse_group(group), path) is not None, case
+
+
+GROUPS = [(2, 3), (4,), (3, 3), (2, 2, 2), ()]
+SNIPPETS = [" ", "\t", "\n", "\r\n", "\u00a0", "\x0b", "\x1c", "\ufeff", ",", "[", "]",
+            "{", "}", ":", "0", "-", "1.5", "true", '"x"', "[0]", "]]", "]],", "]]]"]
+ODD_VALUES = [True, False, 1.0, -1, 2**32 + 3, 10**30, [0], None, "0"]
+
+
+@st.composite
+def table_files(draw):
+    orders = draw(st.sampled_from(GROUPS))
+    specs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if orders and draw(st.integers(0, 5)) == 0:
+            specs.append({"kind": "matrix", "entries": [
+                [int(i == j) for j in range(len(orders))] for i in range(len(orders))]})
+            continue
+        units = [draw(st.sampled_from([u for u in range(1, n) if u % 2 or n % 2]))
+                 for n in orders]
+        pairs = unit_table(orders, units)
+        pairs = draw(st.permutations(pairs)) if draw(st.booleans()) else pairs
+        edit = draw(st.sampled_from(["none", "none", "value", "rank", "drop", "swap"]))
+        if pairs and orders and edit != "none":
+            k = draw(st.integers(0, len(pairs) - 1))
+            side = draw(st.integers(0, 1))
+            if edit == "value":
+                pairs[k][side][0] = draw(st.sampled_from(ODD_VALUES))
+            elif edit == "rank":
+                pairs[k][side].append(0)
+            elif edit == "drop":
+                del pairs[k]
+            else:
+                pairs[k][1], pairs[0][1] = pairs[0][1], pairs[k][1]
+        specs.append(permutation(pairs))
+    text = json.dumps({"generators": specs},
+                      indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+                      separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["insert", "insert", "delete", "truncate"]))
+        if how == "insert":
+            text = text[:at] + draw(st.sampled_from(SNIPPETS)) + text[at:]
+        elif how == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at]
+    return ",".join(map(str, orders)), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_files(), st.sampled_from(SLICES))
+def test_walk_matches_the_general_parser_on_any_file(file, slice_size):
+    both_paths(*file, slice_size)
+
+
+def _walked(monkeypatch, group: str, path: Path) -> list:
+    """The perms `_load_generators` reads from ``path`` with `_load_json`
+    made to fail, so only the walk can read it."""
+    def refuse(path):
+        raise AssertionError("the general parser was called")
+
+    monkeypatch.setattr(cli, "_load_json", refuse)
+    return [g.perm for g in cli._load_generators(cli._parse_group(group), path)]
+
+
+@pytest.mark.parametrize("slice_size", [1000, _lanes._SLICE, 1 << 22])
+def test_two_large_tables_take_the_walk(tmp_path, monkeypatch, slice_size):
+    # the cut after a slice must not be sought past the end of the first
+    # array, in the pairs of the next spec
+    orders = (16, 27, 25)
+    tables = [unit_table(orders, (5, 2, 3)), unit_table(orders, (3, 5, 7))[::-1]]
+    path = tmp_path / "two.json"
+    path.write_text(document(*map(permutation, tables)), encoding="utf-8")
+    assert path.stat().st_size > 2 * _lanes._SLICE
+    monkeypatch.setattr(_lanes, "_SLICE", slice_size)
+    G = FiniteAbelianGroup(orders)
+    assert _walked(monkeypatch, "16,27,25", path) == [
+        AutAction.from_table(G, pairs).perm for pairs in tables]
+
+
+def test_indented_table_takes_the_walk(tmp_path, monkeypatch):
+    pairs = unit_table((4, 3, 5), (3, 2, 2))
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps({"generators": [permutation(pairs)]}, indent=2), encoding="utf-8")
+    assert _walked(monkeypatch, "4,3,5", path) == [
+        AutAction.from_table(FiniteAbelianGroup((4, 3, 5)), pairs).perm]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_walk_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    path = tmp_path / "aut.json"
+    G = FiniteAbelianGroup((2, 3))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for text in (BASE, BASE + "x"):  # walked, and refused partway
+            path.write_text(text, encoding="utf-8")
+            cli._table_positions(G, path)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

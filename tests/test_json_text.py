@@ -107,16 +107,17 @@ def test_marker_text_without_a_written_value_is_not_split(monkeypatch):
     assert emitted(monkeypatch, payload) == dumped(payload)
 
 
-def test_points_past_the_digit_limit_leave_no_partial_document(monkeypatch):
+def test_points_past_the_digit_limit_raise_before_any_write(monkeypatch):
     limit = sys.get_int_max_str_digits()
     points = [((1, 0, 0, 0, 0, 0), (0, 1)), ((1, 0, 10**limit, 0, 0, 0), (0, 2))]
-    stdout = Recorder()
-    monkeypatch.setattr(sys, "stdout", stdout)
+    # `_points_json` raises when called, not when its parts are read, so
+    # `cmd_incidences` fails before it hands `_emit` anything to write
     with pytest.raises(MalformedInputError) as err:
-        _emit({"command": "incidences", "points": written_points(points)}, None)
-    assert stdout.writes == []
+        _points_json(points)
     assert err.value.details == {"limit": limit}
     # the dict form meets the same error in json.dumps, before any write
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
     with pytest.raises(MalformedInputError) as again:
         _emit({"command": "incidences", "points": points_dicts(points)}, None)
     assert stdout.writes == []

@@ -479,9 +479,10 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_components_table_peaks_at_its_parsed_json(tmp_path):
-    # the parsed table is ~20 MB of lists and ints; what the command builds
-    # from it may lift the peak at most 1 MB above that of the parse
+def test_components_table_peaks_under_a_third_of_its_parsed_json(tmp_path):
+    # the parsed table is ~20 MB of lists and ints (a 23.1 MB peak, Python
+    # 3.11); the command reads it a slice at a time into 32-bit positions
+    # and peaks at 5.3 MB, its 2.5 MB text included
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
                     encoding="utf-8")
@@ -492,7 +493,7 @@ def test_components_table_peaks_at_its_parsed_json(tmp_path):
     with contextlib.redirect_stdout(out):
         command = _traced_peak(lambda: cli.main(argv))
     assert json.loads(out.getvalue())["orbit_count"] > 0
-    assert command <= parse + 1_000_000, (
+    assert command <= parse / 3, (
         f"command {command / 1e6:.1f} MB, parse {parse / 1e6:.1f} MB")
 
 
