@@ -32,12 +32,11 @@ _EXPORTS = {
                   "verify_lemma_ev"),
     "invariants": ("CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",
                    "branch_curve_genus", "catalog_entry", "composed_canonical_degree",
-                   "covering_invariants", "generic_pluricanonical_smooth", "h0_K_plus_C",
+                   "covering_invariants", "generic_pluricanonical_smooth",
                    "k2_from_heavy_points", "moduli_dimension",
                    "moduli_dimension_lower_bound", "pg_of_double_cover_pg0"),
     "torsion": ("AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
-                "cplus_total", "is_divisible", "orbit_count", "theorem_mod_component_bound",
-                "tor_d_order"),
+                "cplus_total", "orbit_count", "theorem_mod_component_bound", "tor_d_order"),
     "arrangements": ("LabeledArrangement", "ProjLine", "analyze_extension", "check_campedelli",
                      "compute_incidences"),
 }

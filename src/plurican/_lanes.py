@@ -19,7 +19,7 @@ import json
 import re
 import sys
 from array import array
-from operator import itemgetter
+from itertools import chain
 
 from .errors import all_int
 
@@ -123,9 +123,11 @@ def _chunk_positions(chunk, orders) -> array | None:
     if not set(map(len, chunk)) <= {len(orders)}:
         return None
     ones = _ones(len(chunk))
+    # every array has len(orders) coordinates, so column j is a strided slice
+    flat = list(chain.from_iterable(chunk))
     pos = 0
     for j, n in enumerate(orders):
-        col = list(map(itemgetter(j), chunk))
+        col = flat[j::len(orders)]
         if not all_int(col):
             return None
         pos = pos * n + _pack_mod(col, n, ones)

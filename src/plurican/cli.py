@@ -177,21 +177,28 @@ def _without_gc(call, *args):
             gc.enable()
 
 
-def _parse_json(path: Path):
+def _read_text(path: Path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
-        # past the interpreter's int/str digit limit; RecursionError, nesting
+    except ValueError as exc:  # UnicodeDecodeError
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, text: str | None = None):
+    """The parsed document of ``path``; a caller that has already read the
+    file passes its ``text``."""
+    if text is None:
+        text = _read_text(path)
+    try:
+        data = _without_gc(json.loads, text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's int/str digit limit; RecursionError, nesting
+        raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
     # a parsed document is a tree: the frozen result is not scanned again
-    data = _without_gc(_parse_json, path)
     gc.freeze()
     return data
 
@@ -218,20 +225,15 @@ def _parse_group(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(orders)
 
 
-def _table_positions(G: FiniteAbelianGroup, path: Path):
-    """The positions of each table of an ``--aut`` file of the common
-    shape (`_lanes.table_positions`), read without building a tree; None
-    for a file of any other shape, or a group of order above
-    ``torsion.MAX_ACTION_ORDER``: `_load_json` then reads the file, with
+def _table_positions(G: FiniteAbelianGroup, text: str):
+    """The positions of each table of the text of an ``--aut`` file of the
+    common shape (`_lanes.table_positions`), read without building a tree;
+    None for a text of any other shape, or a group of order above
+    ``torsion.MAX_ACTION_ORDER``: `_load_json` then parses the text, with
     the same results and errors."""
     from .torsion import MAX_ACTION_ORDER
 
     if G.order > MAX_ACTION_ORDER:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError):
         return None
     from . import _lanes
 
@@ -243,9 +245,9 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
     refused before any action is built; on a group of order above
     ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead.
-    A file of permutation tables of the common shape is walked by
-    `_table_positions`; any other goes through `_load_json`, with the same
-    results and errors."""
+    The file is read once.  A file of permutation tables of the common
+    shape is walked by `_table_positions`; any other goes through
+    `_load_json`, with the same results and errors."""
     from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
     def check_entries(count: int) -> None:
@@ -257,11 +259,13 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
                 entries=entries, limit=MAX_ACTION_ENTRIES,
             )
 
-    tables = _table_positions(G, path)
+    text = _read_text(path)
+    tables = _table_positions(G, text)
+    data = None if tables is not None else _load_json(path, text)
+    del text  # freed before any action is built
     if tables is not None:
         check_entries(len(tables))
         return [AutAction._from_positions(G, pos) for pos in tables]
-    data = _load_json(path)
     if isinstance(data, dict):
         raw = data.get("generators")
     else:

@@ -123,24 +123,12 @@ class LemmaEvReport(Record):
         return self.census.orbit_count
 
     def as_json(self) -> dict:
-        orbits = []
-        for orbit, tag in zip(self.census.orbits, self.orbit_types):
-            orbits.append(
-                {
-                    "type": tag.value,
-                    "size": orbit.size,
-                    "stabilizer_order": orbit.stabilizer_order,
-                    "representative": pointset_to_json(orbit.representative),
-                }
-            )
-        return {
-            "total_count": self.total_count,
-            "orbit_count": self.orbit_count,
-            "group_order": self.census.group_order,
-            "burnside_orbit_count": self.burnside_orbit_count,
-            "profile_separates_orbits": self.profile_separates_orbits,
-            "orbits": orbits,
-        }
+        out = self.census.as_json()
+        for orbit, tag in zip(out["orbits"], self.orbit_types):
+            orbit["type"] = tag.value
+        out.update(total_count=self.total_count, burnside_orbit_count=self.burnside_orbit_count,
+                   profile_separates_orbits=self.profile_separates_orbits)
+        return out
 
 
 def _fail(message: str, **details):

@@ -106,18 +106,14 @@ def branch_curve_genus(K2: int, c: CoveringParams) -> int:
     return 1 + t // 2
 
 
-def _require_pg0(X: SurfaceInvariants) -> None:
+def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
+    """Geometric genus of a double cover of a p_g = 0 surface branched along
+    a curve numerically equivalent to 2m*K: 1 + m(m+1)/2 * K2."""
     if X.p_g != 0 or X.q != 0:
         raise HypothesisError(
             f"requires a regular surface with p_g = 0; got p_g={X.p_g}, q={X.q}",
             p_g=X.p_g, q=X.q,
         )
-
-
-def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
-    """Geometric genus of a double cover of a p_g = 0 surface branched along
-    a curve numerically equivalent to 2m*K: 1 + m(m+1)/2 * K2."""
-    _require_pg0(X)
     check_int(m, "canonical multiple must be an integer >= 1", lo=1)
     value = 1 + m * (m + 1) // 2 * X.K2
     # the covering formulas must give the same number
@@ -128,18 +124,6 @@ def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
             pg=value, covering_pg=p_g,
         )
     return value
-
-
-def h0_K_plus_C(X: SurfaceInvariants, m: int) -> int:
-    """Dimension of the space of sections of K + C on a p_g = 0 surface,
-    C numerically equivalent to m*K: m(m+1)/2 * K2 + 1.
-
-    Equals :func:`pg_of_double_cover_pg0` for m >= 1, which is exactly why
-    the canonical map of the double cover factors through the covering.
-    """
-    _require_pg0(X)
-    check_int(m, "canonical multiple must be an integer >= 0", lo=0)
-    return m * (m + 1) // 2 * X.K2 + 1
 
 
 def composed_canonical_degree(base_degree: int) -> int:

@@ -10,8 +10,7 @@ element.
 Actions and table positions are computed one coordinate column at a time as
 32-bit lanes of one Python int (`_lanes`, imported only where an action is
 built or a table read).  Lanes stay exact while every number fits in 32 bits and
-n <= 2^31, which holds for groups of order up to `_LANE_ORDER` = 2^31;
-`MAX_ACTION_ORDER` = 2^20 keeps every automorphism action inside it.
+n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and table inside that.
 
 A permutation table is read one coordinate column at a time, in chunks of
 elements (`FiniteAbelianGroup.positions`): a bad element raises exactly the
@@ -32,20 +31,15 @@ from .errors import (
 GroupElement = tuple[int, ...]
 
 # Automorphism actions and orbit counts hold one entry per group element, so
-# a group of larger order is refused before anything is allocated.  The cap
-# is also below `_LANE_ORDER`, so every lane of an action's permutation is
-# exact.
+# a group of larger order is refused before anything is allocated.  Below the
+# cap every position, and every factor order n, is small enough for 32-bit
+# lane arithmetic (a lane below 2n plus 2^31 - n still fits).
 MAX_ACTION_ORDER = 1 << 20
 
 # Each generator of an automorphism file becomes an action of one entry per
 # group element, so `components --aut` refuses a file whose generators would
 # hold more entries than this in all, before it parses any of them.
 MAX_ACTION_ENTRIES = 1 << 22
-
-# Groups up to this order have every position, and every factor order n,
-# small enough for 32-bit lane arithmetic (a lane below 2n plus 2^31 - n
-# still fits); `positions` of a larger group goes element by element.
-_LANE_ORDER = 1 << 31
 
 
 def _check_action_order(G: "FiniteAbelianGroup") -> None:
@@ -95,20 +89,18 @@ class FiniteAbelianGroup(Record):
 
     def positions(self, elements):
         """The positions `index(element(a))` of a list of coordinate arrays
-        (lists or tuples): an `array` of 32-bit lanes for a group of order
-        up to `_LANE_ORDER`, computed in chunks one coordinate column at a
-        time (`_lanes.positions`), and a list for a larger group.
+        (lists or tuples), as an `array` of 32-bit lanes computed in chunks
+        one coordinate column at a time (`_lanes.positions`).  A group of
+        order above `MAX_ACTION_ORDER` is refused first.
 
         The lengths and then each column's types are checked in bulk; when a
-        check fails, or the group is larger, the elements go through
-        `element` in order, so the first bad one raises exactly what
-        `element` raises for it.
+        check fails, the elements go through `element` in order, so the
+        first bad one raises exactly what `element` raises for it.
         """
         def position(a) -> int:
             return self.index(self.element(a))
 
-        if self.order > _LANE_ORDER:
-            return list(map(position, elements))
+        _check_action_order(self)
         from . import _lanes
 
         return _lanes.positions(elements, self.cyclic_orders, position)
@@ -232,8 +224,8 @@ class AutAction:
 
     @classmethod
     def from_table(cls, group: FiniteAbelianGroup, mapping) -> "AutAction":
-        """Table form: a dict, or an array of [element, image] pairs of integer
-        arrays; it must be a bijection equal to the additive extension of its e_j.
+        """Table form: an array of [element, image] pairs of integer arrays;
+        it must be a bijection equal to the additive extension of its e_j.
 
         A group of order above `MAX_ACTION_ORDER` is refused first, before
         anything is parsed.  Then every element and image is parsed, key
@@ -246,9 +238,8 @@ class AutAction:
         elements.
         """
         _check_action_order(group)
-        pairs = list(mapping.items()) if isinstance(mapping, dict) else mapping
-        if not (_is_array(pairs) and _all_arrays(pairs) and set(map(len, pairs)) <= {2}
-                and _all_arrays(flat := [x for pair in pairs for x in pair])):
+        if not (_is_array(mapping) and _all_arrays(mapping) and set(map(len, mapping)) <= {2}
+                and _all_arrays(flat := [x for pair in mapping for x in pair])):
             raise MalformedInputError(
                 "permutation table must be an array of [element, image] pairs of "
                 "integer arrays"
@@ -308,16 +299,6 @@ def covering_count(G: FiniteAbelianGroup, d: int) -> int:
     branched along a fixed divisible curve: the order of the d-torsion."""
     check_int(d, "covering degree must be an integer >= 2", lo=2)
     return tor_d_order(G, d)
-
-
-def is_divisible(G: FiniteAbelianGroup, a, d: int) -> bool:
-    """True iff a = d * x has a solution x in G.
-
-    Coordinatewise: gcd(d, n_i) must divide the i-th coordinate.
-    """
-    check_int(d, "d must be a positive integer", lo=1)
-    a = G.element(a)
-    return all(x % gcd(d, n) == 0 for x, n in zip(a, G.cyclic_orders))
 
 
 def theorem_mod_component_bound(G: FiniteAbelianGroup, d: int) -> int:

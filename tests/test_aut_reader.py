@@ -162,7 +162,8 @@ def test_valid_cases_take_the_walk(tmp_path):
         group, text = FIXED[case]
         path = tmp_path / f"{case}.json"
         path.write_bytes(text.encode("utf-8"))
-        assert cli._table_positions(cli._parse_group(group), path) is not None, case
+        G = cli._parse_group(group)
+        assert cli._table_positions(G, cli._read_text(path)) is not None, case
 
 
 GROUPS = [(2, 3), (4,), (3, 3), (2, 2, 2), ()]
@@ -260,7 +261,7 @@ def test_walk_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     try:
         for text in (BASE, BASE + "x"):  # walked, and refused partway
             path.write_text(text, encoding="utf-8")
-            cli._table_positions(G, path)
+            cli._table_positions(G, cli._read_text(path))
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -172,6 +172,7 @@ def run_cli_malformed(capsys, *argv) -> dict:
 @pytest.mark.parametrize("spec", [
     {"kind": "permutation", "pairs": [[1]]},
     {"kind": "permutation", "pairs": "x"},
+    {"kind": "permutation", "pairs": {}},  # an object, even an empty one, is no table
     {"kind": "permutation", "pairs": [[[1.5], [1]]]},
     {"kind": "permutation", "pairs": [[[0], [True]]]},
     {"kind": "matrix", "entries": [[1.5]]},

@@ -26,12 +26,11 @@ EXPORTS = {
                   "verify_lemma_ev"],
     "invariants": ["CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",
                    "branch_curve_genus", "catalog_entry", "composed_canonical_degree",
-                   "covering_invariants", "generic_pluricanonical_smooth", "h0_K_plus_C",
+                   "covering_invariants", "generic_pluricanonical_smooth",
                    "k2_from_heavy_points", "moduli_dimension",
                    "moduli_dimension_lower_bound", "pg_of_double_cover_pg0"],
     "torsion": ["AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
-                "cplus_total", "is_divisible", "orbit_count", "theorem_mod_component_bound",
-                "tor_d_order"],
+                "cplus_total", "orbit_count", "theorem_mod_component_bound", "tor_d_order"],
     "arrangements": ["LabeledArrangement", "ProjLine", "analyze_extension", "check_campedelli",
                      "compute_incidences"],
 }
@@ -81,7 +80,7 @@ def test_star_import_binds_names_and_modules():
         "print(json.dumps(sorted(k for k in dir() if not k.startswith('__') and k != 'json')))"
     )
     assert bound == sorted(NAMES + list(EXPORTS))
-    assert len(bound) == 50 + 7
+    assert len(bound) == 48 + 7
 
 
 def test_dir_lists_every_export():

@@ -27,7 +27,6 @@ from plurican.invariants import (
     composed_canonical_degree,
     covering_invariants,
     generic_pluricanonical_smooth,
-    h0_K_plus_C,
     k2_from_heavy_points,
     moduli_dimension,
     moduli_dimension_lower_bound,
@@ -178,7 +177,6 @@ def test_branch_curve_genus(k2, d, m, genus):
 def test_pg_of_double_cover_pg0(k2, value):
     X = SurfaceInvariants(p_g=0, q=0, K2=k2)
     assert pg_of_double_cover_pg0(X, 1) == value
-    assert h0_K_plus_C(X, 1) == value
 
 
 def test_pg_cross_check_raises_on_disagreement(monkeypatch):
@@ -200,12 +198,6 @@ def test_package_checks_survive_optimize_flag():
 def test_pg0_hypothesis_enforced():
     with pytest.raises(HypothesisError):
         pg_of_double_cover_pg0(SurfaceInvariants(p_g=1, q=0, K2=2), 1)
-    with pytest.raises(HypothesisError):
-        h0_K_plus_C(SurfaceInvariants(p_g=0, q=1, K2=2), 1)
-
-
-def test_h0_at_m_zero():
-    assert h0_K_plus_C(SurfaceInvariants(p_g=0, q=0, K2=7), 0) == 1
 
 
 @settings(max_examples=150)
@@ -213,7 +205,7 @@ def test_h0_at_m_zero():
 def test_section_count_equals_cover_genus(k2, m):
     X = SurfaceInvariants(p_g=0, q=0, K2=k2)
     expected = covering_invariants(X, CoveringParams(2, m)).p_g
-    assert pg_of_double_cover_pg0(X, m) == h0_K_plus_C(X, m) == expected
+    assert pg_of_double_cover_pg0(X, m) == expected
 
 
 @pytest.mark.parametrize("base,total", [(8, 16), (4, 8), (2, 4)])
