@@ -25,16 +25,14 @@ __version__ = "0.1.0"
 # module -> the names the package re-exports from it
 _EXPORTS = {
     "errors": ("DomainError", "HypothesisError", "MalformedInputError", "ValidationError"),
-    "f2geom": ("F2Point", "Hyperplane", "PointSet", "all_hyperplanes", "all_points",
-               "hyperplane_profile", "incident", "is_totally_even"),
+    "f2geom": ("F2Point", "Hyperplane", "PointSet", "hyperplane_profile", "is_totally_even"),
     "glgroup": ("F2Matrix", "OrbitCensus", "act", "canonical_form", "orbit_census"),
     "evenclass": ("EvenSetTag", "EvenSetType", "classify_type", "enumerate_totally_even",
                   "verify_lemma_ev"),
     "invariants": ("CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",
                    "branch_curve_genus", "catalog_entry", "composed_canonical_degree",
-                   "covering_invariants", "generic_pluricanonical_smooth",
-                   "k2_from_heavy_points", "moduli_dimension",
-                   "moduli_dimension_lower_bound", "pg_of_double_cover_pg0"),
+                   "covering_invariants", "generic_pluricanonical_smooth", "moduli_dimension",
+                   "moduli_dimension_lower_bound"),
     "torsion": ("AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
                 "cplus_total", "orbit_count", "theorem_mod_component_bound", "tor_d_order"),
     "arrangements": ("LabeledArrangement", "ProjLine", "analyze_extension", "check_campedelli",

@@ -87,18 +87,9 @@ class Hyperplane(Record):
                 normal=self.normal, k=self.k,
             )
 
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "Hyperplane":
-        p = F2Point.from_coords(coords)
-        return cls(p.k, p.code)
-
     @property
     def coords(self) -> tuple[int, ...]:
         return F2Point(self.k, self.normal).coords
-
-    def point_mask(self) -> int:
-        """Bit set of the codes of all points lying on this hyperplane."""
-        return _hyperplane_masks(self.k)[self.normal]
 
     def __repr__(self) -> str:
         return f"Hyperplane{self.coords}"
@@ -118,10 +109,6 @@ class PointSet(Record):
                 f"mask {self.mask} is not a valid point bit set for k={self.k}",
                 mask=self.mask, k=self.k,
             )
-
-    @classmethod
-    def empty(cls, k: int) -> "PointSet":
-        return cls(k, 0)
 
     @classmethod
     def from_codes(cls, k: int, codes: Iterable[int]) -> "PointSet":
@@ -165,26 +152,6 @@ class PointSet(Record):
 
     def __repr__(self) -> str:
         return f"PointSet(k={self.k}, {{{', '.join(str(c) for c in self.codes())}}})"
-
-
-def all_points(k: int) -> list[F2Point]:
-    """All points of PG(k-1, F2) in increasing encoding order."""
-    return [F2Point(k, c) for c in range(1, num_points(k) + 1)]
-
-
-def all_hyperplanes(k: int) -> list[Hyperplane]:
-    """All hyperplanes of PG(k-1, F2) in increasing normal-encoding order."""
-    return [Hyperplane(k, h) for h in range(1, num_points(k) + 1)]
-
-
-def incident(p: F2Point, h: Hyperplane) -> bool:
-    """True iff the F2 dot product of point coordinates and normal is zero."""
-    if p.k != h.k:
-        raise ValidationError(
-            f"dimension mismatch: point k={p.k}, hyperplane k={h.k}",
-            point_k=p.k, hyperplane_k=h.k,
-        )
-    return (p.code & h.normal).bit_count() % 2 == 0
 
 
 @lru_cache(maxsize=None)

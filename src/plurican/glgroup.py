@@ -68,10 +68,6 @@ class F2Matrix(Record):
         if not _rows_invertible(self.rows):
             raise ValidationError("matrix is singular over F2", rows=self.rows)
 
-    @classmethod
-    def identity(cls, k: int) -> "F2Matrix":
-        return cls(k, tuple(1 << (k - 1 - i) for i in range(k)))
-
     def apply_code(self, code: int) -> int:
         out = 0
         for i, row in enumerate(self.rows):

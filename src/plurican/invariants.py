@@ -106,26 +106,6 @@ def branch_curve_genus(K2: int, c: CoveringParams) -> int:
     return 1 + t // 2
 
 
-def pg_of_double_cover_pg0(X: SurfaceInvariants, m: int) -> int:
-    """Geometric genus of a double cover of a p_g = 0 surface branched along
-    a curve numerically equivalent to 2m*K: 1 + m(m+1)/2 * K2."""
-    if X.p_g != 0 or X.q != 0:
-        raise HypothesisError(
-            f"requires a regular surface with p_g = 0; got p_g={X.p_g}, q={X.q}",
-            p_g=X.p_g, q=X.q,
-        )
-    check_int(m, "canonical multiple must be an integer >= 1", lo=1)
-    value = 1 + m * (m + 1) // 2 * X.K2
-    # the covering formulas must give the same number
-    p_g = covering_invariants(X, CoveringParams(2, m)).p_g
-    if value != p_g:
-        raise ValidationError(
-            "double-cover p_g disagrees with the covering formulas",
-            pg=value, covering_pg=p_g,
-        )
-    return value
-
-
 def composed_canonical_degree(base_degree: int) -> int:
     """Degree of the canonical map of the double cover: twice the degree of
     the bicanonical-type map of the base onto its image."""
@@ -167,13 +147,6 @@ def moduli_dimension_lower_bound(c: CoveringParams, X: SurfaceInvariants) -> int
     component containing degree-d coverings of a rigid surface."""
     t = c.d * c.m * (c.d * c.m - 1)
     return t // 2 * X.K2 + X.p_g
-
-
-def k2_from_heavy_points(n_heavy: int) -> int:
-    """Canonical self-intersection of the surface built from a plane line
-    arrangement with ``n_heavy`` points of multiplicity at least 3: 9 - n."""
-    check_int(n_heavy, "number of heavy points must be an integer in 0..6", lo=0, hi=6)
-    return 9 - n_heavy
 
 
 class CatalogEntry(Record):

@@ -50,6 +50,12 @@ def incidence_rows(k: int) -> list[int]:
     return rows
 
 
+def complement_masks(k: int) -> list[int]:
+    """Bit set of the complement of each hyperplane, in incidence-row order."""
+    every = (1 << (1 << k)) - 2  # bits 1 .. 2^k - 1, every point
+    return [every ^ row for row in incidence_rows(k)]
+
+
 def f2_rank(rows: list[int]) -> int:
     basis: list[int] = []
     for row in rows:

@@ -19,16 +19,14 @@ SRC = str(Path(plurican.__file__).resolve().parents[1])
 
 EXPORTS = {
     "errors": ["DomainError", "HypothesisError", "MalformedInputError", "ValidationError"],
-    "f2geom": ["F2Point", "Hyperplane", "PointSet", "all_hyperplanes", "all_points",
-               "hyperplane_profile", "incident", "is_totally_even"],
+    "f2geom": ["F2Point", "Hyperplane", "PointSet", "hyperplane_profile", "is_totally_even"],
     "glgroup": ["F2Matrix", "OrbitCensus", "act", "canonical_form", "orbit_census"],
     "evenclass": ["EvenSetTag", "EvenSetType", "classify_type", "enumerate_totally_even",
                   "verify_lemma_ev"],
     "invariants": ["CATALOG", "CatalogEntry", "CoveringParams", "SurfaceInvariants",
                    "branch_curve_genus", "catalog_entry", "composed_canonical_degree",
-                   "covering_invariants", "generic_pluricanonical_smooth",
-                   "k2_from_heavy_points", "moduli_dimension",
-                   "moduli_dimension_lower_bound", "pg_of_double_cover_pg0"],
+                   "covering_invariants", "generic_pluricanonical_smooth", "moduli_dimension",
+                   "moduli_dimension_lower_bound"],
     "torsion": ["AutAction", "FiniteAbelianGroup", "cnew_component_count", "covering_count",
                 "cplus_total", "orbit_count", "theorem_mod_component_bound", "tor_d_order"],
     "arrangements": ["LabeledArrangement", "ProjLine", "analyze_extension", "check_campedelli",
@@ -80,7 +78,7 @@ def test_star_import_binds_names_and_modules():
         "print(json.dumps(sorted(k for k in dir() if not k.startswith('__') and k != 'json')))"
     )
     assert bound == sorted(NAMES + list(EXPORTS))
-    assert len(bound) == 48 + 7
+    assert len(bound) == 43 + 7
 
 
 def test_dir_lists_every_export():

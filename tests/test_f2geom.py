@@ -2,17 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import incidence_rows, null_space_masks, parity
+from _oracles import complement_masks, incidence_rows, null_space_masks, parity
 from plurican.errors import ValidationError
 from plurican.f2geom import (
     F2Point,
-    Hyperplane,
     PointSet,
-    all_hyperplanes,
-    all_points,
+    _hyperplane_masks,
     hyperplane_profile,
-    incident,
     is_totally_even,
+    num_points,
     pointset_to_json,
 )
 
@@ -28,53 +26,48 @@ TYPE_II_SET = PointSet.from_points(
 )
 
 masks_k4 = st.integers(min_value=0, max_value=(1 << 16) - 1).map(lambda x: x & ~1)
+COMPLEMENTS = [PointSet(4, mask) for mask in complement_masks(4)]
 
 
-def test_all_points_k2_explicit():
-    pts = all_points(2)
+def test_point_codes_k2_explicit():
+    pts = [F2Point(2, c) for c in range(1, num_points(2) + 1)]
     assert [p.coords for p in pts] == [(0, 1), (1, 0), (1, 1)]
-    assert [p.code for p in pts] == [1, 2, 3]
+    assert [F2Point.from_coords(p.coords).code for p in pts] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("k,count", [(2, 3), (3, 7), (4, 15)])
-def test_all_points_counts(k, count):
-    assert len(all_points(k)) == count
-    assert len(all_hyperplanes(k)) == count
+def test_point_counts(k, count):
+    assert num_points(k) == count
+    assert len(_hyperplane_masks(k)) == count + 1  # index 0 is unused
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 6])
 def test_unsupported_dimension(k):
     with pytest.raises(ValidationError):
-        all_points(k)
+        num_points(k)
 
 
-def test_incident_examples():
-    p = F2Point.from_coords((1, 1, 1, 1))
-    h = Hyperplane.from_coords((1, 1, 0, 0))
-    assert incident(p, h)
-    p2 = F2Point.from_coords((1, 0, 0, 0))
-    h2 = Hyperplane.from_coords((1, 0, 0, 0))
-    assert not incident(p2, h2)
+def test_incidence_examples():
+    def on(point, normal):
+        mask = _hyperplane_masks(4)[F2Point.from_coords(normal).code]
+        return bool(mask >> F2Point.from_coords(point).code & 1)
 
-
-def test_incident_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        incident(F2Point(3, 1), Hyperplane(4, 1))
+    assert on((1, 1, 1, 1), (1, 1, 0, 0))
+    assert not on((1, 0, 0, 0), (1, 0, 0, 0))
 
 
 def test_every_hyperplane_is_a_fano_plane():
-    for h in all_hyperplanes(4):
-        assert sum(incident(p, h) for p in all_points(4)) == 7
+    for mask in _hyperplane_masks(4)[1:]:
+        assert mask.bit_count() == 7
 
 
 def test_every_point_on_seven_hyperplanes():
-    for p in all_points(4):
-        assert sum(incident(p, h) for h in all_hyperplanes(4)) == 7
+    for p in range(1, 16):
+        assert sum(mask >> p & 1 for mask in _hyperplane_masks(4)[1:]) == 7
 
 
 def test_profile_of_hyperplane_complement():
-    for h in all_hyperplanes(4):
-        comp = PointSet.from_codes(4, [p.code for p in all_points(4) if not incident(p, h)])
+    for comp in COMPLEMENTS:
         assert comp.size == 8
         assert hyperplane_profile(comp) == (4,) * 14 + (0,)
         assert is_totally_even(comp)
@@ -87,22 +80,18 @@ def test_profile_of_type_ii_set():
 
 
 def test_profile_of_empty_set():
-    assert hyperplane_profile(PointSet.empty(4)) == (0,) * 15
+    assert hyperplane_profile(PointSet(4, 0)) == (0,) * 15
 
 
 def test_totally_even_examples():
     assert is_totally_even(TYPE_II_SET)
     assert is_totally_even(AFFINE_CHART)
-    for p in all_points(4):
-        assert not is_totally_even(PointSet.from_points([p]))
+    for c in range(1, 16):
+        assert not is_totally_even(PointSet.from_codes(4, [c]))
 
 
 def test_fifteen_hyperplane_complements_are_totally_even():
-    comps = {
-        PointSet.from_codes(4, [p.code for p in all_points(4) if not incident(p, h)]).mask
-        for h in all_hyperplanes(4)
-    }
-    assert len(comps) == 15
+    assert len({comp.mask for comp in COMPLEMENTS}) == 15
 
 
 @settings(max_examples=300)

@@ -24,7 +24,6 @@ from plurican.invariants import (
     SurfaceInvariants,
     composed_canonical_degree,
     generic_pluricanonical_smooth,
-    k2_from_heavy_points,
     moduli_dimension,
 )
 from plurican.torsion import (
@@ -67,8 +66,6 @@ def test_check_int_bounds_and_message():
     lambda: theorem_mod_component_bound(Z5, True),
     lambda: cplus_total(2, True),
     lambda: FiniteAbelianGroup((True, 5)),
-    lambda: k2_from_heavy_points(True),
-    lambda: k2_from_heavy_points(3.0),
     lambda: composed_canonical_degree(True),
     lambda: generic_pluricanonical_smooth(2, True, 3),
     lambda: moduli_dimension(True, SurfaceInvariants(0, 0, 1)),
