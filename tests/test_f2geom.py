@@ -56,6 +56,11 @@ def test_incidence_examples():
     assert not on((1, 0, 0, 0), (1, 0, 0, 0))
 
 
+def test_symmetric_difference_dimension_mismatch():
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        PointSet.from_codes(3, [1]) ^ PointSet.from_codes(4, [1])
+
+
 def test_every_hyperplane_is_a_fano_plane():
     for mask in _hyperplane_masks(4)[1:]:
         assert mask.bit_count() == 7

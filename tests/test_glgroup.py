@@ -48,6 +48,12 @@ def test_sets_of_another_dimension_rejected():
             call(4, [TYPE_I_REPRESENTATIVE, s])
 
 
+def test_act_on_a_set_of_another_dimension_rejected():
+    m = F2Matrix(4, (0b0100, 0b1000, 0b0010, 0b0001))
+    with pytest.raises(ValidationError, match="dimension mismatch: matrix k=4, set k=3"):
+        act(m, PointSet.from_codes(3, [1, 2]))
+
+
 def test_enumeration_order_is_ascending_packed(gl4):
     for k in (2, 3, 4):
         group = gl4 if k == 4 else enumerate_gl(k)

@@ -28,6 +28,7 @@ from plurican.invariants import (
 )
 from plurican.torsion import (
     FiniteAbelianGroup,
+    cnew_component_count,
     covering_count,
     cplus_total,
     theorem_mod_component_bound,
@@ -65,9 +66,13 @@ def test_check_int_bounds_and_message():
     lambda: covering_count(Z5, 2.0),
     lambda: theorem_mod_component_bound(Z5, True),
     lambda: cplus_total(2, True),
+    lambda: cplus_total(True, 3),
+    lambda: cnew_component_count(Z5, [], 7, 1.0),
     lambda: FiniteAbelianGroup((True, 5)),
     lambda: composed_canonical_degree(True),
     lambda: generic_pluricanonical_smooth(2, True, 3),
+    lambda: generic_pluricanonical_smooth(True, 2, 3),
+    lambda: generic_pluricanonical_smooth(5, 2, 1.0),
     lambda: moduli_dimension(True, SurfaceInvariants(0, 0, 1)),
     lambda: enumerate_totally_even(True),
     lambda: check_workers(True),

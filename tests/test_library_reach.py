@@ -137,3 +137,17 @@ def test_library_names_come_from_inline_spans():
     assert {"orbit_census", "glgroup.burnside_orbit_count", "ProjLine.coeffs"} <= names
     assert named("arrangements.ProjLine.coeffs", names)
     assert not named("glgroup.F2Matrix.apply_code", names)
+
+
+def test_walk_finds_every_member_kind():
+    functions = public_functions()
+    assert {
+        "f2geom.num_points",  # module-level function
+        "f2geom.F2Point.from_coords",  # classmethod
+        "f2geom.Hyperplane.coords",  # property getter
+        "glgroup.F2Matrix.apply_code",  # method
+    } <= set(functions)
+    # dunders, private names and private modules stay out
+    assert not any(
+        part.startswith("_") for name in functions for part in name.split(".")
+    )
