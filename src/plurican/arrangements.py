@@ -8,11 +8,13 @@ must be grouped exactly.
 
 Lines and points have one representation: the canonical primitive vector
 over the Eisenstein integers Z[omega], 6 integers (a, b) per coordinate
-(see `_canonical`).  A rational vector is the case where every b is 0, so
-Q and Q(omega) take one path: two lines meet in the point whose key is the
-canonical form of their cross product, and no field division happens per
-line pair.  Genericity is never assumed: the incidence report states the
-actual multiplicities.
+(see `_canonical`).  A rational vector is the case where every b is 0, and
+it keeps that one representation: two lines meet in the point whose key is
+the canonical form of their cross product, and no field division happens
+per line pair.  When both lines are rational the cross product takes 3
+integers and the key is its primitive multiple, with every b written as 0;
+any other pair takes the product over Z[omega].  Genericity is never
+assumed: the incidence report states the actual multiplicities.
 
 A coefficient a + b*omega appears as such only at input, where
 `ProjLine(coeffs)` takes an (a, b) pair of ints or Fractions (or a plain a),
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -56,21 +57,6 @@ def _rational(x) -> Fraction:
     if is_int(x) or isinstance(x, Fraction):
         return Fraction(x)
     raise ValidationError(f"coefficient components must be integers or Fractions, got {x!r}")
-
-
-def _cross(u, v) -> tuple[int, ...]:
-    """Cross product of two vectors over Z[omega], (a, b) per coordinate
-    a + b*omega, with omega^2 = -1 - omega."""
-    u0a, u0b, u1a, u1b, u2a, u2b = u
-    v0a, v0b, v1a, v1b, v2a, v2b = v
-    return (
-        u1a * v2a - u1b * v2b - u2a * v1a + u2b * v1b,
-        u1a * v2b + u1b * v2a - u1b * v2b - u2a * v1b - u2b * v1a + u2b * v1b,
-        u2a * v0a - u2b * v0b - u0a * v2a + u0b * v2b,
-        u2a * v0b + u2b * v0a - u2b * v0b - u0a * v2b - u0b * v2a + u0b * v2b,
-        u0a * v1a - u0b * v1b - u1a * v0a + u1b * v0b,
-        u0a * v1b + u0b * v1a - u0b * v1b - u1a * v0b - u1b * v0a + u1b * v0b,
-    )
 
 
 def _canonical(vec) -> tuple[int, ...] | None:
@@ -214,11 +200,14 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     """Intersect all line pairs and group equal points exactly.
 
     Points are grouped by the canonical key of the lines' cross product
-    (see `_canonical`), over Q and Q(omega) alike; their leading-1
-    coordinates are key / lead, lead > 0 the first nonzero entry of the key.
-    Points are listed in lexicographic order of those coordinates, (a, b)
-    per coordinate.  An arrangement of more than `MAX_INCIDENCE_LINES` lines,
-    or whose canonical line vectors hold an entry of more than
+    (see `_canonical`), over Q and Q(omega) alike.  A pair of rational
+    lines, every b 0, meets by the 3-integer cross product: the key is its
+    primitive multiple with first nonzero entry positive, every b written
+    as 0.  Any other pair meets by the product over Z[omega] and
+    `_canonical`.  The leading-1 coordinates of a point are key / lead,
+    lead > 0 the first nonzero entry of the key.  Points are listed in
+    lexicographic order of those coordinates, (a, b) per coordinate.  An arrangement of more than `MAX_INCIDENCE_LINES` lines, or
+    whose canonical line vectors hold an entry of more than
     `MAX_COEFFICIENT_BITS` bits, is refused first.
     """
     lines = arr.lines
@@ -238,15 +227,39 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     # order, so at a point through l1 < l2 < ... the pairs (l1, x) come
     # first, (l1, l2) first of all, and a later pair (l2, y) adds no line
     by_key: dict[tuple[int, ...], list[int]] = {}
-    for i, j in combinations(range(len(vecs)), 2):
-        key = _canonical(_cross(vecs[i], vecs[j]))
-        if key is None:
-            raise ValidationError("lines coincide; no unique intersection")
-        through = by_key.get(key)
-        if through is None:
-            by_key[key] = [i, j]
-        elif through[0] == i:
-            through.append(j)
+    # (index, vector, whether every b is 0) per line; the lists of line
+    # indices share these index objects instead of holding one int per pair
+    rows = [(i, vec, not (vec[1] or vec[3] or vec[5])) for i, vec in enumerate(vecs)]
+    for i, (u0, u0b, u1, u1b, u2, u2b), u_rational in rows:
+        for j, (v0, v0b, v1, v1b, v2, v2b), v_rational in rows[i + 1:]:
+            # the cross product over Z[omega], omega^2 = -1 - omega: x, y, z
+            # are its a parts when every b is 0
+            x = u1 * v2 - u2 * v1
+            y = u2 * v0 - u0 * v2
+            z = u0 * v1 - u1 * v0
+            if u_rational and v_rational:
+                # `_canonical` of (x, 0, y, 0, z, 0): the primitive multiple
+                # whose first nonzero entry is positive
+                g = gcd(x, y, z)
+                if (x or y or z) < 0:
+                    g = -g
+                key = g and (x // g, 0, y // g, 0, z // g, 0)
+            else:
+                key = _canonical((
+                    x - u1b * v2b + u2b * v1b,
+                    u1 * v2b + u1b * v2 - u1b * v2b - u2 * v1b - u2b * v1 + u2b * v1b,
+                    y - u2b * v0b + u0b * v2b,
+                    u2 * v0b + u2b * v0 - u2b * v0b - u0 * v2b - u0b * v2 + u0b * v2b,
+                    z - u0b * v1b + u1b * v0b,
+                    u0 * v1b + u0b * v1 - u0b * v1b - u1 * v0b - u1b * v0 + u1b * v0b,
+                ))
+            if not key:
+                raise ValidationError("lines coincide; no unique intersection")
+            through = by_key.get(key)
+            if through is None:
+                by_key[key] = [i, j]
+            elif through[0] == i:
+                through.append(j)
     # Distinct fractions x / L and y / M with L, M <= max lead differ by at
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
@@ -436,6 +449,8 @@ _POINT = (
     '{\n      "coords": [\n        %s,\n        %s,\n        %s\n      ],\n'
     '      "lines": [\n        %s\n      ],\n      "multiplicity": %d\n    }'
 )
+# a point whose three b's are 0: `_COORD_A` in each coordinate slot
+_POINT_A = _POINT.replace("%s", _COORD_A, 3)
 
 
 def _points_json(points):
@@ -472,15 +487,22 @@ def _point_parts(points):
     try:
         for (a0, b0, a1, b1, a2, b2), lines in points:
             lead = a0 or a1 or a2  # as in `compute_incidences`
-            coords = []
-            for a, b in ((a0, b0), (a1, b1), (a2, b2)):
-                g = gcd(a, lead)
-                if b:
-                    h = gcd(b, lead)
-                    coords.append(_COORD_AB % (a // g, lead // g, b // h, lead // h))
-                else:
-                    coords.append(_COORD_A % (a // g, lead // g))
-            yield sep + _POINT % (*coords, ",\n        ".join(map(str, lines)), len(lines))
+            indices = ",\n        ".join(map(str, lines))
+            if b0 or b1 or b2:
+                coords = []
+                for a, b in ((a0, b0), (a1, b1), (a2, b2)):
+                    g = gcd(a, lead)
+                    if b:
+                        h = gcd(b, lead)
+                        coords.append(_COORD_AB % (a // g, lead // g, b // h, lead // h))
+                    else:
+                        coords.append(_COORD_A % (a // g, lead // g))
+                part = _POINT % (*coords, indices, len(lines))
+            else:
+                g0, g1, g2 = gcd(a0, lead), gcd(a1, lead), gcd(a2, lead)
+                part = _POINT_A % (a0 // g0, lead // g0, a1 // g1, lead // g1,
+                                   a2 // g2, lead // g2, indices, len(lines))
+            yield sep + part
             sep = ",\n    "
     except ValueError as exc:  # more digits than the int/str limit
         raise digit_limit_error() from exc

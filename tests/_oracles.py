@@ -266,7 +266,8 @@ def burnside_orbit_count(G, generators) -> int:
 
 # Scalars of Q(omega) as pairs (a, b) of ints or Fractions meaning
 # a + b*omega, omega^2 = -1 - omega: the field arithmetic of the tests,
-# independent of the integer path of `arrangements._cross` and `_canonical`.
+# independent of the integer cross products of `arrangements.compute_incidences`
+# and of `_canonical`.
 
 
 def _qw_add(x, y):

@@ -6,6 +6,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from plurican.f2geom import F2Point
 from plurican.arrangements import (
     LabeledArrangement,
     ProjLine,
+    _canonical,
     analyze_extension,
     check_campedelli,
     compute_incidences,
@@ -383,6 +385,72 @@ def test_points_writer_matches_json_dumps(arr):
     assert cli_text(arr) == as_json_text(compute_incidences(arr))
 
 
+def raw_arrangement(*vecs) -> LabeledArrangement:
+    """Lines whose vectors are ``vecs`` as given, not canonical: leads may be
+    0 or negative, and equal lines are not refused."""
+    lines = []
+    for vec in vecs:
+        line = object.__new__(ProjLine)
+        object.__setattr__(line, "vec", vec)
+        lines.append(line)
+    arr = object.__new__(LabeledArrangement)
+    object.__setattr__(arr, "lines", tuple(lines))
+    object.__setattr__(arr, "labels", ())
+    return arr
+
+
+def pairs(vec):
+    return tuple(zip(vec[::2], vec[1::2]))
+
+
+# the 128-bit cap on line entries: |x| <= 2^128 - 1
+TOP = 2**128 - 1
+rational_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-TOP, TOP),
+    st.sampled_from([TOP, -TOP, 2**127, -(2**127), TOP - 1, -(TOP - 1)]),
+)
+rational_vectors = st.tuples(rational_entries, rational_entries, rational_entries).map(
+    lambda t: (t[0], 0, t[1], 0, t[2], 0)
+)
+
+
+@settings(max_examples=300)
+@example(u=(0, 0, 0, 0, 1, 0), v=(0, 0, 1, 0, 5, 0))  # zero leads; product (-1, 0, 0)
+@example(u=(-2, 0, 3, 0, 0, 0), v=(-4, 0, 6, 0, 0, 0))  # negative leads, proportional
+@example(u=(TOP, 0, -TOP, 0, 2**127, 0), v=(-TOP, 0, TOP - 1, 0, -(2**127), 0))
+@given(u=rational_vectors, v=rational_vectors)
+def test_rational_pair_key_is_canonical_cross_product(u, v):
+    product = tuple(x for c in cross(pairs(u), pairs(v)) for x in c)
+    arr = raw_arrangement(u, v)
+    if not any(product):
+        with pytest.raises(ValidationError, match="lines coincide"):
+            compute_incidences(arr)
+        return
+    ((key, lines),) = compute_incidences(arr).points
+    assert key == _canonical(product)
+    assert lines == (0, 1)
+
+
+def test_only_pairs_with_an_omega_line_call_canonical(monkeypatch):
+    rational = LabeledArrangement(tuple(moment_lines(7)))
+    calls = 0
+
+    def counted(vec):
+        nonlocal calls
+        calls += 1
+        return _canonical(vec)
+
+    monkeypatch.setattr("plurican.arrangements._canonical", counted)
+    assert compute_incidences(rational).histogram == ((2, 21),)
+    assert calls == 0
+    expected = sum(
+        not (is_rational(u) and is_rational(v)) for u, v in combinations(MIXED.lines, 2)
+    )
+    compute_incidences(MIXED)
+    assert 0 < calls == expected
+
+
 def test_reports_are_values():
     arr = load_arrangement(fixture("dual-hesse.json"))
     report = compute_incidences(arr)
@@ -446,12 +514,9 @@ def test_incidences_peak_memory(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("coeffs", [(1, 2, 3), (OMEGA, 1, 0)])
 def test_coincident_lines_are_a_validation_error(coeffs):
-    line = ProjLine(coeffs)
-    arr = object.__new__(LabeledArrangement)  # bypasses the duplicate check
-    object.__setattr__(arr, "lines", (line, line))
-    object.__setattr__(arr, "labels", ())
+    vec = ProjLine(coeffs).vec
     with pytest.raises(ValidationError, match="lines coincide"):
-        compute_incidences(arr)
+        compute_incidences(raw_arrangement(vec, vec))
 
 
 @pytest.mark.parametrize("omega", [False, True])

@@ -5,19 +5,21 @@ A benchmark run counts an op only when its output passes the op's gate in
 state their expected outputs by construction; `perfbench/selfcheck.py`
 checks those statements against brute force.  A broken generator or gate
 would otherwise show only in a benchmark run.  Here the self-checks run on a
-few seeds, and each gate is applied to the golden capture of the command
-line that a benchmark op shares with it.  Nothing under `perfbench/` is
-edited.
+few seeds, each gate is applied to the golden capture of the command line
+that a benchmark op shares with it, and the ops of the `incidence` workload,
+whose inputs are generated per seed, run in process through their gates.
+Nothing under `perfbench/` is edited.
 """
 
 import json
 import random
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import selfcheck  # noqa: E402
@@ -51,3 +53,13 @@ def test_generators_agree_with_brute_force(seed):
     selfcheck.check_incidence(rng)
     selfcheck.check_campedelli(rng)
     selfcheck.check_torsion(rng)
+
+
+def test_incidence_ops_pass_their_gates(tmp_path):
+    # the op list of `perfbench/run.py --workload incidence --seed 0`
+    ops = workloads.build("incidence", 0, tmp_path, resources.files("plurican") / "data")
+    assert {"tangents-q", "pencils-qw"} <= {op.name for op in ops}
+    for op in ops:
+        code, out = run(op.argv)
+        assert code == op.rc, op.name
+        op.check(json.loads(out))

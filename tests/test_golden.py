@@ -60,6 +60,12 @@ CASES = {
     "incidences-dual-hesse": (["incidences", _fixture("dual-hesse")], 0),
     "incidences-campedelli-generic": (["incidences", _fixture("campedelli-generic")], 0),
     "incidences-extension-type1": (["incidences", _fixture("extension-type1")], 0),
+    # rational: a 4-fold point, 3-fold points (one at infinity), negative and
+    # fractional coordinates
+    "incidences-q-folds": (["incidences", str(GOLDEN / "lines-q-folds.json")], 0),
+    # Q(omega) with rational lines, one of them entered as omega times a
+    # rational line; each 4-fold point is met by rational and by omega pairs
+    "incidences-qw-rational": (["incidences", str(GOLDEN / "lines-qw-rational.json")], 0),
     **{
         f"check-arrangement-{f}": (["check-arrangement", _fixture(f)], code)
         for f, code in FIXTURES.items()
