@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -139,7 +140,7 @@ class IncidenceReport(Record):
 
     def as_json(self, points=None) -> dict:
         """The JSON form; ``points``, when given, stands for the array of
-        point objects (the command line passes the text of `_points_json`)."""
+        point objects (the command line passes the chunks of `_points_json`)."""
         if points is None:
             points = [
                 {"coords": _key_json(key), "lines": list(lines), "multiplicity": len(lines)}
@@ -206,9 +207,11 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     as 0.  Any other pair meets by the product over Z[omega] and
     `_canonical`.  The leading-1 coordinates of a point are key / lead,
     lead > 0 the first nonzero entry of the key.  Points are listed in
-    lexicographic order of those coordinates, (a, b) per coordinate.  An arrangement of more than `MAX_INCIDENCE_LINES` lines, or
-    whose canonical line vectors hold an entry of more than
-    `MAX_COEFFICIENT_BITS` bits, is refused first.
+    lexicographic order of those coordinates, (a, b) per coordinate.
+
+    An arrangement of more than `MAX_INCIDENCE_LINES` lines, or whose
+    canonical line vectors hold an entry of more than `MAX_COEFFICIENT_BITS`
+    bits, is refused first.
     """
     lines = arr.lines
     if len(lines) > MAX_INCIDENCE_LINES:
@@ -429,7 +432,7 @@ def _scalar_from_json(value, allow_omega: bool) -> tuple[Fraction, Fraction]:
 def _key_json(key) -> list:
     """The leading-1 coordinates key / lead of a canonical vector, each
     [[a_num, a_den]] or, when b != 0, [[a_num, a_den], [b_num, b_den]]."""
-    lead = next(x for x in key if x)
+    lead = key[0] or key[2] or key[4]  # the leading coordinate is (lead, 0)
 
     def part(x: int) -> list[int]:
         g = gcd(x, lead)
@@ -453,60 +456,62 @@ _POINT = (
 _POINT_A = _POINT.replace("%s", _COORD_A, 3)
 
 
+# points joined into one chunk of `_points_json`; a chunk of the 150
+# benchmark tangents is about 1.4 MB of text
+_CHUNK_POINTS = 4096
+
+
 def _points_json(points):
     """The text of ``[{"coords": ..., "lines": ..., "multiplicity": ...},
     ...]``, the `points` array of `IncidenceReport.as_json`, indented for
-    depth 1 of a JSON document, as parts: an opening part, then one part per
-    point.
+    depth 1 of a JSON document, as an iterator of chunks made as they are
+    read: the opening bracket, then ``_CHUNK_POINTS`` points at a time with
+    the separator between two batches as a chunk of its own, then the
+    closing bracket.
 
-    The parts are written from the (key, lines) integers with fixed-shape
-    ``%d`` templates, so no per-point dict is built.  A number past the
-    interpreter's int/str digit limit is a MalformedInputError, raised here
-    and not while the parts are read: no reduced x // g or lead // g is
-    longer than the largest |key entry|, and a line index or multiplicity,
-    below `MAX_INCIDENCE_LINES`, has 3 digits against a limit of at least
-    640.  So when that entry prints, the parts are a generator that makes
-    each as it is read; when it does not, they are made here, as a list.
+    Each point is written from the (key, lines) integers with fixed-shape
+    ``%d`` templates, so no per-point dict is built.  A key entry past the
+    interpreter's int/str digit limit is a MalformedInputError raised here,
+    before any text is made: no reduced x // g or lead // g is longer than
+    the largest |key entry|, and a line index or multiplicity, below
+    `MAX_INCIDENCE_LINES`, has 3 digits against a limit of at least 640.
     """
     keys = [key for key, _ in points]
     top = max(max(map(max, keys), default=0), -min(map(min, keys), default=0))
-    parts = _point_parts(points)
     try:
         int.__repr__(top)
     except ValueError:  # more digits than the int/str limit
-        return list(parts)
-    return parts
+        raise digit_limit_error() from None
+    return _point_chunks(points)
 
 
-def _point_parts(points):
+def _point_chunks(points):
     if not points:
         yield "[]"
         return
+    texts = _point_texts(points)
+    # no chunk is bound to a name, so one batch and its text are alive at once
     yield "[\n    "
-    sep = ""
-    try:
-        for (a0, b0, a1, b1, a2, b2), lines in points:
-            lead = a0 or a1 or a2  # as in `compute_incidences`
-            indices = ",\n        ".join(map(str, lines))
-            if b0 or b1 or b2:
-                coords = []
-                for a, b in ((a0, b0), (a1, b1), (a2, b2)):
-                    g = gcd(a, lead)
-                    if b:
-                        h = gcd(b, lead)
-                        coords.append(_COORD_AB % (a // g, lead // g, b // h, lead // h))
-                    else:
-                        coords.append(_COORD_A % (a // g, lead // g))
-                part = _POINT % (*coords, indices, len(lines))
-            else:
-                g0, g1, g2 = gcd(a0, lead), gcd(a1, lead), gcd(a2, lead)
-                part = _POINT_A % (a0 // g0, lead // g0, a1 // g1, lead // g1,
-                                   a2 // g2, lead // g2, indices, len(lines))
-            yield sep + part
-            sep = ",\n    "
-    except ValueError as exc:  # more digits than the int/str limit
-        raise digit_limit_error() from exc
+    yield ",\n    ".join(islice(texts, _CHUNK_POINTS))
+    for _ in range(_CHUNK_POINTS, len(points), _CHUNK_POINTS):
+        yield ",\n    "
+        yield ",\n    ".join(islice(texts, _CHUNK_POINTS))
     yield "\n  ]"
+
+
+def _point_texts(points):
+    for key, lines in points:
+        indices = ",\n        ".join(map(str, lines))
+        a0, b0, a1, b1, a2, b2 = key
+        if b0 or b1 or b2:
+            coords = [_COORD_AB % (*c[0], *c[1]) if len(c) == 2 else _COORD_A % tuple(c[0])
+                      for c in _key_json(key)]
+            yield _POINT % (*coords, indices, len(lines))
+        else:
+            lead = a0 or a1 or a2  # as in `compute_incidences`
+            g0, g1, g2 = gcd(a0, lead), gcd(a1, lead), gcd(a2, lead)
+            yield _POINT_A % (a0 // g0, lead // g0, a1 // g1, lead // g1,
+                              a2 // g2, lead // g2, indices, len(lines))
 
 
 def load_arrangement(data: dict) -> LabeledArrangement:

@@ -15,13 +15,14 @@ early) ends the command with exit 2 (``STDOUT_UNWRITABLE``): nothing more is
 written and nothing goes to stderr.  Identical inputs produce byte-identical
 output: the text of ``json.dumps(indent=2, sort_keys=True)``, made by that
 one call in `_emit` and written to stdout or to ``--out``.  The ``points``
-array of ``incidences`` is made by `arrangements._points_json`, which
-checks first that its longest number prints: if so, its text is made as it
-is written, a batch of points at a time; if not, in full before the first
-write.  `_emit` splices it into the rest of the document, which is made
-before the first write.  Every command runs in one process;
-``--workers N`` is accepted and validated (N < 1 is malformed input) and
-does not change the output.
+array of ``incidences`` is an iterator of text chunks from
+`arrangements._points_json`, which has checked that its numbers print;
+`_emit` makes the rest of the document before the first write and writes
+the array's chunks in its place as they are made.  Every command runs in
+one process, with the cyclic collector paused (a command makes many
+containers and next to no cycles) and restored after; ``--workers N`` is
+accepted and validated (N < 1 is malformed input) and does not change the
+output.
 """
 
 from __future__ import annotations
@@ -32,23 +33,15 @@ import json
 import os
 import re
 import sys
-from itertools import islice
+from collections import deque
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 # each handler imports the modules it runs, so a command loads only those
 from .errors import DomainError, MalformedInputError, ValidationError, digit_limit_error
 
 SCHEMA = "plurican/1"
-
-RECIPES = (
-    "lemma-ev",
-    "camp1-moduli",
-    "cplus",
-    "campedelli-cover",
-    "burniat-cover",
-    "mlp-cover",
-)
-
 
 # Digits an integer option, or a group's orders in all, may have (see `_decimal`).
 MAX_DIGITS = 700
@@ -165,18 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _without_gc(call, *args):
-    """``call(*args)`` with the cyclic collector paused: a JSON parse or
-    walk makes many containers and no cycle."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return call(*args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _read_text(path: Path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,14 +174,11 @@ def _load_json(path: Path, text: str | None = None):
     if text is None:
         text = _read_text(path)
     try:
-        data = _without_gc(json.loads, text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past the
         # interpreter's int/str digit limit; RecursionError, nesting
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
-    # a parsed document is a tree: the frozen result is not scanned again
-    gc.freeze()
-    return data
 
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:
@@ -237,7 +215,7 @@ def _table_positions(G: FiniteAbelianGroup, text: str):
         return None
     from . import _lanes
 
-    return _without_gc(_lanes.table_positions, text, G.cyclic_orders)
+    return _lanes.table_positions(text, G.cyclic_orders)
 
 
 def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
@@ -386,7 +364,7 @@ def cmd_incidences(args) -> tuple[dict, int]:
     report = arrangements.compute_incidences(arr)
     # the points array, the bulk of the document, is written from its
     # integers as it goes out (a digit-limit error is raised here, first)
-    points = _Written(arrangements._points_json(report.points))
+    points = arrangements._points_json(report.points)
     return {"command": "incidences", **report.as_json(points)}, 0
 
 
@@ -452,7 +430,7 @@ def _recipe_cplus(args) -> dict:
     }
 
 
-def _covering_chain(name: str, args) -> dict:
+def _covering_chain(name: str) -> dict:
     from . import invariants, torsion
 
     entry = invariants.catalog_entry(name)
@@ -473,7 +451,7 @@ def _covering_chain(name: str, args) -> dict:
 
 
 def _recipe_campedelli_cover(args) -> dict:
-    out = _covering_chain("campedelli", args)
+    out = _covering_chain("campedelli")
     out["claim"] = (
         "the canonical map of a double cover of a Campedelli surface branched "
         "in a bicanonical curve is a degree 16 morphism onto the plane"
@@ -484,8 +462,8 @@ def _recipe_campedelli_cover(args) -> dict:
 def _recipe_burniat_cover(args) -> dict:
     surfaces = []
     for k2 in (6, 5, 4, 3):
-        chain = _covering_chain(f"burniat-{k2}", args)
-        surfaces.append({"surface": f"burniat-{k2}", **chain["results"]})
+        cover = _covering_chain(f"burniat-{k2}")
+        surfaces.append({"surface": f"burniat-{k2}", **cover["results"]})
     return {
         "claim": "the canonical map of a double cover of a Burniat surface "
                  "branched in a bicanonical curve is a degree 8 morphism onto "
@@ -496,7 +474,7 @@ def _recipe_burniat_cover(args) -> dict:
 
 
 def _recipe_mlp_cover(args) -> dict:
-    out = _covering_chain("mendes-lopes-pardini", args)
+    out = _covering_chain("mendes-lopes-pardini")
     out["claim"] = (
         "the canonical map of a double cover of a Mendes Lopes-Pardini "
         "surface branched in a bicanonical curve is a degree 4 map onto a "
@@ -513,6 +491,7 @@ _RECIPE_HANDLERS = {
     "burniat-cover": _recipe_burniat_cover,
     "mlp-cover": _recipe_mlp_cover,
 }
+RECIPES = tuple(_RECIPE_HANDLERS)
 
 
 def cmd_reproduce(args) -> tuple[dict, int]:
@@ -531,44 +510,9 @@ _HANDLERS = {
 }
 
 
-# parts joined into one write of `_write`; the part list stays this short
-# however long the text is
-_CHUNK_PARTS = 4096
-
-
-class _Written:
-    """The JSON text of a top-level value of a document, indented for that
-    depth, as an iterable of parts that `_write` joins only as the text is
-    written.  `_emit` dumps the document with ``_MARK`` in its place, then
-    splits the text at the marker's JSON form, so no other string of that
-    document may be ``_MARK``.  Reading the parts raises no error: a lazy
-    iterable, such as the one of `arrangements._points_json`, must have
-    checked its numbers first."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = parts
-
-
-_MARK, _MARK_JSON = "\0written", '"\\u0000written"'  # the second is json.dumps(_MARK)
-
-
-def _write(write, chunks) -> None:
-    """Pass the text of ``chunks`` to ``write``: each string chunk, and the
-    parts of each deferred one joined ``_CHUNK_PARTS`` at a time, one batch
-    of parts and its text alive at once."""
-    for chunk in chunks:
-        if isinstance(chunk, str):
-            write(chunk)
-            continue
-        parts, batch = iter(chunk), []
-        while True:
-            batch.extend(islice(parts, _CHUNK_PARTS))
-            if not batch:
-                break
-            write("".join(batch))
-            batch.clear()
+# `_emit` dumps a document with this in place of its streamed value, then
+# splits the text at its JSON form (the second string)
+_MARK, _MARK_JSON = "\0written", '"\\u0000written"'
 
 
 class _OutUnwritable(MalformedInputError):
@@ -595,34 +539,38 @@ class _InternalError(DomainError):
 
 
 def _emit(payload: dict, out: Path | None) -> None:
+    """Write the document of ``payload``.  A top-level value may be an
+    iterator of its JSON text, indented for depth 1, that raises no error
+    as it is read; no other string of that document may be ``_MARK``."""
     document = {"schema": SCHEMA, **payload}
-    written = None
+    stream = None
     for key, value in document.items():
-        if isinstance(value, _Written):
-            written, document[key] = value, _MARK
-    # the text is whole before the first write, so a digit-limit error leaves
-    # no partial document; unchecked, a cycle is a RecursionError (exit 3)
+        if isinstance(value, Iterator):
+            stream, document[key] = value, _MARK
+    # the text around a stream is whole before the first write, so a
+    # digit-limit error leaves no partial document; unchecked, a cycle is a
+    # RecursionError (exit 3)
     try:
         text = json.dumps(document, indent=2, sort_keys=True, check_circular=False)
     except ValueError as exc:  # an integer with more digits than the int/str limit
         raise digit_limit_error() from exc
-    if written is None:  # not searched: an error message may hold _MARK
-        chunks = [text, "\n"]
+    if stream is None:  # not searched: an error message may hold _MARK
+        chunks = (text, "\n")
     else:
         head, _, tail = text.partition(_MARK_JSON)
-        chunks = [head, written.parts, tail, "\n"]
+        chunks = chain((head,), stream, (tail, "\n"))
     if out is None:
         if sys.stdout is None:  # the descriptor was closed at start-up
             raise _StdoutUnwritable
         try:
-            _write(sys.stdout.write, chunks)
+            deque(map(sys.stdout.write, chunks), 0)
             sys.stdout.flush()  # a failed write shows here, not at exit
         except OSError as exc:
             raise _StdoutUnwritable from exc
         return
     try:
         with out.open("w", encoding="utf-8") as fh:
-            _write(fh.write, chunks)
+            deque(map(fh.write, chunks), 0)
     except OSError as exc:
         raise _OutUnwritable(f"cannot write {out}: {exc}") from exc
 
@@ -641,6 +589,10 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     out = None  # an error before --out is parsed goes to stdout
+    # a command makes many containers and next to no cycles: the cyclic
+    # collector is paused until its document is written, then restored
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         out = args.out
@@ -659,6 +611,15 @@ def _run(argv) -> int:
         error, code = exc, 1
     except Exception as exc:  # SystemExit (--help) and KeyboardInterrupt pass
         error, code = _InternalError(exc), 3
+    finally:
+        if argv is None:
+            # the process's own command line (`python -m plurican`, the
+            # `plurican` script), which exits next: what is left is frozen,
+            # as the collections at exit skip frozen objects (a scan of the
+            # 13,600 left by `check-arrangement` takes about 6 ms)
+            gc.freeze()
+        if enabled:
+            gc.enable()
     if isinstance(error, _OutUnwritable):
         out = None  # a failed --out is not tried again
     try:

@@ -255,13 +255,13 @@ def test_indented_table_takes_the_walk(tmp_path, monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_walk_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     path = tmp_path / "aut.json"
-    G = FiniteAbelianGroup((2, 3))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        for text in (BASE, BASE + "x"):  # walked, and refused partway
+        for text, code in ((BASE, 0), (BASE + "x", 2)):  # walked, and refused partway
             path.write_text(text, encoding="utf-8")
-            cli._table_positions(G, cli._read_text(path))
+            assert cli.main(["components", "--group", "2,3", "--d", "2", "--aut", str(path),
+                             "--out", str(tmp_path / "out.json")]) == code
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

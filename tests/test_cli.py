@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -276,17 +277,28 @@ def test_json_input_leaves_the_collector_as_it_found_it(capsys, tmp_path, enable
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert cli._load_json(good)["generators"][0]["entries"] == [[2]]
-        assert gc.isenabled() is enabled
-        for path in (bad, tmp_path / "missing.json"):
-            with pytest.raises(MalformedInputError):
-                cli._load_json(path)
-            assert gc.isenabled() is enabled
-        for path, code in ((good, 0), (bad, 2)):
-            assert main(["components", "--group", "5", "--d", "2", "--aut", str(path)]) == code
+        for path, code in ((good, 0), (bad, 2), (tmp_path / "missing.json", 2)):
+            argv = ["components", "--group", "5", "--d", "2", "--aut", str(path)]
+            assert run_cli(capsys, *argv)[0] == code
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_only_the_own_command_line_freezes_what_is_left(capsys, monkeypatch):
+    # a process that runs its own command line exits next, so the objects
+    # left are frozen for the collections at exit; a caller that passes the
+    # arguments keeps its collector as it was
+    frozen = gc.get_freeze_count()
+    assert main(["catalog"]) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["plurican", "catalog"])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.count('"command": "catalog"') == 2
 
 
 @pytest.mark.parametrize("label", [[True, 0, 0], [1.0, 0, 0], [0, 0.0, 1]])
@@ -493,6 +505,32 @@ def test_usage_error_ignores_out(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_incidences_print_at_the_lowest_digit_limit(capsys, tmp_path):
+    # MAX_COEFFICIENT_BITS keeps every key entry of a point below about
+    # 2^521, at most 157 digits (here 251 bits, 76 digits), so even at the
+    # lowest int/str limit, 640 digits, `incidences` prints every number and
+    # `_points_json` never meets its own digit check
+    rng = random.Random(7)
+    lines = [[[[rng.randrange(1 << 62, 1 << 63), 1], [rng.randrange(1 << 62, 1 << 63), 1]]
+              for _ in range(3)] for _ in range(6)]
+    data = {"field": "Q(omega)", "lines": lines}
+    bits = max(x.bit_length() for line in arrangements.load_arrangement(data).lines
+               for x in line.vec)
+    assert 125 <= bits <= arrangements.MAX_COEFFICIENT_BITS
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["incidences", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert len(max(re.findall("[0-9]+", text), key=len)) > 70
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["incidences", str(path)]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == text
+
+
 def test_integer_too_long_to_print_is_malformed_input(capsys, tmp_path, monkeypatch):
     # every coefficient has ~2200 digits; the coordinates of the
     # intersection points pass the 4300-digit int/str limit
@@ -512,7 +550,7 @@ def test_stdout_is_written_in_chunks_of_one_whole_document(capsys, tmp_path, mon
     # one part per chunk: stdout gets one write per chunk, the same bytes as
     # before, and a digit-limit error found after many chunks still prints
     # only the error document
-    monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
+    monkeypatch.setattr(arrangements, "_CHUNK_POINTS", 1)
     writes = []
     real = type(sys.stdout).write
     monkeypatch.setattr(type(sys.stdout), "write",
@@ -520,7 +558,7 @@ def test_stdout_is_written_in_chunks_of_one_whole_document(capsys, tmp_path, mon
     assert main(["incidences", fixture_path("dual-hesse.json")]) == 0
     golden = (Path(__file__).parent / "golden" / "incidences-dual-hesse.json").read_text()
     assert capsys.readouterr().out == golden
-    # the points array streams one part per point, so each of the 12 points
+    # the points array streams one point per chunk, so each of the 12 points
     # is a write of its own
     assert len(writes) > 12
     assert [text.count('"coords"') for text in writes if '"coords"' in text] == [1] * 12

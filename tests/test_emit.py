@@ -1,7 +1,7 @@
 """`plurican.cli._emit`, which writes every document with one
-``json.dumps(indent=2, sort_keys=True)``: the `_Written` text it splices in,
-the digit limit, and an `ast` guard that this call is the package's only
-JSON writer."""
+``json.dumps(indent=2, sort_keys=True)``: the streamed text it splices in,
+the digit limit, an `ast` guard that this call is the package's only JSON
+writer, and one that `cli._run` alone pauses the cyclic collector."""
 
 import ast
 import json
@@ -13,9 +13,9 @@ from types import GeneratorType
 import pytest
 
 import plurican
-from plurican import cli
+from plurican import arrangements, cli
 from plurican.arrangements import _key_json, _points_json
-from plurican.cli import _emit, _Written
+from plurican.cli import _emit
 from plurican.errors import MalformedInputError
 
 
@@ -45,11 +45,6 @@ def dumped(payload) -> str:
     return json.dumps({"schema": "plurican/1", **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def written_points(points) -> _Written:
-    """The `points` array of ``points`` as the `incidences` command writes it."""
-    return _Written(_points_json(points))
-
-
 def points_dicts(points) -> list:
     return [{"coords": _key_json(key), "lines": list(lines), "multiplicity": len(lines)}
             for key, lines in points]
@@ -63,8 +58,8 @@ ONE_POINT = [((1, 0, 0, 0, 0, 0), (0, 1))]
     {"b": [1, (2, [3])], "a": {"é\t\ud800": [True, False, None]}},
 ])
 def test_fixed_values_match_json_dumps(value, monkeypatch):
-    # each value on both sides of a spliced `_Written` value
-    text = emitted(monkeypatch, {"a": value, "points": written_points(ONE_POINT), "z": value})
+    # each value on both sides of a spliced stream
+    text = emitted(monkeypatch, {"a": value, "points": _points_json(ONE_POINT), "z": value})
     assert text == dumped({"a": value, "points": points_dicts(ONE_POINT), "z": value})
 
 
@@ -95,11 +90,11 @@ def test_points_writer_past_the_digit_limit_is_malformed_input():
 
 
 def test_written_value_is_spliced_between_keys(monkeypatch):
-    text = emitted(monkeypatch, {"a": [1], "points": written_points(ONE_POINT), "z": "end"})
+    text = emitted(monkeypatch, {"a": [1], "points": _points_json(ONE_POINT), "z": "end"})
     assert text == dumped({"a": [1], "points": [
         {"coords": [[[1, 1]], [[0, 1]], [[0, 1]]], "lines": [0, 1], "multiplicity": 2}
     ], "z": "end"})
-    assert emitted(monkeypatch, {"points": written_points(())}) == dumped({"points": []})
+    assert emitted(monkeypatch, {"points": _points_json(())}) == dumped({"points": []})
 
 
 def test_marker_text_without_a_written_value_is_not_split(monkeypatch):
@@ -125,21 +120,26 @@ def test_points_past_the_digit_limit_raise_before_any_write(monkeypatch):
 
 
 def test_deferred_points_give_the_whole_text(monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK_PARTS", 1)
-    limit = sys.get_int_max_str_digits()
-    p, q = 10 ** (limit - 1), 10 ** (limit - 1) + 1
-    for points, parts in [
-        ([((1, 0, 0, 0, 0, 0), (0, 1)), ((0, 0, 3, 0, 1, -2), (0, 2, 3))], GeneratorType),
-        # the largest entry p q does not print, but the reduced p and q do:
-        # the parts are made in full before any is written
-        ([((p * q, 0, p, 0, q, 0), (0, 1))], list),
-    ]:
-        assert type(_points_json(points)) is parts
-        value = {"a": [1], "points": written_points(points), "z": "end"}
+    points = [((1, 0, 0, 0, 0, 0), (0, 1)), ((0, 0, 3, 0, 1, -2), (0, 2, 3)),
+              ((1, 0, 2, 0, 5, 0), (1, 2)), ((3, 0, 1, 1, 0, 0), (2, 3))]
+    for chunk_points in (1, 2, 3, 4, 4096):  # batches that split the points, or not
+        monkeypatch.setattr(arrangements, "_CHUNK_POINTS", chunk_points)
+        assert type(_points_json(points)) is GeneratorType
+        value = {"a": [1], "points": _points_json(points), "z": "end"}
         assert emitted(monkeypatch, value) == dumped(
             {"a": [1], "points": points_dicts(points), "z": "end"})
-        assert emitted(monkeypatch, {"points": written_points(points)}) == dumped(
+        assert emitted(monkeypatch, {"points": _points_json(points)}) == dumped(
             {"points": points_dicts(points)})
+
+
+def test_points_with_a_largest_entry_past_the_limit_raise():
+    # the largest entry p q does not print, though the reduced p and q would:
+    # the check is on the key entries, before any text is made
+    limit = sys.get_int_max_str_digits()
+    p, q = 10 ** (limit - 1), 10 ** (limit - 1) + 1
+    with pytest.raises(MalformedInputError) as err:
+        _points_json([((p * q, 0, p, 0, q, 0), (0, 1))])
+    assert err.value.details == {"limit": limit}
 
 
 def _json_writes(tree: ast.AST):
@@ -173,3 +173,38 @@ def test_json_dumps_is_the_only_writer():
         for _, name in _json_writes(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("cli.py", "dumps")]
+
+
+def _collector_pauses(tree: ast.Module):
+    """Yield (top-level definition or None, name) for every gc.disable or
+    gc.freeze attribute, and for every import of either from gc."""
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("disable", "freeze")
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                yield where, node.attr
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                for alias in node.names:
+                    if alias.name in ("disable", "freeze"):
+                        yield where, alias.name
+
+
+def test_collector_guard_finds_every_spelling():
+    src = ("gc.freeze()\ndef f():\n    gc.disable()\nclass C:\n    off = gc.disable\n"
+           "from gc import enable, disable as d\n")
+    assert list(_collector_pauses(ast.parse(src))) == [
+        (None, "freeze"), ("f", "disable"), ("C", "disable"), (None, "disable")]
+    assert not list(_collector_pauses(ast.parse("gc.enable()\ngc.isenabled()\ngc.collect()\n")))
+
+
+def test_only_run_pauses_the_collector():
+    # one collector policy: `cli._run` pauses it for the whole command and,
+    # before the process exits, freezes what is left
+    package = Path(plurican.__file__).parent
+    found = [
+        (path.name, where, name)
+        for path in sorted(package.rglob("*.py"))
+        for where, name in _collector_pauses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("cli.py", "_run", "disable"), ("cli.py", "_run", "freeze")]
