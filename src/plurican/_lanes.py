@@ -7,7 +7,10 @@ Lanes stay exact while every number fits in 32 bits and n <= 2^31.  A
 finished column is unpacked once, into an `array` of `LANE` items.
 
 `table_positions` reads the positions of an automorphism file of the
-common shape from its text, a slice at a time, without a parsed tree.
+common shape from its text, a slice at a time, without a parsed tree: a
+slice whose bracket skeleton is that of pairs of the group's rank is
+decoded as one flat array of numbers, which the skeleton leaves no room to
+be anything but ints, and its columns are strided slices of that array.
 
 Only code that builds an action or reads a table imports this module, so
 the commands that use closed forms load neither it nor `array`.
@@ -116,22 +119,27 @@ def extend(col: int, size: int, a: int, m: int, n: int) -> int:
     return pack(out)
 
 
-def _chunk_positions(chunk, orders) -> array | None:
-    """Mixed-radix positions of a chunk of coordinate arrays, one column
-    at a time, or None when some array has the wrong length or some column
-    holds a value that is not exactly an int."""
-    if not set(map(len, chunk)) <= {len(orders)}:
-        return None
-    ones = _ones(len(chunk))
-    # every array has len(orders) coordinates, so column j is a strided slice
-    flat = list(chain.from_iterable(chunk))
+def _column_positions(flat: list, orders, count: int) -> array:
+    """Mixed-radix positions of `count` elements whose coordinates are
+    listed one element after another in `flat`, all exactly ints: column j
+    is the strided slice ``flat[j::len(orders)]``, packed with `_pack_mod`."""
+    ones = _ones(count)
     pos = 0
     for j, n in enumerate(orders):
-        col = flat[j::len(orders)]
-        if not all_int(col):
-            return None
-        pos = pos * n + _pack_mod(col, n, ones)
-    return unpack(pos, len(chunk))
+        pos = pos * n + _pack_mod(flat[j::len(orders)], n, ones)
+    return unpack(pos, count)
+
+
+def _chunk_positions(chunk, orders) -> array | None:
+    """Mixed-radix positions of a chunk of coordinate arrays, or None when
+    some array has the wrong length or holds a value that is not exactly
+    an int."""
+    if not set(map(len, chunk)) <= {len(orders)}:
+        return None
+    flat = list(chain.from_iterable(chunk))
+    if not all_int(flat):
+        return None
+    return _column_positions(flat, orders, len(chunk))
 
 
 def positions(elements, orders, position) -> array:
@@ -177,13 +185,13 @@ def table_positions(text: str, orders) -> list[array] | None:
     2^31): one array per spec, of element and image positions alternately.
     None for a text of any other shape.
 
-    No tree is built: ``json.loads`` decodes each pairs array a slice of
-    about `_SLICE` characters at a time, each cut just after a pair, and
-    `_chunk_positions` takes each slice at once.  The cuts fall only at the
-    array's commas, so when every slice decodes to pairs of int arrays of
-    the group's rank, ``json.loads`` of the whole text gives the same
-    pairs, and no element in them is bad.  Any other slice, or any other
-    text between the slices, gives None."""
+    No tree is built: each pairs array is read a slice of about `_SLICE`
+    characters at a time, each cut just after a pair, and
+    `_pairs_positions` turns each slice into positions at once.  The cuts
+    fall only at the array's commas, so when every slice holds pairs of
+    int arrays of the group's rank, ``json.loads`` of the whole text gives
+    the same pairs, and no element in them is bad.  Any other slice, or
+    any other text between the slices, gives None."""
     m = _HEAD.match(text)
     if m is None:
         return None
@@ -209,7 +217,23 @@ def table_positions(text: str, orders) -> list[array] | None:
 
 def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
     """The positions of the pairs array whose first pair (or closing
-    bracket) is at i, and the index just after the array; or None."""
+    bracket) is at i, and the index just after the array; or None.
+
+    A slice is read only when it is k pairs of arrays of r = len(orders)
+    numbers, checked without decoding it:
+    - its skeleton, the slice without its digits, "-" and JSON whitespace,
+      is k copies of ``[[,...,],[,...,]]`` (r - 1 commas in each array)
+      joined by commas, with k taken from the skeleton's length;
+    - no digit or "-" stands just after a "]" or just before a "[",
+      whitespace aside, so every number lies inside an element's array.
+    The slice is then decoded flat, each bracket read as a space, to
+    exactly 2rk numbers, and column j of its elements is the strided slice
+    ``flat[j::r]``.  Between its brackets and commas the slice holds only
+    digits, "-" and whitespace, so every number ``json.loads`` accepts
+    there is exactly an int (a float, a bool, null or a string has some
+    other character), and no type pass is needed.  At rank 0 the skeleton
+    keeps its digits, so a pair of empty arrays is all it takes, and there
+    is nothing to decode."""
     pos = array(LANE)
     if text.startswith("]", i):
         return pos, i + 1
@@ -217,23 +241,28 @@ def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
     if last is None:
         return None
     end = last.start(1)  # just after the last pair
+    rank = len(orders)
+    pair = "[[" + "," * (rank - 1) + "],[" + "," * (rank - 1) + "]]"
+    # a "d" for each digit or "-" (and a "?" for a "d"), no whitespace
+    mark = str.maketrans("0123456789-d", "d" * 11 + "?", " \t\n\r")
+    unmark = str.maketrans("", "", "d" if rank else "")
+    unbracket = str.maketrans("[]", "  ")
     while True:
         cut = _PAIR_END.search(text, i + _SLICE, end)
         stop = end if cut is None else cut.start(1)
+        part = text[i:stop]
+        marked = part.translate(mark)
+        skeleton = marked.translate(unmark)
+        k = (len(skeleton) + 1) // (len(pair) + 1)
+        if skeleton != ",".join([pair] * k) or "]d" in marked or "d[" in marked:
+            return None
         try:
-            pairs = json.loads("[" + text[i:stop] + "]")
-        except (ValueError, RecursionError):
+            flat = json.loads("[" + part.translate(unbracket) + "]") if rank else []
+        except ValueError:  # a malformed number, or one past the digit limit
             return None
-        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        if len(flat) != 2 * rank * k:
             return None
-        flat = [x for pair in pairs for x in pair]
-        del pairs  # the pair lists go before the columns are built
-        if not set(map(type, flat)) <= {list}:
-            return None
-        chunk = _chunk_positions(flat, orders)
-        if chunk is None:
-            return None
-        pos.extend(chunk)
+        pos.extend(_column_positions(flat, orders, 2 * k))
         if cut is None:
             return pos, last.end()
         i = cut.end()

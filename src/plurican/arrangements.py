@@ -503,12 +503,18 @@ def _point_texts(points):
     for key, lines in points:
         indices = ",\n        ".join(map(str, lines))
         a0, b0, a1, b1, a2, b2 = key
+        lead = a0 or a1 or a2  # as in `compute_incidences` and `_key_json`
         if b0 or b1 or b2:
-            coords = [_COORD_AB % (*c[0], *c[1]) if len(c) == 2 else _COORD_A % tuple(c[0])
-                      for c in _key_json(key)]
+            coords = []
+            for a, b in ((a0, b0), (a1, b1), (a2, b2)):
+                g = gcd(a, lead)
+                if b:
+                    h = gcd(b, lead)
+                    coords.append(_COORD_AB % (a // g, lead // g, b // h, lead // h))
+                else:
+                    coords.append(_COORD_A % (a // g, lead // g))
             yield _POINT % (*coords, indices, len(lines))
         else:
-            lead = a0 or a1 or a2  # as in `compute_incidences`
             g0, g1, g2 = gcd(a0, lead), gcd(a1, lead), gcd(a2, lead)
             yield _POINT_A % (a0 // g0, lead // g0, a1 // g1, lead // g1,
                               a2 // g2, lead // g2, indices, len(lines))

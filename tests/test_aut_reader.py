@@ -9,6 +9,7 @@ import contextlib
 import gc
 import io
 import json
+import re
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -80,6 +81,15 @@ def with_coordinate(value, pair: int = 3, side: int = 1, at: int = 1) -> str:
     return document(permutation(pairs)).replace('"@"', value)
 
 
+# pair 3 of BASE, (1, 0) -> (1, 0)
+PAIR3 = "[[1, 0], [1, 0]]"
+assert BASE.count(PAIR3) == 1
+# BASE with each ", " between two pairs spaced as "] ]\t,\n" around its
+# comma, which a slice cut takes in
+CUT_SPACING = BASE.replace("]], [[", "] ]\t,\n[[")
+TAB_INDENT = json.dumps(json.loads(BASE), indent="\t")
+RANK_0 = document(permutation([[[], []]] * 3))
+
 FIXED = {
     "base": (Z2Z3, BASE),
     "nbsp-after-brace": (Z2Z3, "{\u00a0" + BASE[1:]),
@@ -97,6 +107,25 @@ FIXED = {
     "nested": (Z2Z3, with_coordinate("[2]")),
     "string": (Z2Z3, with_coordinate('"2"')),
     "negative": (Z2Z3, with_coordinate("-1")),
+    "minus-zero": (Z2Z3, with_coordinate("-0")),
+    "leading-zero": (Z2Z3, with_coordinate("01")),
+    "minus-space": (Z2Z3, with_coordinate("- 1")),
+    "two-numbers": (Z2Z3, with_coordinate("1 2")),
+    "plus": (Z2Z3, with_coordinate("+1")),
+    "capital-exponent": (Z2Z3, with_coordinate("1E0")),
+    "infinity": (Z2Z3, with_coordinate("Infinity")),
+    "minus-infinity": (Z2Z3, with_coordinate("-Infinity")),
+    "empty-token": (Z2Z3, with_coordinate("", at=0)),
+    "letter-d": (Z2Z3, with_coordinate("d")),
+    "empty-element": (Z2Z3, BASE.replace(PAIR3, "[[1, 0], []]")),
+    # a number outside its element's array, its place in the array left empty
+    "number-before-element": (Z2Z3, BASE.replace(PAIR3, "[1[, 0], [1, 0]]")),
+    "number-after-element": (Z2Z3, BASE.replace(PAIR3, "[[1, 0], [1, ]0]")),
+    "number-between-elements": (Z2Z3, BASE.replace(PAIR3, "[[1, ]0, [1, 0]]")),
+    "number-before-pair": (Z2Z3, BASE.replace(PAIR3, "1[[, 0], [1, 0]]")),
+    "number-after-pair": (Z2Z3, BASE.replace(PAIR3, "[[1, 0], [1, ]]0")),
+    "spaced-cuts": (Z2Z3, CUT_SPACING),
+    "tab-indent": (Z2Z3, TAB_INDENT),
     "past-2^32": (Z2Z3, with_coordinate(str(2**32 + 2))),
     "4300-digits": (Z2Z3, with_coordinate("3" * 4300)),
     "4301-digits": (Z2Z3, with_coordinate("3" * 4301)),
@@ -124,6 +153,8 @@ FIXED = {
     "no-generators": (Z2Z3, document()),
     "top-level-list": (Z2Z3, json.dumps([permutation(PAIRS)])),
     "trivial-group": ("", document(permutation([[[], []]]))),
+    "rank-0-pairs": ("", RANK_0),
+    "rank-0-number": ("", document(permutation([[[], []], [[0], []]]))),
     # 5 x 2^20 entries, above MAX_ACTION_ENTRIES = 2^22
     "over-the-entry-cap": (",".join(["2"] * 20), document(*[permutation([])] * 5)),
     "over-the-order-cap": ("2097152", document(permutation([[[0], [0]]]))),
@@ -156,9 +187,12 @@ def test_non_json_whitespace_is_malformed_input(case):
     assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
-def test_valid_cases_take_the_walk(tmp_path):
-    for case in ["base", "crlf", "cr", "negative", "past-2^32", "4300-digits",
-                 "two-permutations", "empty-pairs", "no-generators", "trivial-group"]:
+@pytest.mark.parametrize("slice_size", SLICES)
+def test_valid_cases_take_the_walk(tmp_path, monkeypatch, slice_size):
+    monkeypatch.setattr(_lanes, "_SLICE", slice_size)
+    for case in ["base", "crlf", "cr", "negative", "minus-zero", "past-2^32", "4300-digits",
+                 "spaced-cuts", "tab-indent", "two-permutations", "empty-pairs",
+                 "no-generators", "trivial-group", "rank-0-pairs"]:
         group, text = FIXED[case]
         path = tmp_path / f"{case}.json"
         path.write_bytes(text.encode("utf-8"))
@@ -202,8 +236,15 @@ def table_files(draw):
                       indent=draw(st.sampled_from([None, 0, 2, "\t"])),
                       separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])))
     for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["insert", "insert", "delete", "truncate", "move", "move"]))
+        numbers = [m.span() for m in re.finditer(r"-?[0-9]+", text)]
+        if how == "move" and numbers:  # a number taken out and put back nearby
+            a, b = draw(st.sampled_from(numbers))
+            number, text = text[a:b], text[:a] + text[b:]
+            at = min(max(a + draw(st.sampled_from([-2, -1, 1, 2])), 0), len(text))
+            text = text[:at] + number + text[at:]
+            continue
         at = draw(st.integers(0, len(text)))
-        how = draw(st.sampled_from(["insert", "insert", "delete", "truncate"]))
         if how == "insert":
             text = text[:at] + draw(st.sampled_from(SNIPPETS)) + text[at:]
         elif how == "delete":

@@ -6,8 +6,9 @@ state their expected outputs by construction; `perfbench/selfcheck.py`
 checks those statements against brute force.  A broken generator or gate
 would otherwise show only in a benchmark run.  Here the self-checks run on a
 few seeds, each gate is applied to the golden capture of the command line
-that a benchmark op shares with it, and the ops of the `incidence` workload,
-whose inputs are generated per seed, run in process through their gates.
+that a benchmark op shares with it, and the ops of the `incidence` and
+`torsion` workloads, whose inputs are generated per seed, run in process
+through their gates.
 Nothing under `perfbench/` is edited.
 """
 
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from plurican import cli
 from test_golden import CASES, GOLDEN, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -61,5 +63,24 @@ def test_incidence_ops_pass_their_gates(tmp_path):
     assert {"tangents-q", "pencils-qw"} <= {op.name for op in ops}
     for op in ops:
         code, out = run(op.argv)
+        assert code == op.rc, op.name
+        op.check(json.loads(out))
+
+
+def test_torsion_ops_pass_their_gates(tmp_path, monkeypatch):
+    # the op list of `perfbench/run.py --workload torsion --seed 0`; the
+    # benchmark's permutation table must be read by the slice walk, so the
+    # general parser is made to fail for it (a table that fell back to the
+    # parser would pass every gate at twice the cost)
+    def refuse(path, text=None):
+        raise AssertionError(f"{path} went to the general parser")
+
+    ops = workloads.build("torsion", 0, tmp_path, resources.files("plurican") / "data")
+    assert "components-table" in {op.name for op in ops}
+    for op in ops:
+        with monkeypatch.context() as mp:
+            if op.name == "components-table":
+                mp.setattr(cli, "_load_json", refuse)
+            code, out = run(op.argv)
         assert code == op.rc, op.name
         op.check(json.loads(out))

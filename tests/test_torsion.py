@@ -22,7 +22,7 @@ from _oracles import (
     table_positions_oracle,
     tor_d_elements,
 )
-from plurican import cli, torsion
+from plurican import _lanes, cli, torsion
 from plurican.errors import DomainError, HypothesisError, MalformedInputError, ValidationError
 from plurican.torsion import (
     AutAction,
@@ -458,10 +458,32 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def test_table_walk_peak_memory():
+    # Above its text, the walk holds the positions, two 32-bit lanes (8
+    # bytes) per pair, and the temporaries of one slice of `_SLICE`
+    # characters: the slice, its marked copy and skeleton, its flat text
+    # (about a slice each), the list of its numbers (8 bytes a reference and
+    # at least 2 characters a number: 4 slices) and one column of them with
+    # its lanes, 10 slices in all.  Python 3.11: 1.07 MB against the bound's
+    # 1.26 MB; the parent walk, which decoded each slice to nested lists and
+    # flattened them, peaked at 1.59 MB.
+    pairs = _unit_table()
+    text = json.dumps({"generators": [{"kind": "permutation", "pairs": pairs}]})
+    del pairs
+    tables = []
+    peak = _traced_peak(lambda: tables.extend(_lanes.table_positions(text, TABLE_ORDERS)))
+    G = FiniteAbelianGroup(TABLE_ORDERS)
+    pos = tables[0]
+    assert pos[0::2] == array(pos.typecode, range(G.order))
+    assert pos[2 * G.index((1, 1, 1, 1)) + 1] == G.index(TABLE_UNITS)
+    bound = 8 * G.order + 10 * _lanes._SLICE
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
 def test_components_table_peaks_under_a_third_of_its_parsed_json(tmp_path):
     # the parsed table is ~20 MB of lists and ints (a 23.1 MB peak, Python
     # 3.11); the command reads it a slice at a time into 32-bit positions
-    # and peaks at 5.3 MB, its 2.5 MB text included
+    # and peaks at 5.1 MB, its 2.5 MB text included
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
                     encoding="utf-8")
