@@ -6,11 +6,13 @@ lane, or reducing every lane mod n, is then a few big-int operations.
 Lanes stay exact while every number fits in 32 bits and n <= 2^31.  A
 finished column is unpacked once, into an `array` of `LANE` items.
 
-`table_positions` reads the positions of an automorphism file of the
-common shape from its text, a slice at a time, without a parsed tree: a
-slice whose bracket skeleton is that of pairs of the group's rank is
-decoded as one flat array of numbers, which the skeleton leaves no room to
-be anything but ints, and its columns are strided slices of that array.
+A table's positions are read on one of two paths.  `positions` takes a
+parsed table (`AutAction.from_table`), `CHUNK` elements at a time.
+`table_positions` takes the text of an automorphism file of the common
+shape, a slice at a time, without a parsed tree: a slice whose bracket
+skeleton is that of pairs of the group's rank is decoded as one flat array
+of numbers, which the skeleton leaves no room to be anything but ints, and
+its columns are strided slices of that array.
 
 Only code that builds an action or reads a table imports this module, so
 the commands that use closed forms load neither it nor `array`.
@@ -130,28 +132,21 @@ def _column_positions(flat: list, orders, count: int) -> array:
     return unpack(pos, count)
 
 
-def _chunk_positions(chunk, orders) -> array | None:
-    """Mixed-radix positions of a chunk of coordinate arrays, or None when
-    some array has the wrong length or holds a value that is not exactly
-    an int."""
-    if not set(map(len, chunk)) <= {len(orders)}:
-        return None
-    flat = list(chain.from_iterable(chunk))
-    if not all_int(flat):
-        return None
-    return _column_positions(flat, orders, len(chunk))
-
-
 def positions(elements, orders, position) -> array:
     """The positions of a list of coordinate arrays in a group with cyclic
     factor orders `orders` (order at most 2^31), `CHUNK` elements at a time.
-    A chunk that fails a check goes through `position` element by element,
-    so the first bad element raises exactly what `position` raises."""
+    A chunk is packed one column at a time when every array in it has
+    len(orders) values, each exactly an int; any other chunk goes through
+    `position` element by element, so the first bad element raises exactly
+    what `position` raises."""
     out = array(LANE)
     for start in range(0, len(elements), CHUNK):
         chunk = elements[start:start + CHUNK]
-        pos = _chunk_positions(chunk, orders)
-        out.extend(map(position, chunk) if pos is None else pos)
+        if (set(map(len, chunk)) <= {len(orders)}
+                and all_int(flat := list(chain.from_iterable(chunk)))):
+            out.extend(_column_positions(flat, orders, len(chunk)))
+        else:
+            out.extend(map(position, chunk))
     return out
 
 
@@ -166,7 +161,6 @@ def _shape(pattern: str) -> re.Pattern:
 #   {"generators": [{"kind": "permutation", "pairs": [PAIR, ...]}, ...]}
 _HEAD = _shape(r' \{ "generators" : \[ ')
 _SPEC = _shape(r'\{ "kind" : "permutation" , "pairs" : \[ ')
-_NO_SPECS = _shape(r'\] \} \Z')
 _NEXT = _shape(r' \} (?:(,) |\] \} \Z)')  # after a pairs array
 # A pair of int arrays ends in "]]" and its array in "]]]", so in a file
 # of that shape the first "]]]" ends the array and each "]]," ends a pair;
@@ -191,12 +185,11 @@ def table_positions(text: str, orders) -> list[array] | None:
     fall only at the array's commas, so when every slice holds pairs of
     int arrays of the group's rank, ``json.loads`` of the whole text gives
     the same pairs, and no element in them is bad.  Any other slice, or
-    any other text between the slices, gives None."""
+    any other text between the slices, gives None; so do a file with no
+    spec and an empty pairs array, which hold no pair to walk."""
     m = _HEAD.match(text)
     if m is None:
         return None
-    if _NO_SPECS.match(text, m.end()):
-        return []
     tables, i = [], m.end()
     while True:
         m = _SPEC.match(text, i)
@@ -216,8 +209,8 @@ def table_positions(text: str, orders) -> list[array] | None:
 
 
 def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
-    """The positions of the pairs array whose first pair (or closing
-    bracket) is at i, and the index just after the array; or None.
+    """The positions of the pairs array whose first pair is at i, and the
+    index just after the array; or None.
 
     A slice is read only when it is k pairs of arrays of r = len(orders)
     numbers, checked without decoding it:
@@ -234,9 +227,6 @@ def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
     other character), and no type pass is needed.  At rank 0 the skeleton
     keeps its digits, so a pair of empty arrays is all it takes, and there
     is nothing to decode."""
-    pos = array(LANE)
-    if text.startswith("]", i):
-        return pos, i + 1
     last = _LAST_PAIR.search(text, i)
     if last is None:
         return None
@@ -247,6 +237,7 @@ def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
     mark = str.maketrans("0123456789-d", "d" * 11 + "?", " \t\n\r")
     unmark = str.maketrans("", "", "d" if rank else "")
     unbracket = str.maketrans("[]", "  ")
+    pos = array(LANE)
     while True:
         cut = _PAIR_END.search(text, i + _SLICE, end)
         stop = end if cut is None else cut.start(1)

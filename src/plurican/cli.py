@@ -35,6 +35,7 @@ import re
 import sys
 from collections import deque
 from collections.abc import Iterator
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -87,7 +88,11 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (its subparsers
+    hold hundreds of objects in reference cycles) and shared by every
+    call: `parse_args` leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--workers", type=_integer, default=1,
@@ -203,29 +208,15 @@ def _parse_group(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(orders)
 
 
-def _table_positions(G: FiniteAbelianGroup, text: str):
-    """The positions of each table of the text of an ``--aut`` file of the
-    common shape (`_lanes.table_positions`), read without building a tree;
-    None for a text of any other shape, or a group of order above
-    ``torsion.MAX_ACTION_ORDER``: `_load_json` then parses the text, with
-    the same results and errors."""
-    from .torsion import MAX_ACTION_ORDER
-
-    if G.order > MAX_ACTION_ORDER:
-        return None
-    from . import _lanes
-
-    return _lanes.table_positions(text, G.cyclic_orders)
-
-
 def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     """The automorphisms of an ``--aut`` file.  A file whose generators
     would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
     refused before any action is built; on a group of order above
     ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead.
-    The file is read once.  A file of permutation tables of the common
-    shape is walked by `_table_positions`; any other goes through
-    `_load_json`, with the same results and errors."""
+    The file is read once.  On a group within that cap, a file of
+    permutation tables of the common shape is walked by
+    `_lanes.table_positions`; any other goes through `_load_json`, with the
+    same results and errors."""
     from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
     def check_entries(count: int) -> None:
@@ -238,7 +229,10 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
             )
 
     text = _read_text(path)
-    tables = _table_positions(G, text)
+    from . import _lanes  # after the read, which sets the command's peak
+
+    tables = (_lanes.table_positions(text, G.cyclic_orders)
+              if G.order <= MAX_ACTION_ORDER else None)
     data = None if tables is not None else _load_json(path, text)
     del text  # freed before any action is built
     if tables is not None:
@@ -589,12 +583,13 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     out = None  # an error before --out is parsed goes to stdout
-    # a command makes many containers and next to no cycles: the cyclic
-    # collector is paused until its document is written, then restored
+    # a command makes many containers and next to no cycles (the parser's
+    # are made once per process): the cyclic collector is paused until its
+    # document is written, then restored
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         out = args.out
         if args.workers < 1:
             raise MalformedInputError(
@@ -616,7 +611,8 @@ def _run(argv) -> int:
             # the process's own command line (`python -m plurican`, the
             # `plurican` script), which exits next: what is left is frozen,
             # as the collections at exit skip frozen objects (a scan of the
-            # 13,600 left by `check-arrangement` takes about 6 ms)
+            # 13,600 left by `check-arrangement` takes about 6 ms); an
+            # in-process caller's heap is its own, and is not frozen
             gc.freeze()
         if enabled:
             gc.enable()

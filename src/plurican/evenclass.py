@@ -51,12 +51,6 @@ class EvenSetType(Record):
     witness: Hyperplane | None
 
 
-# the two orbit representatives among totally even 8-point sets:
-# the affine chart (last coordinate = 1) and the exceptional configuration
-TYPE_I_REPRESENTATIVE = PointSet.from_codes(K, [c for c in range(1, 16) if c & 1])
-TYPE_II_REPRESENTATIVE = PointSet.from_codes(K, [1, 2, 4, 6, 8, 10, 12, 15])
-
-
 def enumerate_totally_even(size: int) -> list[PointSet]:
     """All totally even subsets of PG(3, F2) of the given cardinality.
 

@@ -12,12 +12,13 @@ Actions and table positions are computed one coordinate column at a time as
 built or a table read).  Lanes stay exact while every number fits in 32 bits and
 n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and table inside that.
 
-A permutation table is read one coordinate column at a time, in chunks of
-elements (`FiniteAbelianGroup.positions`): a bad element raises exactly the
-error `FiniteAbelianGroup.element` raises for it, and the first bad element
-in table order wins.  The per-element table, a 32-bit array, is allocated
-only once the number of pairs has reached the group order, so its size is
-bounded by the input, and its checks hold no Python int per element.
+A parsed permutation table is read one coordinate column at a time, in
+chunks of elements (`AutAction.from_table`, `_lanes.positions`): a bad
+element raises exactly the error `FiniteAbelianGroup.element` raises for it,
+and the first bad element in table order wins.  The per-element table, a
+32-bit array, is allocated only once the number of pairs has reached the
+group order, so its size is bounded by the input, and its checks hold no
+Python int per element.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ MAX_ACTION_ORDER = 1 << 20
 
 # Each generator of an automorphism file becomes an action of one entry per
 # group element, so `components --aut` refuses a file whose generators would
-# hold more entries than this in all, before it parses any of them.
+# hold more entries than this in all, before it builds any of them (a file's
+# tables are read first).
 MAX_ACTION_ENTRIES = 1 << 22
 
 
@@ -86,24 +88,6 @@ class FiniteAbelianGroup(Record):
         for x, n in zip(a, self.cyclic_orders):
             i = i * n + x
         return i
-
-    def positions(self, elements):
-        """The positions `index(element(a))` of a list of coordinate arrays
-        (lists or tuples), as an `array` of 32-bit lanes computed in chunks
-        one coordinate column at a time (`_lanes.positions`).  A group of
-        order above `MAX_ACTION_ORDER` is refused first.
-
-        The lengths and then each column's types are checked in bulk; when a
-        check fails, the elements go through `element` in order, so the
-        first bad one raises exactly what `element` raises for it.
-        """
-        def position(a) -> int:
-            return self.index(self.element(a))
-
-        _check_action_order(self)
-        from . import _lanes
-
-        return _lanes.positions(elements, self.cyclic_orders, position)
 
     def element_at(self, i: int) -> GroupElement:
         """The element at position i; inverse of `index`."""
@@ -230,8 +214,8 @@ class AutAction:
         A group of order above `MAX_ACTION_ORDER` is refused first, before
         anything is parsed.  Then every element and image is parsed, key
         before image and pair by pair, so the first bad array in table order
-        raises (see `positions`).  A later pair for the same element replaces
-        an earlier one.  Then, in order: defined on every element, a
+        raises (see `_lanes.positions`).  A later pair for the same element
+        replaces an earlier one.  Then, in order: defined on every element, a
         bijection, fixes 0, additive (the first element where the table leaves
         its additive extension is the `at` witness).  The position table is
         allocated only once there are at least as many pairs as group
@@ -244,7 +228,10 @@ class AutAction:
                 "permutation table must be an array of [element, image] pairs of "
                 "integer arrays"
             )
-        pos = group.positions(flat)
+        from . import _lanes
+
+        pos = _lanes.positions(flat, group.cyclic_orders,
+                               lambda a: group.index(group.element(a)))
         del flat  # a reference per coordinate array: freed before the table
         return cls._from_positions(group, pos)
 

@@ -15,7 +15,8 @@ The matrices of GL(k, F2) are listed by brute force, every row tuple of
 full rank (the package builds the group's permutation table by linearity
 and lists no matrix).
 
-It also holds the helpers that only tests call: listing the d-torsion,
+It also holds the helpers that only tests call: the two orbit
+representatives of the totally even census, listing the d-torsion,
 applying an automorphism to an element tuple and a matrix to a point, and
 writing an arrangement as its JSON input.  The package itself works on
 element positions and point permutations, and only reads arrangements.
@@ -27,10 +28,15 @@ from math import gcd, prod
 
 from plurican.arrangements import _key_json
 from plurican.errors import MalformedInputError, ValidationError
-from plurican.f2geom import F2Point
+from plurican.f2geom import F2Point, PointSet
 from plurican.glgroup import F2Matrix
 
 BURNSIDE_GROUP_CAP = 100_000
+
+# the two orbit representatives among totally even 8-point sets of PG(3, F2):
+# the affine chart (last coordinate = 1) and the exceptional configuration
+TYPE_I_REPRESENTATIVE = PointSet.from_codes(4, [c for c in range(1, 16) if c & 1])
+TYPE_II_REPRESENTATIVE = PointSet.from_codes(4, [1, 2, 4, 6, 8, 10, 12, 15])
 
 
 def parity(x: int) -> int:

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 from _oracles import (
-    _qw_add, _qw_inv, _qw_mul, _qw_sub, arrangement_to_json, is_rational,
-    leading_one_incidences,
+    TYPE_II_REPRESENTATIVE, _qw_add, _qw_inv, _qw_mul, _qw_sub, arrangement_to_json,
+    is_rational, leading_one_incidences,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plurican.errors import MalformedInputError, ValidationError
-from plurican.evenclass import TYPE_II_REPRESENTATIVE, EvenSetTag
+from plurican.evenclass import EvenSetTag
 from plurican.f2geom import F2Point
 from plurican.arrangements import (
     LabeledArrangement,

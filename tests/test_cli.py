@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import json
@@ -299,6 +300,29 @@ def test_only_the_own_command_line_freezes_what_is_left(capsys, monkeypatch):
     finally:
         gc.unfreeze()
     assert capsys.readouterr().out.count('"command": "catalog"') == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["invariants", "--surface", "campedelli", "--d", "2", "--m", "1"],
+    ["components", "--group", "2,2,2", "--d", "2"],
+])
+def test_a_second_command_leaves_no_parser_garbage(capsys, argv):
+    # the parser holds hundreds of objects in reference cycles; it is built
+    # once per process, so a command leaves none of them for the collector
+    assert main(argv) == 0
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what a collection finds goes to gc.garbage
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, argparse.ArgumentParser) or type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert left == []
 
 
 @pytest.mark.parametrize("label", [[True, 0, 0], [1.0, 0, 0], [0, 0.0, 1]])

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import complement_masks, null_space_count_by_weight
+from _oracles import (
+    TYPE_I_REPRESENTATIVE,
+    TYPE_II_REPRESENTATIVE,
+    complement_masks,
+    null_space_count_by_weight,
+)
 from plurican import evenclass, f2geom, glgroup
 from plurican.errors import ValidationError
 from plurican.evenclass import (
-    TYPE_I_REPRESENTATIVE,
-    TYPE_II_REPRESENTATIVE,
     EvenSetTag,
     EvenSetType,
     classify_type,

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import complement_masks, enumerate_gl, fixed_set_total, matrix_apply
+from _oracles import (
+    TYPE_I_REPRESENTATIVE,
+    TYPE_II_REPRESENTATIVE,
+    complement_masks,
+    enumerate_gl,
+    fixed_set_total,
+    matrix_apply,
+)
 from plurican import glgroup
 from plurican.errors import ValidationError
-from plurican.evenclass import TYPE_I_REPRESENTATIVE, TYPE_II_REPRESENTATIVE
 from plurican.f2geom import F2Point, PointSet, is_totally_even
 from plurican.glgroup import (
     F2Matrix,

@@ -372,7 +372,11 @@ def test_from_table_matches_element_by_element_oracle(orders, data):
         if pairs:
             _inject(fault, pairs, orders, data.draw)
     expected = _outcome(table_positions_oracle, G, pairs)
-    assert _outcome(lambda: tuple(AutAction.from_table(G, pairs).perm)) == expected
+    # chunks of 1, 2 and 3 elements put a chunk boundary next to every fault
+    for chunk in (1, 2, 3, _lanes.CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_lanes, "CHUNK", chunk)
+            assert _outcome(lambda: tuple(AutAction.from_table(G, pairs).perm)) == expected
 
 
 def test_lanes_at_the_action_cap():
@@ -413,7 +417,7 @@ def test_zero_coordinates_repeat_the_column():
 def test_positions_of_groups_beyond_the_action_cap(orders):
     G = FiniteAbelianGroup(orders)
     with pytest.raises(ValidationError) as err:
-        G.positions([[0] * len(orders), [n - 1 for n in orders]])
+        AutAction.from_table(G, [[[0] * len(orders), [n - 1 for n in orders]]])
     assert err.value.details == {"order": G.order, "limit": torsion.MAX_ACTION_ORDER}
 
 
