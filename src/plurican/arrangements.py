@@ -16,6 +16,13 @@ integers and the key is its primitive multiple, with every b written as 0;
 any other pair takes the product over Z[omega].  Genericity is never
 assumed: the incidence report states the actual multiplicities.
 
+Every key has one shape: the coordinates before its lead are 0 and the
+lead coordinate is (L, 0) with L > 0, so b0 is always 0.  Points are ordered
+by lead position (a2, then a1, then a0), then by the entries after the lead
+coordinate: the lexicographic order of their leading-1 coordinates.  Keys
+are unique per line and `LabeledArrangement` refuses equal lines, so no two
+lines of an arrangement have a zero cross product, and none is checked.
+
 A coefficient a + b*omega appears as such only at input, where
 `ProjLine(coeffs)` takes an (a, b) pair of ints or Fractions (or a plain a),
 and in the derived leading-1 `ProjLine.coeffs`, (a, b) pairs of Fractions;
@@ -84,13 +91,6 @@ def _canonical(vec) -> tuple[int, ...] | None:
     return tuple(x // g for x in key)
 
 
-def _leading_one(key) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The coordinates key / lead, lead > 0 the first nonzero entry, as
-    (a, b) pairs."""
-    lead = next(x for x in key if x)
-    return tuple((Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2]))
-
-
 class ProjLine(Record):
     """A projective line, stored as the canonical key of its coefficients.
 
@@ -113,8 +113,10 @@ class ProjLine(Record):
     @property
     def coeffs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The coefficients normalized so that the first nonzero one is 1,
-        as (a, b) pairs."""
-        return _leading_one(self.vec)
+        as (a, b) pairs: key / lead, the lead coordinate of the key (lead, 0)."""
+        key = self.vec
+        lead = key[0] or key[2] or key[4]
+        return tuple((Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2]))
 
     def __repr__(self):
         return f"ProjLine{self.coeffs}"
@@ -185,15 +187,16 @@ class LabeledArrangement(Record):
 # for generic rational lines with 7-bit coefficients (peak RSS of a cold
 # `plurican incidences`, Python 3.11: 300 lines 41 MB, 400 lines 58 MB), so
 # more lines than this are refused before any pair is formed; at the cap,
-# 179700 pairs take about 0.12 GB.
+# 179700 pairs take about 0.11 GB.
 MAX_INCIDENCE_LINES = 600
 
 # Each bit of the longest canonical line entry adds about 2.5 bytes of peak
 # RSS per pair (cold `plurican incidences`, generic lines, 300 / 400 lines:
 # over Q 7 bits 41 / 58 MB, 127 bits 57 / 82 MB; over Q(omega) 126 bits
 # 90 / 134 MB, the points array written as it is made), so longer entries
-# are refused before any pair is formed; at both caps, 600 lines take about
-# 0.17 GB over Q and 0.29 GB over Q(omega).
+# are refused before any pair is formed; at both caps, 600 generic lines
+# with 127-128-bit entries take about 0.15 GB over Q and 0.21 GB over
+# Q(omega) (150 and 209 MB, Python 3.11).
 MAX_COEFFICIENT_BITS = 128
 
 
@@ -206,8 +209,11 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     primitive multiple with first nonzero entry positive, every b written
     as 0.  Any other pair meets by the product over Z[omega] and
     `_canonical`.  The leading-1 coordinates of a point are key / lead,
-    lead > 0 the first nonzero entry of the key.  Points are listed in
-    lexicographic order of those coordinates, (a, b) per coordinate.
+    lead > 0 the first nonzero entry of the key (b0 = 0, and the lead
+    coordinate is (lead, 0)).  Points are listed in lexicographic order of
+    those coordinates, (a, b) per coordinate: by lead position, then by the
+    entries after the lead coordinate.  The lines are distinct, so no pair
+    is checked for a zero cross product.
 
     An arrangement of more than `MAX_INCIDENCE_LINES` lines, or whose
     canonical line vectors hold an entry of more than `MAX_COEFFICIENT_BITS`
@@ -232,9 +238,13 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     by_key: dict[tuple[int, ...], list[int]] = {}
     # (index, vector, whether every b is 0) per line; the lists of line
     # indices share these index objects instead of holding one int per pair
-    rows = [(i, vec, not (vec[1] or vec[3] or vec[5])) for i, vec in enumerate(vecs)]
-    for i, (u0, u0b, u1, u1b, u2, u2b), u_rational in rows:
-        for j, (v0, v0b, v1, v1b, v2, v2b), v_rational in rows[i + 1:]:
+    rows = [(i, vec, not (vec[3] or vec[5])) for i, vec in enumerate(vecs)]
+    # A canonical key has b0 = 0, so only b1 and b2 are read.  The lines are
+    # distinct and a key is unique per line, so no cross product is 0 and
+    # none is checked: were one 0, the division by g = 0 or the None key
+    # would end in exit 3, a fault of the program, not a verdict on input.
+    for i, (u0, _, u1, u1b, u2, u2b), u_rational in rows:
+        for j, (v0, _, v1, v1b, v2, v2b), v_rational in rows[i + 1:]:
             # the cross product over Z[omega], omega^2 = -1 - omega: x, y, z
             # are its a parts when every b is 0
             x = u1 * v2 - u2 * v1
@@ -246,18 +256,13 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
                 g = gcd(x, y, z)
                 if (x or y or z) < 0:
                     g = -g
-                key = g and (x // g, 0, y // g, 0, z // g, 0)
+                key = (x // g, 0, y // g, 0, z // g, 0)
             else:
                 key = _canonical((
                     x - u1b * v2b + u2b * v1b,
                     u1 * v2b + u1b * v2 - u1b * v2b - u2 * v1b - u2b * v1 + u2b * v1b,
-                    y - u2b * v0b + u0b * v2b,
-                    u2 * v0b + u2b * v0 - u2b * v0b - u0 * v2b - u0b * v2 + u0b * v2b,
-                    z - u0b * v1b + u1b * v0b,
-                    u0 * v1b + u0b * v1 - u0b * v1b - u1 * v0b - u1b * v0 + u1b * v0b,
+                    y, u2b * v0 - u0 * v2b, z, u0 * v1b - u1b * v0,
                 ))
-            if not key:
-                raise ValidationError("lines coincide; no unique intersection")
             through = by_key.get(key)
             if through is None:
                 by_key[key] = [i, j]
@@ -266,13 +271,14 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     # Distinct fractions x / L and y / M with L, M <= max lead differ by at
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
-    # The lead of a key is its first nonzero entry, a0, a1 or a2: the
-    # leading coordinate of a key is (lead, 0).
+    # The lead of a key, at a0, a1 or a2, leads the coordinate (lead, 0)
+    # after zeros only, so keys sort by lead position, 4 before 2 before 0,
+    # then by the entries after the lead coordinate.
     shift = 2 * max(key[0] or key[2] or key[4] for key in by_key).bit_length() + 1
 
     def sort_key(key):
-        lead = key[0] or key[2] or key[4]
-        return [(x << shift) // lead for x in key]
+        k = 0 if key[0] else 2 if key[2] else 4
+        return [-k, *[(x << shift) // key[k] for x in key[k + 2:]]]
 
     order = sorted(by_key, key=sort_key)
     points = tuple((key, tuple(by_key[key])) for key in order)
@@ -502,11 +508,11 @@ def _point_chunks(points):
 def _point_texts(points):
     for key, lines in points:
         indices = ",\n        ".join(map(str, lines))
-        a0, b0, a1, b1, a2, b2 = key
+        a0, _, a1, b1, a2, b2 = key  # b0 is 0
         lead = a0 or a1 or a2  # as in `compute_incidences` and `_key_json`
-        if b0 or b1 or b2:
+        if b1 or b2:
             coords = []
-            for a, b in ((a0, b0), (a1, b1), (a2, b2)):
+            for a, b in ((a0, 0), (a1, b1), (a2, b2)):
                 g = gcd(a, lead)
                 if b:
                     h = gcd(b, lead)

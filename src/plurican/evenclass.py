@@ -137,7 +137,9 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     independent Burnside recount agrees with the partition.  Both read the
     GL(4, 2) permutation table directly, and the constancy check compares
     each set's type with that of its orbit, looked up in the census's orbit
-    index.  ``workers`` is validated and otherwise unused: the work is
+    index.  ``profile_separates_orbits`` reports whether the hyperplane
+    profile is constant on each orbit and differs between orbits.
+    ``workers`` is validated and otherwise unused: the work is
     single-process.
     """
     # only the census needs the group: classify_type alone loads neither
@@ -164,15 +166,8 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
             )
 
     # re-classify every set and compare with the type of its orbit
-    perclass_ok = True
     for s in sets:
         tag = classify_type(s).tag
-        profile = hyperplane_profile(s)
-        expected = EvenSetTag.TYPE_I if 0 in profile else (
-            EvenSetTag.TYPE_II if 6 in profile else None
-        )
-        if expected is not tag:
-            perclass_ok = False
         idx = orbit_of[s.mask]
         if tag is not orbit_types[idx]:
             _fail(
@@ -180,6 +175,11 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
                 representative=pointset_to_json(census.orbits[idx].representative),
                 tags=sorted({tag.value, orbit_types[idx].value}),
             )
+
+    # the profile separates the orbits when (orbit, profile) pairs match one
+    # profile to each orbit and one orbit to each profile
+    profiles = {(orbit_of[s.mask], hyperplane_profile(s)) for s in sets}
+    separates = len(profiles) == len({i for i, _ in profiles}) == len({p for _, p in profiles})
 
     type_i = [o for o, tag in zip(census.orbits, orbit_types) if tag is EvenSetTag.TYPE_I]
     if len(type_i) != 1 or type_i[0].size != 15:
@@ -193,5 +193,5 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
         census=census,
         orbit_types=orbit_types,
         burnside_orbit_count=burnside,
-        profile_separates_orbits=perclass_ok,
+        profile_separates_orbits=separates,
     )

@@ -7,9 +7,10 @@ decided by exhaustive search over all elements, automorphism orbits are
 recounted by Burnside's lemma over the whole generated group (the package
 merges orbits by union-find), invariant factors come from prime-power
 decompositions, arrangement points are grouped by their leading-1
-Fraction coordinates (the package groups by primitive integer keys), and a
-permutation table is read element by element into a dict (the package reads
-whole coordinate columns into a position list).
+Fraction coordinates (the package groups by primitive integer keys) and
+ordered by quotients of all six key entries (the package sorts by lead
+position), and a permutation table is read element by element into a dict
+(the package reads whole coordinate columns into a position list).
 
 The matrices of GL(k, F2) are listed by brute force, every row tuple of
 full rank (the package builds the group's permutation table by linearity
@@ -328,6 +329,19 @@ def leading_one_incidences(lines) -> dict:
             for point, idx in sorted(by_point.items())
         ],
     }
+
+
+def whole_key_order(keys) -> list:
+    """Canonical point keys in lexicographic order of their leading-1
+    coordinates, compared as floor(x * 2^shift / lead) over all six entries
+    of a key, 2^shift > 2 * max_lead^2, lead the first nonzero entry."""
+    shift = 2 * max(key[0] or key[2] or key[4] for key in keys).bit_length() + 1
+
+    def sort_key(key):
+        lead = key[0] or key[2] or key[4]
+        return [(x << shift) // lead for x in key]
+
+    return sorted(keys, key=sort_key)
 
 
 def is_rational(line) -> bool:

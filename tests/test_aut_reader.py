@@ -158,6 +158,9 @@ FIXED = {
     # 5 x 2^20 entries, above MAX_ACTION_ENTRIES = 2^22
     "over-the-entry-cap": (",".join(["2"] * 20), document(*[permutation([])] * 5)),
     "over-the-order-cap": ("2097152", document(permutation([[[0], [0]]]))),
+    # x -> 2x on Z/5, the images 1 -> 7, 3 -> 6, 4 -> 8 written past the order
+    "images-past-the-order": ("5", document(permutation(
+        [[[x], [y]] for x, y in enumerate([0, 7, 4, 6, 8])]))),
 }
 
 
@@ -188,11 +191,18 @@ def test_non_json_whitespace_is_malformed_input(case):
 
 
 @pytest.mark.parametrize("slice_size", SLICES)
+def test_images_past_the_order_are_reduced(slice_size):
+    code, _, gens = both_paths(*FIXED["images-past-the-order"], slice_size)
+    assert code == 0
+    assert [tuple(perm) for perm in gens] == [(0, 2, 4, 1, 3)]
+
+
+@pytest.mark.parametrize("slice_size", SLICES)
 def test_valid_cases_take_the_walk(tmp_path, monkeypatch, slice_size):
     monkeypatch.setattr(_lanes, "_SLICE", slice_size)
     for case in ["base", "crlf", "cr", "negative", "minus-zero", "past-2^32", "4300-digits",
                  "spaced-cuts", "tab-indent", "two-permutations", "trivial-group",
-                 "rank-0-pairs"]:
+                 "rank-0-pairs", "images-past-the-order"]:
         group, text = FIXED[case]
         path = tmp_path / f"{case}.json"
         path.write_bytes(text.encode("utf-8"))

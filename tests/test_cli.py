@@ -397,6 +397,17 @@ def test_check_arrangement_bad_json(capsys, tmp_path):
     assert data["error"]["kind"] == "malformed-input"
 
 
+def test_check_arrangement_one_labelled_line(capsys, tmp_path):
+    # a labelled arrangement of one line builds; no mode fits one line
+    data = {"field": "Q", "lines": [[1, 2, 3]], "labels": [[1, 0, 1]]}
+    arr = arrangements.load_arrangement(data)
+    assert len(arr.lines) == 1 and [lab.coords for lab in arr.labels] == [(1, 0, 1)]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    error = run_cli_malformed(capsys, "check-arrangement", str(path))["error"]
+    assert error["message"] == "cannot infer mode for 1 lines; pass --mode"
+
+
 def test_incidences_dual_hesse(capsys):
     code, data = run_cli(capsys, "incidences", fixture_path("dual-hesse.json"))
     assert code == 0

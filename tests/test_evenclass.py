@@ -104,6 +104,18 @@ def test_verify_report_shape(lemma_report):
     assert sizes == [15, N8 - 15]
 
 
+# stand-in profiles: shifted by 1 (constant per orbit, no 0 and no 6), one
+# for every set (the orbits share it), and the set itself (not constant)
+@pytest.mark.parametrize("profile,separates", [
+    (lambda s: tuple(x + 1 for x in hyperplane_profile(s)), True),
+    (lambda s: (4,), False),
+    (lambda s: (s.mask,), False),
+])
+def test_profile_separates_orbits_is_the_named_property(monkeypatch, profile, separates):
+    monkeypatch.setattr(evenclass, "hyperplane_profile", profile)
+    assert verify_lemma_ev().profile_separates_orbits is separates
+
+
 def test_verify_report_types(lemma_report):
     by_type = {
         tag: orbit
