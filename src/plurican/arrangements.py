@@ -23,19 +23,22 @@ coordinate: the lexicographic order of their leading-1 coordinates.  Keys
 are unique per line and `LabeledArrangement` refuses equal lines, so no two
 lines of an arrangement have a zero cross product, and none is checked.
 
-A coefficient a + b*omega appears as such only at input, where
-`ProjLine(coeffs)` takes an (a, b) pair of ints or Fractions (or a plain a),
-and in the derived leading-1 `ProjLine.coeffs`, (a, b) pairs of Fractions;
-no field arithmetic is done on them.  An incidence report is a value: its
-points are (key, lines) pairs of integer tuples, and JSON output is written
-from those integers directly (`_key_json`, and `_points_json` for the
-`points` array of the command line).
+A coefficient a + b*omega appears as such only at input and in the
+derived leading-1 `ProjLine.coeffs`; no field arithmetic is done on it.
+JSON coefficients are read as integer (num, den) pairs, which `_line_vec`
+scales by the lcm of their denominators into an integer vector.  `Fraction`
+appears only at the library boundary, and `fractions` is imported only
+there: `ProjLine(coeffs)` takes an (a, b) pair of ints or Fractions (or a
+plain a), and `ProjLine.coeffs` returns (a, b) pairs of Fractions.  An
+incidence report is a value: its points are (key, lines) pairs of integer
+tuples, and JSON output is written from those integers directly
+(`_key_json`, and `_points_json` for the `points` array of the command
+line).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from typing import TYPE_CHECKING
@@ -44,6 +47,8 @@ from .errors import MalformedInputError, Record, ValidationError, digit_limit_er
 from .f2geom import F2Point, PointSet, is_totally_even
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .evenclass import EvenSetType
 
 __all__ = [
@@ -59,36 +64,57 @@ __all__ = [
 ]
 
 
-def _rational(x) -> Fraction:
-    if type(x) is Fraction:  # immutable, so kept as is
-        return x
-    if is_int(x) or isinstance(x, Fraction):
-        return Fraction(x)
+def _rational(x) -> tuple[int, int]:
+    """A component of a library coefficient, an int or a Fraction, as its
+    (numerator, denominator) pair."""
+    if is_int(x):
+        return x, 1
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise ValidationError(f"coefficient components must be integers or Fractions, got {x!r}")
+
+
+def _line_vec(parts) -> tuple[int, ...]:
+    """The canonical key of the line whose six components a0, b0, a1, b1,
+    a2, b2 are the rationals num / den of ``parts``, (num, den) integer
+    pairs with den != 0, reduced or not: the components times the lcm of
+    the denominators, an integer vector, made canonical."""
+    den = lcm(*(d for _, d in parts))
+    vec = _canonical([n * (den // d) for n, d in parts])
+    if vec is None:
+        raise ValidationError("coefficient vector is zero")
+    return vec
 
 
 def _canonical(vec) -> tuple[int, ...] | None:
     """The canonical key of a projective vector over Z[omega], or None for
     the zero vector.
 
-    The vector is multiplied by the conjugate (a - b) - b*omega of its
-    leading coordinate, which becomes the norm a^2 - ab + b^2 > 0; the 6
-    integers are then divided by their gcd.  Proportional vectors get the
-    same key.  A rational vector keeps every b = 0 and gets its primitive
-    integer multiple with first nonzero entry positive.
+    The vector is multiplied by the conjugate (p - q) - q*omega of its
+    leading coordinate p + q*omega, which becomes the norm p^2 - pq + q^2 > 0,
+    and (a, b) becomes (a(p - q) + bq, bp - aq); the integers are then
+    divided by their gcd.  Proportional vectors get the same key.  A
+    rational vector keeps every b = 0 and gets its primitive integer
+    multiple with first nonzero entry positive.  A lead at a2 always gives
+    the key of (0 : 0 : 1).
     """
-    k = 0
-    while k < 6 and vec[k] == 0 and vec[k + 1] == 0:
-        k += 2
-    if k == 6:
-        return None
-    ca, cb = vec[k] - vec[k + 1], -vec[k + 1]
-    key = [0] * k
-    for m in range(k, 6, 2):
-        a, b = vec[m], vec[m + 1]
-        key += (a * ca - b * cb, a * cb + b * ca - b * cb)
-    g = gcd(*key)
-    return tuple(x // g for x in key)
+    a0, b0, a1, b1, a2, b2 = vec
+    if a0 or b0:
+        c = a0 - b0
+        n, x1, y1 = a0 * c + b0 * b0, a1 * c + b1 * b0, b1 * a0 - a1 * b0
+        x2, y2 = a2 * c + b2 * b0, b2 * a0 - a2 * b0
+        g = gcd(n, x1, y1, x2, y2)
+        return (n // g, 0, x1 // g, y1 // g, x2 // g, y2 // g)
+    if a1 or b1:
+        c = a1 - b1
+        n, x2, y2 = a1 * c + b1 * b1, a2 * c + b2 * b1, b2 * a1 - a2 * b1
+        g = gcd(n, x2, y2)
+        return (0, 0, n // g, 0, x2 // g, y2 // g)
+    if a2 or b2:
+        return (0, 0, 0, 0, 1, 0)
+    return None
 
 
 class ProjLine(Record):
@@ -104,16 +130,21 @@ class ProjLine(Record):
         parts = [_rational(x) for c in pairs for x in c]
         if len(pairs) != 3:
             raise ValidationError(f"expected 3 coefficients, got {len(pairs)}")
-        den = lcm(*(x.denominator for x in parts))
-        vec = _canonical([x.numerator * (den // x.denominator) for x in parts])
-        if vec is None:
-            raise ValidationError("coefficient vector is zero")
-        super().__init__(vec)
+        super().__init__(_line_vec(parts))
+
+    @classmethod
+    def _of_parts(cls, parts) -> ProjLine:
+        """The line of the six (num, den) integer pairs of `_line_vec`."""
+        line = cls.__new__(cls)
+        Record.__init__(line, _line_vec(parts))
+        return line
 
     @property
     def coeffs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The coefficients normalized so that the first nonzero one is 1,
         as (a, b) pairs: key / lead, the lead coordinate of the key (lead, 0)."""
+        from fractions import Fraction
+
         key = self.vec
         lead = key[0] or key[2] or key[4]
         return tuple((Fraction(a, lead), Fraction(b, lead)) for a, b in zip(key[::2], key[1::2]))
@@ -195,8 +226,9 @@ MAX_INCIDENCE_LINES = 600
 # over Q 7 bits 41 / 58 MB, 127 bits 57 / 82 MB; over Q(omega) 126 bits
 # 90 / 134 MB, the points array written as it is made), so longer entries
 # are refused before any pair is formed; at both caps, 600 generic lines
-# with 127-128-bit entries take about 0.15 GB over Q and 0.21 GB over
-# Q(omega) (150 and 209 MB, Python 3.11).
+# with 127-128-bit entries (each drawn from +-[2^126, 2^128), the first
+# coordinate rational) take about 0.13 GB over Q and 0.28 GB over Q(omega)
+# (134 and 279 MB, Python 3.11).
 MAX_COEFFICIENT_BITS = 128
 
 
@@ -272,16 +304,48 @@ def compute_incidences(arr: LabeledArrangement) -> IncidenceReport:
     # least 1 / max_lead^2, so floor(x * 2^shift / L) with 2^shift >
     # 2 * max_lead^2 orders the coordinates exactly, using integers only.
     # The lead of a key, at a0, a1 or a2, leads the coordinate (lead, 0)
-    # after zeros only, so keys sort by lead position, 4 before 2 before 0,
-    # then by the entries after the lead coordinate.
+    # after zeros only, so keys sort by lead position, a2 before a1 before
+    # a0, then by the entries after the lead coordinate.
     shift = 2 * max(key[0] or key[2] or key[4] for key in by_key).bit_length() + 1
+    # Each key sorts as one int: its lead position's rank (0 for a2, 1 for
+    # a1, 2 for a0) above the fields of the entries after its lead
+    # coordinate, from the top, each floor(x * 2^shift / lead) + 2^(width -
+    # 1) in `width` bits, and 0 where a key has fewer entries; a b field
+    # takes no bits when every line is rational, as every b is then 0.  Here
+    # x / lead is a component of P_i / P_k, for the cross product P = u x v
+    # over Z[omega], k the lead position and i > k, so P_i = +-(u0 v_j -
+    # u_j v0) for some j.  With T = 2^bits - 1: |u0|, |v0| <= T (b0 = 0),
+    # |u_j|, |v_j| <= sqrt(3) T, so |P_i| <= 2 sqrt(3) T^2; |P_k| >= 1; and
+    # a component of a + b*omega is at most 2 / sqrt(3) times its absolute
+    # value.  So |x / lead| <= 4 T^2 < 2^R for R = 2 bits + 2, and <= 2 T^2
+    # < 2^R for R = 2 bits + 1 when every line is rational; a field lies in
+    # [0, 2^width) for width = R + shift + 1, and comparing the ints compares
+    # rank, then fields, lexicographically.
+    rational = all(u_rational for *_, u_rational in rows)
+    width = 2 * bits + (2 if rational else 3) + shift
+    half = 1 << (width - 1)
+    b_width, b_half = (0, 0) if rational else (width, half)
+    # the lowest bit of each field of an a0 lead, b2 at 0; an a1 lead puts
+    # its a2 and b2 where an a0 lead puts a1 and b1
+    at_a2 = b_width
+    at_b1 = at_a2 + width
+    at_a1 = at_b1 + b_width
+    rank = at_a1 + width
+    top1 = (1 << rank) + (half << at_a1) + (b_half << at_b1)
+    top0 = (2 << rank) + (half << at_a1) + (b_half << at_b1) + (half << at_a2) + b_half
 
     def sort_key(key):
-        k = 0 if key[0] else 2 if key[2] else 4
-        return [-k, *[(x << shift) // key[k] for x in key[k + 2:]]]
+        a0, _, a1, b1, a2, b2 = key
+        if a0:
+            return (top0 + ((a1 << shift) // a0 << at_a1) + ((b1 << shift) // a0 << at_b1)
+                    + ((a2 << shift) // a0 << at_a2) + (b2 << shift) // a0)
+        if a1:
+            return top1 + ((a2 << shift) // a1 << at_a1) + ((b2 << shift) // a1 << at_b1)
+        return 0
 
     order = sorted(by_key, key=sort_key)
-    points = tuple((key, tuple(by_key[key])) for key in order)
+    # each list of line indices is freed as its tuple is made
+    points = tuple((key, tuple(by_key.pop(key))) for key in order)
     histogram = tuple(sorted(Counter(len(lines) for _, lines in points).items()))
     return IncidenceReport(points=points, histogram=histogram, line_count=len(lines))
 
@@ -404,34 +468,34 @@ def analyze_extension(arr: LabeledArrangement) -> ExtensionReport:
 # (errors.is_int): booleans and floats are rejected, not coerced.
 
 
-def _fraction_from_json(value) -> Fraction:
+def _rational_from_json(value) -> tuple[int, int]:
     if is_int(value):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, list) and len(value) == 2 and all(map(is_int, value)):
         if value[1] == 0:
             raise MalformedInputError(f"zero denominator in {value!r}")
-        return Fraction(value[0], value[1])
+        return value[0], value[1]
     raise MalformedInputError(f"cannot parse rational {value!r}")
 
 
-_ZERO = Fraction(0)
+_ZERO = (0, 1)
 
 
-def _scalar_from_json(value, allow_omega: bool) -> tuple[Fraction, Fraction]:
+def _scalar_from_json(value, allow_omega: bool) -> tuple[tuple[int, int], tuple[int, int]]:
     if is_int(value):
-        return Fraction(value), _ZERO
+        return (value, 1), _ZERO
     if not isinstance(value, list):
         raise MalformedInputError(f"cannot parse coefficient {value!r}")
     if len(value) == 2 and all(map(is_int, value)):
-        return _fraction_from_json(value), _ZERO
+        return _rational_from_json(value), _ZERO
     if len(value) == 1:
-        return _fraction_from_json(value[0]), _ZERO
+        return _rational_from_json(value[0]), _ZERO
     if len(value) == 2:
         if not allow_omega:
             raise MalformedInputError(
                 "omega component present but field is Q; use field Q(omega)"
             )
-        return _fraction_from_json(value[0]), _fraction_from_json(value[1])
+        return _rational_from_json(value[0]), _rational_from_json(value[1])
     raise MalformedInputError(f"cannot parse coefficient {value!r}")
 
 
@@ -463,8 +527,9 @@ _POINT_A = _POINT.replace("%s", _COORD_A, 3)
 
 
 # points joined into one chunk of `_points_json`; a chunk of the 150
-# benchmark tangents is about 1.4 MB of text
-_CHUNK_POINTS = 4096
+# benchmark tangents is about 85 KB of text, held as a list, a joined string
+# and encoded bytes at once, which stays below the peak of `compute_incidences`
+_CHUNK_POINTS = 256
 
 
 def _points_json(points):
@@ -540,7 +605,8 @@ def load_arrangement(data: dict) -> LabeledArrangement:
     for raw in raw_lines:
         if not isinstance(raw, list) or len(raw) != 3:
             raise MalformedInputError(f"line must have 3 coefficients, got {raw!r}")
-        lines.append(ProjLine(tuple(_scalar_from_json(c, fld == "Q(omega)") for c in raw)))
+        parts = [x for c in raw for x in _scalar_from_json(c, fld == "Q(omega)")]
+        lines.append(ProjLine._of_parts(parts))
     labels: list[F2Point] = []
     if data.get("labels") is not None:
         if not isinstance(data["labels"], list):

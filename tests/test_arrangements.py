@@ -1,8 +1,6 @@
 import io
 import json
-import sys
 import tempfile
-import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +20,7 @@ from plurican.errors import MalformedInputError, ValidationError
 from plurican.evenclass import EvenSetTag
 from plurican.f2geom import F2Point
 from plurican.arrangements import (
+    MAX_COEFFICIENT_BITS,
     LabeledArrangement,
     ProjLine,
     _canonical,
@@ -506,6 +505,35 @@ def test_points_sort_as_by_whole_keys(arr):
     assert keys == whole_key_order(keys)
 
 
+# Arrangements at the 128-bit cap on line entries, T = 2^128 - 1, with the
+# axes x = 0 and y = 0 for points whose lead is at a1 and a2.  Over Q, two
+# pairs of lines meet in points (1 : -2T : 2T^2 - T) and (1 : -(2T^2 - T) :
+# -2T), whose entries after the lead reach 2^(2 * 128) (the largest an entry
+# over its lead can be is 2 T^2); over Q(omega), the pairs meet where
+# an entry over the lead is about +4 T^2 and -4 T^2, the largest there is.
+T = 2**128 - 1
+CAP_LINES = {
+    "Q": [(1, 0, 0), (0, 1, 0), (T, -(T - 1), -1), (T, T, 1), (T, 1, -(T - 1)), (T, -1, T),
+          (2**127, -T, T - 2)],
+    "Q(omega)": [(1, 0, 0), (0, 1, 0), (T, -1, (-T, T)), (T, 1, (T, -T + 1)),
+                 (T, (-T, T), 1), (T, (T, -T + 1), -1), (2**127, (-T, 1), (T - 2, T))],
+}
+
+
+@pytest.mark.parametrize("field,bound", [("Q", 2 * 128), ("Q(omega)", 2 * 128 + 1)])
+def test_points_sort_as_by_whole_keys_at_the_caps(field, bound):
+    arr = LabeledArrangement(tuple(map(ProjLine, CAP_LINES[field])))
+    assert max(x.bit_length() for line in arr.lines for x in line.vec) == MAX_COEFFICIENT_BITS
+    assert all(is_rational(line) for line in arr.lines) == (field == "Q")
+    keys = [key for key, _ in compute_incidences(arr).points]
+    assert {next(i for i, x in enumerate(key) if x) for key in keys} == {0, 2, 4}
+    # entries after the lead, over the lead: negative ones, and some past
+    # 2^bound, the top binade of what the sort key's fields hold
+    ratios = [x / (key[0] or key[2] or key[4]) for key in keys for x in key]
+    assert min(ratios) < -(2**bound) and max(ratios) > 2**bound
+    assert keys == whole_key_order(keys)
+
+
 def test_reports_are_values():
     arr = load_arrangement(fixture("dual-hesse.json"))
     report = compute_incidences(arr)
@@ -527,44 +555,6 @@ def tangent_lines(count: int) -> dict:
     """Tangents 2t x - y - t^2 = 0 to the parabola y = x^2 at t = 1..count:
     no three meet, so every pair gives its own point."""
     return {"field": "Q", "lines": [[2 * t, -1, -t * t] for t in range(1, count + 1)]}
-
-
-class Sink:
-    """A stdout that keeps only the number of characters written, in all
-    and in its longest write."""
-
-    def __init__(self):
-        self.size = self.longest = 0
-
-    def write(self, text):
-        self.size += len(text)
-        self.longest = max(self.longest, len(text))
-
-    def flush(self):
-        pass
-
-
-# tracemalloc peak of `incidences` on 150 tangents (11175 points, 3.8 MB of
-# text), Python 3.11, its modules already imported: 5.9 MB when the points
-# array is written to stdout 4096 points at a time, 10.7 MB when its whole
-# text is joined first, 35.8 MB when each point is a dict for `json.dumps`
-PEAK_BOUND = 7_000_000
-
-
-def test_incidences_peak_memory(tmp_path, monkeypatch):
-    path = tmp_path / "tangents.json"
-    path.write_text(json.dumps(tangent_lines(150)), encoding="utf-8")
-    sink = Sink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        assert main(["incidences", str(path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.size > 3_500_000
-    assert sink.longest <= sink.size // 2
-    assert peak < PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("omega", [False, True])
@@ -726,3 +716,26 @@ def test_arrangement_json_rejections():
     ):
         with pytest.raises(MalformedInputError):
             load_arrangement({"field": field, "lines": [[coeff, 0, 1], [0, 1, 0]]})
+
+
+@pytest.mark.parametrize("pair", [[1, -2], [2, 4], [-3, -6]])
+def test_json_rationals_give_the_lines_of_library_fractions(pair):
+    # a negative or unreduced denominator in JSON, read as an integer pair,
+    # gives the line that ProjLine gives for the same Fraction
+    value = Fraction(*pair)
+    third = Fraction(5, 7)
+    for field, coeff, scalar in (
+        ("Q", pair, (value, 0)),
+        ("Q", [pair], (value, 0)),
+        ("Q(omega)", [[1, 3], pair], (Fraction(1, 3), value)),
+        ("Q(omega)", [pair, pair], (value, value)),
+    ):
+        for raw, coeffs in (
+            ([1, coeff, [[5, 7]]], (1, scalar, third)),
+            ([coeff, 2, [5, 7]], (scalar, 2, third)),
+        ):
+            line = load_arrangement({"field": field, "lines": [raw, [0, 1, 0]]}).lines[0]
+            assert line == ProjLine(coeffs)
+            assert all(type(x) is Fraction for c in line.coeffs for x in c)
+    line = load_arrangement({"field": "Q", "lines": [[1, pair, [5, 7]], [0, 1, 0]]}).lines[0]
+    assert line.coeffs == ((1, 0), (value, 0), (third, 0))

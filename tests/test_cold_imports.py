@@ -6,8 +6,10 @@ first.  Here each command line runs in a new ``python -c`` through
 `plurican.cli.main`: its stdout must match the golden capture where one
 exists, and the ``plurican`` modules in ``sys.modules`` at exit must be
 exactly the listed ones, and no command may load ``dataclasses`` (about 13 ms
-of a cold start).  ``array`` is watched too: only a command that builds an
-automorphism action loads it, with the lane helpers of ``plurican._lanes``.
+of a cold start) or ``fractions`` and the ``decimal`` it loads (line
+arrangements read JSON coefficients as integer pairs; `Fraction` is for
+library callers only).  ``array`` is watched too: only a command that builds
+an automorphism action loads it, with the lane helpers of ``plurican._lanes``.
 Structural only: nothing is timed.
 """
 
@@ -31,7 +33,8 @@ from plurican.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 sys.stderr.write(" ".join(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("plurican", "dataclasses", "array"))))
+    m for m in sys.modules
+    if m.split(".")[0] in ("plurican", "dataclasses", "array", "fractions", "decimal"))))
 sys.exit(code)
 """
 
