@@ -8,11 +8,14 @@ finished column is unpacked once, into an `array` of `LANE` items.
 
 A table's positions are read on one of two paths.  `positions` takes a
 parsed table (`AutAction.from_table`), `CHUNK` elements at a time.
-`table_positions` takes the text of an automorphism file of the common
+`table_positions` takes the bytes of an automorphism file of the common
 shape, a slice at a time, without a parsed tree: a slice whose bracket
 skeleton is that of pairs of the group's rank is decoded as one flat array
 of numbers, which the skeleton leaves no room to be anything but ints, and
-its columns are strided slices of that array.
+its columns are strided slices of that array.  Numbers in 0-99, each
+alone in its slot, are decoded in 8-bit lanes, a byte a number
+(`_small_numbers`), and a column of them is spread into 32-bit lanes;
+any other slice goes through ``json.loads``.
 
 Only code that builds an action or reads a table imports this module, so
 the commands that use closed forms load neither it nor `array`.
@@ -29,6 +32,8 @@ from itertools import chain
 from .errors import all_int
 
 LANE = next(code for code in "IL" if array(code).itemsize == 4)
+# the low byte of a lane in `sys.byteorder`
+_LOW = 0 if sys.byteorder == "little" else 3
 
 # `positions` packs this many elements at a time, so its big-int
 # temporaries stay a few times 16 KB whatever the length of the table
@@ -68,12 +73,21 @@ def _add_mod(x: int, y: int, n: int, ones: int) -> int:
     return x - n * _high_lanes(x + ((1 << 31) - n) * ones, ones)
 
 
-def _pack_mod(col: list[int], n: int, ones: int) -> int:
-    """The integers col reduced mod n, as lanes (n <= 2^31).  A column
-    already in range(n) is packed as it is: it packs without overflow, no
-    lane has bit 31 set, and none reaches n once 2^31 - n is added."""
+def _spread(col: bytes) -> int:
+    """`pack` of the numbers in `col`, one a byte: each byte put in the
+    low byte of its 32-bit lane."""
+    lanes = bytearray(4 * len(col))
+    lanes[_LOW::4] = col
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+def _pack_mod(col: list[int] | bytes, n: int, ones: int) -> int:
+    """The integers col, a list or bytes of numbers one a byte, reduced
+    mod n, as lanes (n <= 2^31).  A column already in range(n) is packed
+    as it is: it packs without overflow, no lane has bit 31 set, and none
+    reaches n once 2^31 - n is added."""
     try:
-        lanes = pack(col)
+        lanes = _spread(col) if isinstance(col, bytes) else pack(col)
     except OverflowError:  # some entry is negative or at least 2^32
         pass
     else:
@@ -121,10 +135,11 @@ def extend(col: int, size: int, a: int, m: int, n: int) -> int:
     return pack(out)
 
 
-def _column_positions(flat: list, orders, count: int) -> array:
+def _column_positions(flat: list | bytes, orders, count: int) -> array:
     """Mixed-radix positions of `count` elements whose coordinates are
-    listed one element after another in `flat`, all exactly ints: column j
-    is the strided slice ``flat[j::len(orders)]``, packed with `_pack_mod`."""
+    listed one element after another in `flat`, all exactly ints (or bytes
+    of numbers one a byte): column j is the strided slice
+    ``flat[j::len(orders)]``, packed with `_pack_mod`."""
     ones = _ones(count)
     pos = 0
     for j, n in enumerate(orders):
@@ -150,57 +165,68 @@ def positions(elements, orders, position) -> array:
     return out
 
 
-def _shape(pattern: str) -> re.Pattern:
+def _shape(pattern: bytes) -> re.Pattern:
     r"""``pattern`` with each space standing for JSON whitespace: only
-    ``[ \t\n\r]``, not ``\s``, which also takes U+00A0, ``\x0b``, ``\x1c``
-    and other characters that JSON refuses."""
-    return re.compile(pattern.replace(" ", "[ \t\n\r]*"))
+    ``[ \t\n\r]``, not ``\s``, which also takes ``\x0b`` and ``\x0c``,
+    which JSON refuses."""
+    return re.compile(pattern.replace(b" ", rb"[ \t\n\r]*"))
 
 
 # The automorphism file that `table_positions` reads:
 #   {"generators": [{"kind": "permutation", "pairs": [PAIR, ...]}, ...]}
-_HEAD = _shape(r' \{ "generators" : \[ ')
-_SPEC = _shape(r'\{ "kind" : "permutation" , "pairs" : \[ ')
-_NEXT = _shape(r' \} (?:(,) |\] \} \Z)')  # after a pairs array
+_HEAD = _shape(rb' \{ "generators" : \[ ')
+_SPEC = _shape(rb'\{ "kind" : "permutation" , "pairs" : \[ ')
+_NEXT = _shape(rb' \} (?:(,) |\] \} \Z)')  # after a pairs array
 # A pair of int arrays ends in "]]" and its array in "]]]", so in a file
-# of that shape the first "]]]" ends the array and each "]]," ends a pair;
-# elsewhere a cut is a guess that the slice's checks refuse.
-_LAST_PAIR = _shape(r'\] \]( \])')
-_PAIR_END = _shape(r'\] \]( ,)')
+# of that shape the first "]]]" ends the array and each "]]," before it
+# ends a pair; elsewhere a cut is a guess that the slice's checks refuse.
+_LAST_PAIR = _shape(rb'\] \]( \])')
+_PAIR_END = _shape(rb'\] \]( ,)')
 
-# characters of a pairs array decoded at a time (a slice then runs to the
-# end of the pair it cuts into)
+# bytes of a pairs array decoded at a time (a slice then runs to the end
+# of the pair it cuts into)
 _SLICE = 1 << 16
 
+_WHITESPACE = b" \t\n\r"
+# a "d" for each digit or "-" (and a "?" for a "d")
+_MARK = bytes.maketrans(b"0123456789-d", b"d" * 11 + b"?")
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+# `_small_numbers` reads a slice as a byte a digit or comma: 1 for a digit,
+# 0 for anything else; or the digit's value plus one, 0 for a comma
+_IS_DIGIT = bytes(c in b"0123456789" for c in range(256))
+_DIGIT_LANES = bytes.maketrans(b"0123456789,", bytes(range(1, 11)) + b"\0")
 
-def table_positions(text: str, orders) -> list[array] | None:
+
+def table_positions(data: bytes, orders) -> list[array] | None:
     """The positions of each table of an automorphism file of the shape
-    above, on a group with cyclic factor orders `orders` (order at most
-    2^31): one array per spec, of element and image positions alternately.
-    None for a text of any other shape.
+    above, given as its bytes, on a group with cyclic factor orders
+    `orders` (order at most 2^31): one array per spec, of element and
+    image positions alternately.  None for a file of any other shape.
 
     No tree is built: each pairs array is read a slice of about `_SLICE`
-    characters at a time, each cut just after a pair, and
-    `_pairs_positions` turns each slice into positions at once.  The cuts
-    fall only at the array's commas, so when every slice holds pairs of
-    int arrays of the group's rank, ``json.loads`` of the whole text gives
-    the same pairs, and no element in them is bad.  Any other slice, or
-    any other text between the slices, gives None; so do a file with no
-    spec and an empty pairs array, which hold no pair to walk."""
-    m = _HEAD.match(text)
+    bytes at a time, each cut just after a pair, and `_pairs_positions`
+    turns each slice into positions at once.  The cuts fall only at the
+    array's commas, so when every slice holds pairs of int arrays of the
+    group's rank, ``json.loads`` of the whole file gives the same pairs,
+    and no element in them is bad.  Any other slice, or any other byte
+    between the slices, gives None; so do a file with no spec and an empty
+    pairs array, which hold no pair to walk.  A file that is walked is
+    ASCII, and the universal newlines of a text-mode read only turn
+    whitespace into whitespace, so its bytes hold what its text holds."""
+    m = _HEAD.match(data)
     if m is None:
         return None
     tables, i = [], m.end()
     while True:
-        m = _SPEC.match(text, i)
+        m = _SPEC.match(data, i)
         if m is None:
             return None
-        walked = _pairs_positions(text, m.end(), orders)
+        walked = _pairs_positions(data, m.end(), orders)
         if walked is None:
             return None
         pos, i = walked
         tables.append(pos)
-        m = _NEXT.match(text, i)
+        m = _NEXT.match(data, i)
         if m is None:
             return None
         if m.group(1) is None:
@@ -208,52 +234,114 @@ def table_positions(text: str, orders) -> list[array] | None:
         i = m.end()
 
 
-def _pairs_positions(text: str, i: int, orders) -> tuple[array, int] | None:
+def _pairs_positions(data: bytes, i: int, orders) -> tuple[array, int] | None:
     """The positions of the pairs array whose first pair is at i, and the
     index just after the array; or None.
 
-    A slice is read only when it is k pairs of arrays of r = len(orders)
-    numbers, checked without decoding it:
-    - its skeleton, the slice without its digits, "-" and JSON whitespace,
-      is k copies of ``[[,...,],[,...,]]`` (r - 1 commas in each array)
-      joined by commas, with k taken from the skeleton's length;
-    - no digit or "-" stands just after a "]" or just before a "[",
-      whitespace aside, so every number lies inside an element's array.
-    The slice is then decoded flat, each bracket read as a space, to
-    exactly 2rk numbers, and column j of its elements is the strided slice
-    ``flat[j::r]``.  Between its brackets and commas the slice holds only
-    digits, "-" and whitespace, so every number ``json.loads`` accepts
-    there is exactly an int (a float, a bool, null or a string has some
-    other character), and no type pass is needed.  At rank 0 the skeleton
-    keeps its digits, so a pair of empty arrays is all it takes, and there
-    is nothing to decode."""
-    last = _LAST_PAIR.search(text, i)
-    if last is None:
-        return None
-    end = last.start(1)  # just after the last pair
+    A slice runs from i to the first "]]," at least `_SLICE` bytes on, or
+    to the end of the file.  It is read only when `_pair_count` finds it
+    to be k pairs of arrays of r = len(orders) numbers.  A slice to the end
+    of the file, or one that is not pairs alone, may hold the array's end,
+    the first "]]]" (whitespace aside) from i, which no slice of pairs
+    holds; it is then cut there and checked again.  So the end is sought
+    only in the last slice of the array, not across all of it.
+
+    A slice of k pairs holds 2rk slots, one between each two of its
+    brackets and commas, with only digits, "-" and whitespace in them.
+    When each slot is one number in 0-99, `_small_numbers` decodes them, a
+    byte a number; otherwise the slice is decoded flat with
+    ``json.loads``, each bracket read as a space, to exactly 2rk numbers.
+    Every number ``json.loads`` accepts there is exactly an int (a float,
+    a bool, null or a string has some other character), so no type pass
+    is needed.  Column j of the slice's elements is the strided slice
+    ``flat[j::r]``.  At rank 0 there is nothing to decode."""
     rank = len(orders)
-    pair = "[[" + "," * (rank - 1) + "],[" + "," * (rank - 1) + "]]"
-    # a "d" for each digit or "-" (and a "?" for a "d"), no whitespace
-    mark = str.maketrans("0123456789-d", "d" * 11 + "?", " \t\n\r")
-    unmark = str.maketrans("", "", "d" if rank else "")
-    unbracket = str.maketrans("[]", "  ")
     pos = array(LANE)
     while True:
-        cut = _PAIR_END.search(text, i + _SLICE, end)
-        stop = end if cut is None else cut.start(1)
-        part = text[i:stop]
-        marked = part.translate(mark)
-        skeleton = marked.translate(unmark)
-        k = (len(skeleton) + 1) // (len(pair) + 1)
-        if skeleton != ",".join([pair] * k) or "]d" in marked or "d[" in marked:
-            return None
-        try:
-            flat = json.loads("[" + part.translate(unbracket) + "]") if rank else []
-        except ValueError:  # a malformed number, or one past the digit limit
-            return None
-        if len(flat) != 2 * rank * k:
-            return None
+        cut = _PAIR_END.search(data, i + _SLICE)
+        last = k = None
+        if cut is not None:
+            part = data[i:cut.start(1)]
+            k = _pair_count(part, rank)
+        if k is None:  # the array may end in this slice
+            last = _LAST_PAIR.search(data, i, len(data) if cut is None else cut.start(1))
+            if last is None:
+                return None
+            part = data[i:last.start(1)]  # to just after the last pair
+            k = _pair_count(part, rank)
+            if k is None:
+                return None
+        flat = _small_numbers(part, 2 * rank * k) if rank else b""
+        if flat is None:
+            try:
+                flat = json.loads(b"[" + part.translate(_UNBRACKET) + b"]")
+            except ValueError:  # a malformed number, or one past the digit limit
+                return None
+            if len(flat) != 2 * rank * k:
+                return None
+        del part
         pos.extend(_column_positions(flat, orders, 2 * k))
-        if cut is None:
+        del flat
+        if last is not None:
             return pos, last.end()
         i = cut.end()
+
+
+def _pair_count(part: bytes, rank: int) -> int | None:
+    """k when `part` is k pairs of arrays of `rank` numbers, checked
+    without decoding it; None otherwise.
+    - Its skeleton, the slice without its digits, "-" and JSON whitespace,
+      is k copies of ``[[,...,],[,...,]]`` (rank - 1 commas in each array)
+      joined by commas, with k taken from the skeleton's length.
+    - No digit or "-" stands just after a "]" or just before a "[",
+      whitespace aside, so every number lies inside an element's array.
+    At rank 0 the skeleton keeps its digits, so the slice must hold pairs
+    of empty arrays alone."""
+    pair = b"[[" + b"," * (rank - 1) + b"],[" + b"," * (rank - 1) + b"]]"
+    marked = part.translate(_MARK, _WHITESPACE)
+    skeleton = marked.translate(None, b"d" if rank else b"")
+    k = (len(skeleton) + 1) // (len(pair) + 1)
+    if skeleton != b",".join([pair] * k) or b"]d" in marked or b"d[" in marked:
+        return None
+    return k
+
+
+def _small_numbers(part: bytes, count: int) -> bytes | None:
+    """The numbers of a slice of `count` slots that `_pair_count` took,
+    one byte each, when every slot holds one number in 0-99 written
+    without a leading zero; None otherwise.
+
+    The slice must hold no "-" and no run of three digits.  The rest is
+    checked with a few big-int operations on 8-bit lanes, a lane a byte:
+    - the slice's digit runs, whitespace parting them, number `count`;
+    - with brackets and whitespace dropped, a lane holds a digit's value
+      plus one or, for a comma, 0, so the slots are the runs of digit
+      lanes between commas; their last digits number `count`, so no slot
+      is empty, and then no slot holds two numbers either;
+    - no digit lane with a digit after it holds a 0: no leading zero.
+    Then each number's last digit lane gets 10 * the lane before it (0 for
+    a comma) plus its own digit, and every other lane gets 0xFF, which is
+    deleted."""
+    digits = part.translate(_IS_DIGIT)
+    if b"-" in part or b"\1\1\1" in digits:
+        return None
+    runs = int.from_bytes(digits, "little")
+    del digits
+    if (runs ^ runs & runs >> 8).bit_count() != count:  # digits before a non-digit
+        return None
+    del runs
+    lanes = part.translate(_DIGIT_LANES, b"[]" + _WHITESPACE)
+    # one lane more than the slice, which takes the top lane of x << 8
+    ones = int.from_bytes(b"\1" * (len(lanes) + 1), "little")
+    x = int.from_bytes(lanes, "little")
+    digit = (x + 127 * ones) >> 7 & ones
+    first = digit & digit >> 8  # a digit before a digit
+    last = digit ^ first
+    if last.bit_count() != count:
+        return None
+    x -= digit
+    if first & (digit ^ (x + 127 * ones) >> 7):  # a first digit 0
+        return None
+    x += 10 * (x << 8)
+    x |= 0xFF * (ones ^ last)
+    return x.to_bytes(len(lanes) + 1, "little").translate(None, b"\xff")

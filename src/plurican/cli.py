@@ -163,14 +163,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: Path) -> str:
+def _read_bytes(path: Path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: Path, data: bytes | None = None) -> str:
+    """The text of ``path`` as text-mode `open` reads it: UTF-8, with
+    universal newlines.  A caller that has already read the file passes
+    its bytes, ``data``."""
+    if data is None:
+        data = _read_bytes(path)
+    try:
+        text = data.decode("utf-8")
     except ValueError as exc:  # UnicodeDecodeError
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_json(path: Path, text: str | None = None):
@@ -213,10 +224,11 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
     refused before any action is built; on a group of order above
     ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead.
-    The file is read once.  On a group within that cap, a file of
-    permutation tables of the common shape is walked by
-    `_lanes.table_positions`; any other goes through `_load_json`, with the
-    same results and errors."""
+    The file is read once, as bytes.  On a group within that cap, a file
+    of permutation tables of the common shape is walked by
+    `_lanes.table_positions` on those bytes; any other is decoded as
+    `_read_text` decodes it and goes through `_load_json`, with the same
+    results and errors."""
     from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
     def check_entries(count: int) -> None:
@@ -228,20 +240,23 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
                 entries=entries, limit=MAX_ACTION_ENTRIES,
             )
 
-    text = _read_text(path)
-    from . import _lanes  # after the read, which sets the command's peak
+    data = _read_bytes(path)
+    from . import _lanes
 
-    tables = (_lanes.table_positions(text, G.cyclic_orders)
+    tables = (_lanes.table_positions(data, G.cyclic_orders)
               if G.order <= MAX_ACTION_ORDER else None)
-    data = None if tables is not None else _load_json(path, text)
-    del text  # freed before any action is built
     if tables is not None:
+        del data  # freed before any action is built
         check_entries(len(tables))
         return [AutAction._from_positions(G, pos) for pos in tables]
-    if isinstance(data, dict):
-        raw = data.get("generators")
+    text = _read_text(path, data)
+    del data  # freed before the text is parsed
+    parsed = _load_json(path, text)
+    del text  # freed before any action is built
+    if isinstance(parsed, dict):
+        raw = parsed.get("generators")
     else:
-        raw = data
+        raw = parsed
     if not isinstance(raw, list):
         raise MalformedInputError(
             f"{path}: expected a 'generators' array of automorphism specs"

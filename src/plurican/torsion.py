@@ -215,9 +215,12 @@ class AutAction:
         anything is parsed.  Then every element and image is parsed, key
         before image and pair by pair, so the first bad array in table order
         raises (see `_lanes.positions`).  A later pair for the same element
-        replaces an earlier one.  Then, in order: defined on every element, a
-        bijection, fixes 0, additive (the first element where the table leaves
-        its additive extension is the `at` witness).  The position table is
+        replaces an earlier one.  Then, in order, each with its witness:
+        defined on every element (``pairs`` and ``order`` when there are
+        fewer pairs than elements, else the first ``element`` with no pair),
+        a bijection (the first element that is no image, ``missing_image``),
+        fixes 0 (the ``image`` of 0), additive (the first element where the
+        table leaves its additive extension, ``at``).  The position table is
         allocated only once there are at least as many pairs as group
         elements.
         """
@@ -245,7 +248,8 @@ class AutAction:
         # every position is in range(order), so fewer pairs than elements
         # leave one out, and at least as many bound the table's size
         if len(pos) < 2 * order:
-            raise ValidationError("permutation table must be defined on every element")
+            raise ValidationError("permutation table must be defined on every element",
+                                  pairs=len(pos) // 2, order=order)
         from . import _lanes
 
         table = _lanes.full(order, order)  # `order`: no pair for this element
@@ -256,11 +260,15 @@ class AutAction:
         for j in table:
             hit[j] = 1
         if hit[order]:
-            raise ValidationError("permutation table must be defined on every element")
-        if 0 in hit[:order]:
-            raise ValidationError("permutation table is not a bijection")
+            raise ValidationError("permutation table must be defined on every element",
+                                  element=list(group.element_at(table.index(order))))
+        missing = hit.find(0)  # `order` when every element is an image
+        if missing < order:
+            raise ValidationError("permutation table is not a bijection",
+                                  missing_image=list(group.element_at(missing)))
         if table[0] != 0:
-            raise ValidationError("permutation table does not fix the identity")
+            raise ValidationError("permutation table does not fix the identity",
+                                  image=list(group.element_at(table[0])))
         orders = group.cyclic_orders
         # e_j sits at position n_(j+1) * ... * n_r
         basis = [table[prod(orders[j + 1:])] for j in range(len(orders))]

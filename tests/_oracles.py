@@ -157,12 +157,19 @@ def table_positions_oracle(G, mapping) -> tuple[int, ...]:
             "permutation table must be an array of [element, image] pairs of integer arrays"
         )
     table = {G.index(G.element(a)): G.index(G.element(b)) for a, b in pairs}
+    message = "permutation table must be defined on every element"
+    if len(pairs) < G.order:
+        raise ValidationError(message, pairs=len(pairs), order=G.order)
     if len(table) != G.order:
-        raise ValidationError("permutation table must be defined on every element")
+        first = min(set(range(G.order)) - table.keys())
+        raise ValidationError(message, element=list(G.element_at(first)))
     if len(set(table.values())) != G.order:
-        raise ValidationError("permutation table is not a bijection")
+        first = min(set(range(G.order)) - set(table.values()))
+        raise ValidationError("permutation table is not a bijection",
+                              missing_image=list(G.element_at(first)))
     if table[0] != 0:
-        raise ValidationError("permutation table does not fix the identity")
+        raise ValidationError("permutation table does not fix the identity",
+                              image=list(G.element_at(table[0])))
     orders = G.cyclic_orders
     message = "permutation table does not preserve the group operation"
     basis = [G.element_at(table[prod(orders[j + 1:])]) for j in range(len(orders))]

@@ -13,6 +13,7 @@ import re
 import tempfile
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,17 @@ FIXED = {
     "tab-indent": (Z2Z3, TAB_INDENT),
     "past-2^32": (Z2Z3, with_coordinate(str(2**32 + 2))),
     "4300-digits": (Z2Z3, with_coordinate("3" * 4300)),
+    # the numbers a slice holds one a byte run to 99; 100, and a leading
+    # zero, are left to ``json.loads``
+    "99": (Z2Z3, with_coordinate("99")),
+    "100": (Z2Z3, with_coordinate("100")),
+    "05": (Z2Z3, with_coordinate("05")),
+    "00": (Z2Z3, with_coordinate("00")),
+    # 100 = 1 mod 3: the table is unchanged, but its last slice holds 3 digits
+    "three-digits-last": (Z2Z3, with_coordinate("100", pair=len(PAIRS) - 1)),
+    # two numbers in a slot next to an empty one: as many digit runs as slots
+    "split-beside-empty-slot": (Z2Z3, BASE.replace(PAIR3, "[[1 2, ], [1, 0]]")),
+    "lf-indent": (Z2Z3, json.dumps(json.loads(BASE), indent=2)),
     "4301-digits": (Z2Z3, with_coordinate("3" * 4301)),
     "wrong-rank": (Z2Z3, BASE.replace("[1, 2]]", "[1, 2, 0]]", 1)),
     "short-pair": (Z2Z3, BASE.replace("[[1, 2], [1, 1]], ", "[[1, 2]], ")),
@@ -198,21 +210,20 @@ def test_images_past_the_order_are_reduced(slice_size):
 
 
 @pytest.mark.parametrize("slice_size", SLICES)
-def test_valid_cases_take_the_walk(tmp_path, monkeypatch, slice_size):
+def test_valid_cases_take_the_walk(monkeypatch, slice_size):
     monkeypatch.setattr(_lanes, "_SLICE", slice_size)
-    for case in ["base", "crlf", "cr", "negative", "minus-zero", "past-2^32", "4300-digits",
-                 "spaced-cuts", "tab-indent", "two-permutations", "trivial-group",
-                 "rank-0-pairs", "images-past-the-order"]:
+    for case in ["base", "crlf", "cr", "lf-indent", "negative", "minus-zero", "past-2^32",
+                 "4300-digits", "99", "100", "three-digits-last", "spaced-cuts", "tab-indent",
+                 "two-permutations", "trivial-group", "rank-0-pairs", "images-past-the-order"]:
         group, text = FIXED[case]
-        path = tmp_path / f"{case}.json"
-        path.write_bytes(text.encode("utf-8"))
         orders = cli._parse_group(group).cyclic_orders
-        assert _lanes.table_positions(cli._read_text(path), orders) is not None, case
+        assert _lanes.table_positions(text.encode("utf-8"), orders) is not None, case
 
 
 GROUPS = [(2, 3), (4,), (3, 3), (2, 2, 2), ()]
 SNIPPETS = [" ", "\t", "\n", "\r\n", "\u00a0", "\x0b", "\x1c", "\ufeff", ",", "[", "]",
-            "{", "}", ":", "0", "-", "1.5", "true", '"x"', "[0]", "]]", "]],", "]]]"]
+            "{", "}", ":", "0", "-", "1.5", "true", '"x"', "[0]", "]]", "]],", "]]]",
+            "99", "100", "05"]
 ODD_VALUES = [True, False, 1.0, -1, 2**32 + 3, 10**30, [0], None, "0"]
 
 
@@ -293,6 +304,47 @@ def test_two_large_tables_take_the_walk(tmp_path, monkeypatch, slice_size):
     G = FiniteAbelianGroup(orders)
     assert _walked(monkeypatch, "16,27,25", path) == [
         AutAction.from_table(G, pairs).perm for pairs in tables]
+
+
+def test_small_coordinates_are_read_without_json(tmp_path, monkeypatch):
+    # coordinates of at most 2 digits are decoded a byte a number, so the
+    # walk reads them with `json.loads` made to fail inside `_lanes`
+    def refuse(text):
+        raise AssertionError("json.loads was called")
+
+    pairs = unit_table((16, 27, 25), (5, 2, 3))
+    path = tmp_path / "small.json"
+    path.write_text(document(permutation(pairs)), encoding="utf-8")
+    monkeypatch.setattr(_lanes, "json", SimpleNamespace(loads=refuse))
+    assert _walked(monkeypatch, "16,27,25", path) == [
+        AutAction.from_table(FiniteAbelianGroup((16, 27, 25)), pairs).perm]
+
+
+def test_three_digit_coordinates_take_the_walk(tmp_path, monkeypatch):
+    pairs = unit_table((125, 9, 7), (2, 5, 3))
+    path = tmp_path / "three-digits.json"
+    path.write_text(document(permutation(pairs)), encoding="utf-8")
+    assert path.stat().st_size > 2 * _lanes._SLICE
+    assert _walked(monkeypatch, "125,9,7", path) == [
+        AutAction.from_table(FiniteAbelianGroup((125, 9, 7)), pairs).perm]
+
+
+def test_small_numbers_match_json_on_every_short_string():
+    # every string of up to 6 characters over digits, commas and
+    # whitespace, its slots counted by its commas: the lane decode gives
+    # the numbers ``json.loads`` gives, or None, and None only where some
+    # number is past 99 or ``json.loads`` refuses the string
+    for size in range(7):
+        for chars in product("0159, \n", repeat=size):
+            s = "".join(chars)
+            got = _lanes._small_numbers(s.encode(), s.count(",") + 1)
+            try:
+                want = json.loads("[" + s + "]")
+            except ValueError:
+                want = None
+            if want is not None and (len(want) != s.count(",") + 1 or max(want) > 99):
+                want = None
+            assert (None if got is None else list(got)) == want, s
 
 
 def test_indented_table_takes_the_walk(tmp_path, monkeypatch):

@@ -267,16 +267,25 @@ def test_orbit_count_applies_no_generator_per_element():
 
 def test_permutation_table_rejections():
     G = FiniteAbelianGroup((5,))
-    with pytest.raises(ValidationError):  # not defined everywhere
+    with pytest.raises(ValidationError) as err:  # not defined everywhere: too few pairs
         AutAction.from_table(G, [[[0], [0]]])
-    with pytest.raises(ValidationError):  # not a bijection
-        AutAction.from_table(G, [[[x], [0]] for x in range(5)])
+    assert err.value.details == {"pairs": 1, "order": 5}
+    with pytest.raises(ValidationError) as err:  # 5 pairs, 3 given twice, 2 given none
+        AutAction.from_table(G, [[[x], [2 * x % 5]] for x in (0, 1, 3, 4, 3)])
+    assert str(err.value) == "permutation table must be defined on every element"
+    assert err.value.details == {"element": [2]}
+    with pytest.raises(ValidationError) as err:  # not a bijection
+        AutAction.from_table(G, [[[x], [x // 2 * 2]] for x in range(5)])
+    assert str(err.value) == "permutation table is not a bijection"
+    assert err.value.details == {"missing_image": [1]}
     with pytest.raises(ValidationError):  # bijection but not additive
         swap12 = {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
         AutAction.from_table(G, [[[x], [y]] for x, y in swap12.items()])
-    with pytest.raises(ValidationError):  # does not fix the identity
-        shift = {x: (x + 1) % 5 for x in range(5)}
+    with pytest.raises(ValidationError) as err:  # does not fix the identity
+        shift = {x: (x + 3) % 5 for x in range(5)}
         AutAction.from_table(G, [[[x], [y]] for x, y in shift.items()])
+    assert str(err.value) == "permutation table does not fix the identity"
+    assert err.value.details == {"image": [3]}
     with pytest.raises(ValidationError, match="group operation") as err:
         swap12 = {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
         AutAction.from_table(G, [[[x], [y]] for x, y in swap12.items()])
@@ -297,6 +306,7 @@ def test_permutation_table_refuses_huge_group_before_allocating():
     with pytest.raises(ValidationError) as err:
         AutAction.from_table(G, [[[0, 0], [0, 0]]])
     assert str(err.value) == "permutation table must be defined on every element"
+    assert err.value.details == {"pairs": 1, "order": 1 << 20}
 
 
 def test_permutation_table_over_the_cap_reports_the_cap(monkeypatch):
@@ -463,19 +473,23 @@ def _traced_peak(call) -> int:
 
 
 def test_table_walk_peak_memory():
-    # Above its text, the walk holds the positions, two 32-bit lanes (8
-    # bytes) per pair, and the temporaries of one slice of `_SLICE`
-    # characters: the slice, its marked copy and skeleton, its flat text
+    # Above its bytes, made before the trace starts, the walk holds the
+    # positions, two 32-bit lanes (8 bytes) per pair, and the temporaries of
+    # one slice of `_SLICE` bytes.  A slice decoded by `json.loads` holds
+    # the most: the slice, its marked copy and skeleton, its flat text
     # (about a slice each), the list of its numbers (8 bytes a reference and
     # at least 2 characters a number: 4 slices) and one column of them with
-    # its lanes, 10 slices in all.  Python 3.11: 1.07 MB against the bound's
-    # 1.26 MB; the parent walk, which decoded each slice to nested lists and
-    # flattened them, peaked at 1.59 MB.
+    # its lanes, 10 slices in all.  The byte-lane decode of this table's 1-
+    # and 2-digit coordinates holds less: the slice, a digit mask and a few
+    # big ints of a byte per byte of the slice.  Python 3.11: 0.99 MB
+    # against the bound's 1.26 MB; the walk on text, which decoded every
+    # slice with `json.loads`, peaked at 1.07 MB, and the one before it,
+    # which decoded each slice to nested lists, at 1.59 MB.
     pairs = _unit_table()
-    text = json.dumps({"generators": [{"kind": "permutation", "pairs": pairs}]})
+    data = json.dumps({"generators": [{"kind": "permutation", "pairs": pairs}]}).encode()
     del pairs
     tables = []
-    peak = _traced_peak(lambda: tables.extend(_lanes.table_positions(text, TABLE_ORDERS)))
+    peak = _traced_peak(lambda: tables.extend(_lanes.table_positions(data, TABLE_ORDERS)))
     G = FiniteAbelianGroup(TABLE_ORDERS)
     pos = tables[0]
     assert pos[0::2] == array(pos.typecode, range(G.order))
@@ -486,8 +500,8 @@ def test_table_walk_peak_memory():
 
 def test_components_table_peaks_under_a_third_of_its_parsed_json(tmp_path):
     # the parsed table is ~20 MB of lists and ints (a 23.1 MB peak, Python
-    # 3.11); the command reads it a slice at a time into 32-bit positions
-    # and peaks at 5.1 MB, its 2.5 MB text included
+    # 3.11); the command reads the file's bytes a slice at a time into
+    # 32-bit positions and peaks at 3.5 MB, its 2.5 MB of bytes included
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
                     encoding="utf-8")
