@@ -8,14 +8,14 @@ finished column is unpacked once, into an `array` of `LANE` items.
 
 A table's positions are read on one of two paths.  `positions` takes a
 parsed table (`AutAction.from_table`), `CHUNK` elements at a time.
-`table_positions` takes the bytes of an automorphism file of the common
-shape, a slice at a time, without a parsed tree: a slice whose bracket
-skeleton is that of pairs of the group's rank is decoded as one flat array
-of numbers, which the skeleton leaves no room to be anything but ints, and
-its columns are strided slices of that array.  Numbers in 0-99, each
-alone in its slot, are decoded in 8-bit lanes, a byte a number
-(`_small_numbers`), and a column of them is spread into 32-bit lanes;
-any other slice goes through ``json.loads``.
+`table_positions` reads an open automorphism file of the common shape
+through a window of about two slices, a slice at a time, without a parsed
+tree: a slice whose bracket skeleton is that of pairs of the group's rank
+is decoded as one flat array of numbers, which the skeleton leaves no
+room to be anything but ints, and its columns are strided slices of that
+array.  Numbers in 0-99, each alone in its slot, are decoded in 8-bit
+lanes, a byte a number (`_small_numbers`), and a column of them is spread
+into 32-bit lanes; any other slice goes through ``json.loads``.
 
 Only code that builds an action or reads a table imports this module, so
 the commands that use closed forms load neither it nor `array`.
@@ -97,17 +97,19 @@ def _pack_mod(col: list[int] | bytes, n: int, ones: int) -> int:
 
 
 def _repeat(col: int, bits: int, m: int) -> int:
-    """`col` (below 2^bits) repeated m times, the first copy lowest, by doubling."""
+    """`col` (below 2^bits) repeated m >= 1 times, the first copy lowest,
+    by doubling.  The copies of m's top bit are shifted into place last,
+    in `col` itself, so no temporary outgrows the result."""
     out = done = 0
-    while m:
+    while m > 1:
         if m & 1:
             out |= col << done
             done += bits
         m >>= 1
-        if m:
-            col |= col << bits
-            bits *= 2
-    return out
+        col |= col << bits
+        bits *= 2
+    col <<= done
+    return col | out
 
 
 def extend(col: int, size: int, a: int, m: int, n: int) -> int:
@@ -186,8 +188,16 @@ _PAIR_END = _shape(rb'\] \]( ,)')
 # bytes of a pairs array decoded at a time (a slice then runs to the end
 # of the pair it cuts into)
 _SLICE = 1 << 16
+# bytes of a file read at a time: the window holds a slice and what was
+# read past it, about 2 * `_SLICE`
+_READ = 1 << 16
+# more bytes other than whitespace than a match of `_HEAD`, `_SPEC` or
+# `_NEXT` holds
+_TOKENS = 64
 
 _WHITESPACE = b" \t\n\r"
+# what a window may end in when a cut, "]]," whitespace aside, is cut short
+_CUT_TAIL = b"]" + _WHITESPACE
 # a "d" for each digit or "-" (and a "?" for a "d")
 _MARK = bytes.maketrans(b"0123456789-d", b"d" * 11 + b"?")
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
@@ -197,52 +207,122 @@ _IS_DIGIT = bytes(c in b"0123456789" for c in range(256))
 _DIGIT_LANES = bytes.maketrans(b"0123456789,", bytes(range(1, 11)) + b"\0")
 
 
-def table_positions(data: bytes, orders) -> list[array] | None:
-    """The positions of each table of an automorphism file of the shape
-    above, given as its bytes, on a group with cyclic factor orders
-    `orders` (order at most 2^31): one array per spec, of element and
-    image positions alternately.  None for a file of any other shape.
+def _stripped(data: bytes, chars: bytes) -> int:
+    """``len(data.rstrip(chars))``, copying only the last 64 bytes of
+    ``data`` when they hold some other byte."""
+    tail = max(len(data) - 64, 0)
+    kept = data[tail:].rstrip(chars)
+    return tail + len(kept) if kept or not tail else len(data.rstrip(chars))
 
-    No tree is built: each pairs array is read a slice of about `_SLICE`
-    bytes at a time, each cut just after a pair, and `_pairs_positions`
-    turns each slice into positions at once.  The cuts fall only at the
-    array's commas, so when every slice holds pairs of int arrays of the
-    group's rank, ``json.loads`` of the whole file gives the same pairs,
-    and no element in them is bad.  Any other slice, or any other byte
-    between the slices, gives None; so do a file with no spec and an empty
-    pairs array, which hold no pair to walk.  A file that is walked is
-    ASCII, and the universal newlines of a text-mode read only turn
-    whitespace into whitespace, so its bytes hold what its text holds."""
-    m = _HEAD.match(data)
-    if m is None:
+
+class _Window:
+    """The bytes of an open binary file from the step being read on,
+    `data`, read `_READ` bytes at a time, and `at`, the index in `data`
+    where that step begins.
+
+    When it reads on, the window forgets the bytes before `at`, and a run
+    of whitespace at the end of `data` is first cut to its first byte.
+    Each check of the walk reads a run of JSON whitespace of any length as
+    it reads one byte of it, so the walk decides the same, and a run longer
+    than a read costs no more than a short one."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.data = b""
+        self.at = 0
+
+    def more(self) -> bool:
+        """Read on; False at the end of the file.  Indexes into `data`
+        move back by the old `at`."""
+        chunk = self.fh.read(_READ)
+        if not chunk:
+            return False
+        data = self.data
+        end = min(_stripped(data, _WHITESPACE) + 1, len(data))
+        self.data = b"".join((memoryview(data)[self.at:end], chunk))
+        self.at = 0
+        return True
+
+    def step(self, pattern: re.Pattern) -> re.Match | None:
+        """``pattern.match`` at `at`, read on until the window decides it:
+        a match that ends before the window's end, or a miss with at least
+        `_TOKENS` bytes other than whitespace from `at` on; anything at the
+        end of the file.  So ``\\Z`` matches only there.  A match moves
+        `at` to its end."""
+        while True:
+            data = self.data
+            m = pattern.match(data, self.at)
+            decided = (m.end() < len(data) if m is not None else
+                       len(data[self.at:].translate(None, _WHITESPACE)) >= _TOKENS)
+            if decided or not self.more():
+                break
+        if m is not None:
+            self.at = m.end()
+        return m
+
+    def cut(self) -> re.Match | None:
+        """The first `_PAIR_END` at least `_SLICE` bytes past `at`, reading
+        on until there is one or the file ends; or None.  After a read the
+        search resumes where a cut short by the window's end would begin,
+        at its tail of brackets and whitespace, so each byte is searched
+        about once."""
+        start = self.at + _SLICE
+        while True:
+            data = self.data
+            m = _PAIR_END.search(data, start)
+            if m is not None:
+                return m
+            start = max(start, _stripped(data, _CUT_TAIL)) - self.at
+            if not self.more():
+                return None
+
+
+def table_positions(fh, orders) -> list[array] | None:
+    """The positions of each table of an automorphism file of the shape
+    above, read from ``fh``, the file open in binary mode, on a group with
+    cyclic factor orders `orders` (order at most 2^31): one array per spec,
+    of element and image positions alternately.  None for a file of any
+    other shape.
+
+    No tree is built, and the file is not held whole: it is read through a
+    `_Window` of about two slices, and each pairs array is read a slice of
+    about `_SLICE` bytes at a time, each cut just after a pair, and
+    `_pairs_positions` turns each slice into positions at once.  The cuts
+    fall only at the array's commas, so when every slice holds pairs of int
+    arrays of the group's rank, ``json.loads`` of the whole file gives the
+    same pairs, and no element in them is bad.  Any other slice, or any
+    other byte between the slices, gives None; so do a file with no spec
+    and an empty pairs array, which hold no pair to walk.  A file that is
+    walked is ASCII, and the universal newlines of a text-mode read only
+    turn whitespace into whitespace, so its bytes hold what its text
+    holds."""
+    window = _Window(fh)
+    if window.step(_HEAD) is None:
         return None
-    tables, i = [], m.end()
+    tables = []
     while True:
-        m = _SPEC.match(data, i)
-        if m is None:
+        if window.step(_SPEC) is None:
             return None
-        walked = _pairs_positions(data, m.end(), orders)
-        if walked is None:
+        pos = _pairs_positions(window, orders)
+        if pos is None:
             return None
-        pos, i = walked
         tables.append(pos)
-        m = _NEXT.match(data, i)
+        m = window.step(_NEXT)
         if m is None:
             return None
         if m.group(1) is None:
             return tables
-        i = m.end()
 
 
-def _pairs_positions(data: bytes, i: int, orders) -> tuple[array, int] | None:
-    """The positions of the pairs array whose first pair is at i, and the
-    index just after the array; or None.
+def _pairs_positions(window: _Window, orders) -> array | None:
+    """The positions of the pairs array whose first pair is at the
+    window's `at`, which is moved just past the array; or None.
 
-    A slice runs from i to the first "]]," at least `_SLICE` bytes on, or
-    to the end of the file.  It is read only when `_pair_count` finds it
+    A slice runs from `at` to the first "]]," at least `_SLICE` bytes on,
+    or to the end of the file.  It is read only when `_pair_count` finds it
     to be k pairs of arrays of r = len(orders) numbers.  A slice to the end
     of the file, or one that is not pairs alone, may hold the array's end,
-    the first "]]]" (whitespace aside) from i, which no slice of pairs
+    the first "]]]" (whitespace aside) from `at`, which no slice of pairs
     holds; it is then cut there and checked again.  So the end is sought
     only in the last slice of the array, not across all of it.
 
@@ -258,7 +338,8 @@ def _pairs_positions(data: bytes, i: int, orders) -> tuple[array, int] | None:
     rank = len(orders)
     pos = array(LANE)
     while True:
-        cut = _PAIR_END.search(data, i + _SLICE)
+        cut = window.cut()
+        data, i = window.data, window.at
         last = k = None
         if cut is not None:
             part = data[i:cut.start(1)]
@@ -283,8 +364,9 @@ def _pairs_positions(data: bytes, i: int, orders) -> tuple[array, int] | None:
         pos.extend(_column_positions(flat, orders, 2 * k))
         del flat
         if last is not None:
-            return pos, last.end()
-        i = cut.end()
+            window.at = last.end()
+            return pos
+        window.at = cut.end()
 
 
 def _pair_count(part: bytes, rank: int) -> int | None:

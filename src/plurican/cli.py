@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import re
@@ -163,20 +164,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+def _cannot_read(path: Path, exc: OSError) -> MalformedInputError:
+    return MalformedInputError(f"cannot read {path}: {exc}")
 
 
-def _read_text(path: Path, data: bytes | None = None) -> str:
+def _read_text(path: Path, fh=None) -> str:
     """The text of ``path`` as text-mode `open` reads it: UTF-8, with
-    universal newlines.  A caller that has already read the file passes
-    its bytes, ``data``."""
-    if data is None:
-        data = _read_bytes(path)
+    universal newlines.  A caller that holds the file open passes it,
+    ``fh``, and it is read from its start."""
+    try:
+        if fh is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        else:
+            fh.seek(0)
+            data = fh.read()
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
     try:
         text = data.decode("utf-8")
     except ValueError as exc:  # UnicodeDecodeError
@@ -184,11 +188,10 @@ def _read_text(path: Path, data: bytes | None = None) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load_json(path: Path, text: str | None = None):
-    """The parsed document of ``path``; a caller that has already read the
-    file passes its ``text``."""
-    if text is None:
-        text = _read_text(path)
+def _load_json(path: Path, fh=None):
+    """The parsed document of ``path``; a caller that holds the file open
+    passes it, ``fh``."""
+    text = _read_text(path, fh)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -224,11 +227,13 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
     would hold more than ``torsion.MAX_ACTION_ENTRIES`` entries in all is
     refused before any action is built; on a group of order above
     ``torsion.MAX_ACTION_ORDER`` the first spec meets that cap instead.
-    The file is read once, as bytes.  On a group within that cap, a file
-    of permutation tables of the common shape is walked by
-    `_lanes.table_positions` on those bytes; any other is decoded as
-    `_read_text` decodes it and goes through `_load_json`, with the same
-    results and errors."""
+    The file is opened once.  On a group within that cap, a file of
+    permutation tables of the common shape is walked by
+    `_lanes.table_positions`, which reads it a window at a time; any other
+    file is read again whole from its start, decoded by `_read_text` and
+    parsed by `_load_json`, with the same results and errors.  A file that
+    cannot be read twice, such as a pipe, is read once into memory for
+    both."""
     from .torsion import MAX_ACTION_ENTRIES, MAX_ACTION_ORDER, AutAction
 
     def check_entries(count: int) -> None:
@@ -240,19 +245,22 @@ def _load_generators(G: FiniteAbelianGroup, path: Path) -> list[AutAction]:
                 entries=entries, limit=MAX_ACTION_ENTRIES,
             )
 
-    data = _read_bytes(path)
-    from . import _lanes
+    tables = None
+    try:
+        with open(path, "rb") as fh:
+            if not fh.seekable():  # held, for the parser to read again
+                fh = io.BytesIO(fh.read())
+            if G.order <= MAX_ACTION_ORDER:
+                from . import _lanes
 
-    tables = (_lanes.table_positions(data, G.cyclic_orders)
-              if G.order <= MAX_ACTION_ORDER else None)
+                tables = _lanes.table_positions(fh, G.cyclic_orders)
+            if tables is None:
+                parsed = _load_json(path, fh)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
     if tables is not None:
-        del data  # freed before any action is built
         check_entries(len(tables))
         return [AutAction._from_positions(G, pos) for pos in tables]
-    text = _read_text(path, data)
-    del data  # freed before the text is parsed
-    parsed = _load_json(path, text)
-    del text  # freed before any action is built
     if isinstance(parsed, dict):
         raw = parsed.get("generators")
     else:

@@ -151,10 +151,11 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     census, orbit_of, burnside = gl_orbit_census(K, [s.mask for s in sets])
 
     if census.orbit_count != 2:
-        _fail(f"expected 2 orbits, found {census.orbit_count}")
+        _fail(f"expected 2 orbits, found {census.orbit_count}", found=census.orbit_count)
     if burnside != census.orbit_count:
         _fail(
-            f"Burnside recount {burnside} disagrees with census {census.orbit_count}"
+            f"Burnside recount {burnside} disagrees with census {census.orbit_count}",
+            burnside=burnside, census=census.orbit_count,
         )
 
     orbit_types = tuple(classify_type(orbit.representative).tag for orbit in census.orbits)

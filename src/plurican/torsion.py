@@ -4,8 +4,9 @@ Groups are given by explicit cyclic factors (not necessarily in invariant
 factor form); elements are coordinate tuples reduced modulo the factor
 orders and numbered in lexicographic order.  An automorphism is a permutation
 of those numbers, held as an `array` of 32-bit items (`AutAction.perm`), so
-orbit counting never forms an element tuple and an action costs 4 bytes per
-element.
+an action costs 4 bytes per element.  Orbits are counted by walking the
+generators' cycles over a bytearray of seen elements (`orbit_count`), which
+forms no element tuple and holds at most 5 bytes per element.
 
 Actions and table positions are computed one coordinate column at a time as
 32-bit lanes of one Python int (`_lanes`, imported only where an action is
@@ -175,7 +176,11 @@ class AutAction:
             for f, m in zip(reversed(images), reversed(orders)):
                 col = _lanes.extend(col, size, f[i], m, n)
                 size *= m
-            perm = perm * n + col
+            # in steps, so that the old and the scaled perm are not held
+            # next to the sum, nor the last column next to the unpacked perm
+            perm *= n
+            perm += col
+            del col
         self.perm = _lanes.unpack(perm, group.order)
 
     @classmethod
@@ -316,29 +321,53 @@ def theorem_mod_component_bound(G: FiniteAbelianGroup, d: int) -> int:
 def orbit_count(G: FiniteAbelianGroup, generators) -> int:
     """Number of orbits of the generated automorphism subgroup on G.
 
-    Union-find over element positions with an edge i -> perm[i] for every
-    generator; with no generators every element is its own orbit.  Both ends
-    of an edge are followed to their roots with path halving, inline, and
-    the larger root is linked under the smaller one.
+    With no generators every element is its own orbit.  Otherwise a walk
+    over a ``seen`` bytearray, a byte per element: each element not yet
+    seen starts an orbit, and the walk follows its cycle under the first
+    generator, marking each element.  Each element's images under the other
+    generators are marked and pushed, if not yet seen, onto a stack of
+    32-bit positions; popping one resumes the walk along its cycle.  Every
+    element is marked once and walked from once, so the walk holds at most
+    5 bytes per element besides the generators' arrays.
     """
     _check_action_order(G)
-    parent = list(range(G.order))
-    for gen in generators:
+    gens = list(generators)
+    if not gens:
+        return G.order
+    for index, gen in enumerate(gens):
         if not isinstance(gen, AutAction):
-            raise ValidationError("generators must be AutAction instances")
+            raise ValidationError("generators must be AutAction instances", index=index)
         if gen.group != G:
-            raise ValidationError("generator acts on a different group")
-        for i, j in enumerate(gen.perm):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if i < j:
-                parent[j] = i
-            elif j < i:
-                parent[i] = j
-    # the roots are exactly the positions that are their own parent
-    return sum(1 for i, p in enumerate(parent) if i == p)
+            raise ValidationError("generator acts on a different group", index=index,
+                                  cyclic_orders=list(gen.group.cyclic_orders))
+    from array import array
+
+    from ._lanes import LANE
+
+    first, *rest = [gen.perm for gen in gens]
+    seen = bytearray(G.order)
+    stack = array(LANE)
+    push, pop = stack.append, stack.pop
+    orbits = 0
+    s = seen.find(0)
+    while s >= 0:
+        orbits += 1
+        seen[s] = 1
+        push(s)
+        while stack:
+            i = pop()
+            while True:
+                for perm in rest:
+                    j = perm[i]
+                    if not seen[j]:
+                        seen[j] = 1
+                        push(j)
+                i = first[i]
+                if seen[i]:
+                    break
+                seen[i] = 1
+        s = seen.find(0, s + 1)
+    return orbits
 
 
 def cnew_component_count(G: FiniteAbelianGroup, generators, d: int, m: int) -> int:

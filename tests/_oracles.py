@@ -4,9 +4,9 @@ These deliberately avoid the production code paths: totally even sets are
 characterized through the null space of the point-hyperplane incidence
 matrix over F2, divisibility questions in finite abelian groups are
 decided by exhaustive search over all elements, automorphism orbits are
-recounted by Burnside's lemma over the whole generated group (the package
-merges orbits by union-find), invariant factors come from prime-power
-decompositions, arrangement points are grouped by their leading-1
+recounted by Burnside's lemma over the whole generated group or merged by
+union-find (the package walks the generators' cycles), invariant factors
+come from prime-power decompositions, arrangement points are grouped by their leading-1
 Fraction coordinates (the package groups by primitive integer keys) and
 ordered by quotients of all six key entries (the package sorts by lead
 position), and a permutation table is read element by element into a dict
@@ -276,6 +276,26 @@ def burnside_orbit_count(G, generators) -> int:
     if rem:
         raise ValueError("fixed-point total is not a multiple of the group order")
     return count
+
+
+def union_find_orbit_count(G, generators) -> int:
+    """Orbit count of the automorphism group generated by ``generators`` on
+    G, by union-find over element positions with an edge i -> perm[i] for
+    every generator: both ends of an edge are followed to their roots with
+    path halving, and the larger root is linked under the smaller one."""
+    parent = list(range(G.order))
+    for gen in generators:
+        for i, j in enumerate(gen.perm):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+    # the roots are exactly the positions that are their own parent
+    return sum(1 for i, p in enumerate(parent) if i == p)
 
 
 # Scalars of Q(omega) as pairs (a, b) of ints or Fractions meaning

@@ -1,14 +1,16 @@
 """`components --aut` reads a file of permutation tables of the common
-shape with `_lanes.table_positions`, a slice of the pairs array at a time,
-and any other file with `cli._load_json`.  Both must give the same
-actions, or the same error document and exit code: each case here runs
-through both, the second with `table_positions` patched to return None.
-The slice size is patched down too, so small files meet every cut."""
+shape with `_lanes.table_positions`, a slice of the pairs array at a time
+through a window of the file, and any other file with `cli._load_json`.
+Both must give the same actions, or the same error document and exit
+code: each case here runs through both, the second with `table_positions`
+patched to return None.  The slice and read sizes are patched down too, so
+small files meet every cut and every read boundary."""
 
 import contextlib
 import gc
 import io
 import json
+import os
 import re
 import tempfile
 from itertools import product
@@ -20,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurican import _lanes, cli
-from plurican.errors import DomainError
+from plurican.errors import DomainError, MalformedInputError
 from plurican.torsion import AutAction, FiniteAbelianGroup
 from test_golden import CASES
 
 SLICES = (1, 7, _lanes._SLICE)
+READS = (1, 3, _lanes._READ)
 
 
 def unit_table(orders, units) -> list:
@@ -54,7 +57,7 @@ def outcome(group: str, path: Path) -> tuple:
     return code, out.getvalue(), gens
 
 
-def both_paths(group: str, text: str, slice_size: int) -> tuple:
+def both_paths(group: str, text: str, slice_size: int, read_size: int = _lanes._READ) -> tuple:
     """The outcome of a file holding ``text`` (as UTF-8, line ends as
     given) through the walk; it must equal the outcome through the
     general parser."""
@@ -62,8 +65,9 @@ def both_paths(group: str, text: str, slice_size: int) -> tuple:
         path = Path(tmp) / "aut.json"
         path.write_bytes(text.encode("utf-8"))
         mp.setattr(_lanes, "_SLICE", slice_size)
+        mp.setattr(_lanes, "_READ", read_size)
         walked = outcome(group, path)
-        mp.setattr(_lanes, "table_positions", lambda text, orders: None)
+        mp.setattr(_lanes, "table_positions", lambda fh, orders: None)
         parsed = outcome(group, path)
     assert walked == parsed
     return walked
@@ -176,11 +180,12 @@ FIXED = {
 }
 
 
+@pytest.mark.parametrize("read_size", READS)
 @pytest.mark.parametrize("slice_size", SLICES)
 @pytest.mark.parametrize("case", sorted(FIXED))
-def test_walk_matches_the_general_parser(case, slice_size):
+def test_walk_matches_the_general_parser(case, slice_size, read_size):
     group, text = FIXED[case]
-    both_paths(group, text, slice_size)
+    both_paths(group, text, slice_size, read_size)
 
 
 GOLDEN_TABLES = sorted(name for name, (argv, _) in CASES.items()
@@ -209,15 +214,145 @@ def test_images_past_the_order_are_reduced(slice_size):
     assert [tuple(perm) for perm in gens] == [(0, 2, 4, 1, 3)]
 
 
+@pytest.mark.parametrize("read_size", READS)
 @pytest.mark.parametrize("slice_size", SLICES)
-def test_valid_cases_take_the_walk(monkeypatch, slice_size):
+def test_valid_cases_take_the_walk(monkeypatch, slice_size, read_size):
     monkeypatch.setattr(_lanes, "_SLICE", slice_size)
+    monkeypatch.setattr(_lanes, "_READ", read_size)
     for case in ["base", "crlf", "cr", "lf-indent", "negative", "minus-zero", "past-2^32",
                  "4300-digits", "99", "100", "three-digits-last", "spaced-cuts", "tab-indent",
                  "two-permutations", "trivial-group", "rank-0-pairs", "images-past-the-order"]:
         group, text = FIXED[case]
         orders = cli._parse_group(group).cyclic_orders
-        assert _lanes.table_positions(text.encode("utf-8"), orders) is not None, case
+        assert _lanes.table_positions(io.BytesIO(text.encode("utf-8")), orders) is not None, case
+
+
+def walk(text: str, read_size: int, slice_size: int = _lanes._SLICE) -> list | None:
+    """`table_positions` of ``text`` on Z/2 x Z/3, read ``read_size``
+    bytes at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lanes, "_READ", read_size)
+        mp.setattr(_lanes, "_SLICE", slice_size)
+        return _lanes.table_positions(io.BytesIO(text.encode("utf-8")), (2, 3))
+
+
+# JSON whitespace, longer than any window of the walks below
+LONG_RUN = " \n\t\r" * 100
+
+
+def _in_run(text: str, before: str) -> tuple[str, int]:
+    """``text`` with `LONG_RUN` put just before the first ``before``, and
+    an offset in the middle of the run."""
+    at = text.index(before)
+    return text[:at] + LONG_RUN + text[at:], at + len(LONG_RUN) // 2
+
+
+INDENTED = json.dumps(json.loads(BASE), indent=2)
+
+# a file of BASE's table, and an offset a read boundary is put around
+BOUNDARIES = {
+    "pair-cut": (BASE, BASE.index("]], [[") + 1),
+    "pair-cut-comma": (BASE, BASE.index("]], [[") + 2),
+    "closing-brackets": (BASE, BASE.index("]]]") + 1),
+    "closing-last-bracket": (BASE, BASE.index("]]]") + 2),
+    "trailing-brace": (BASE, len(BASE) - 1),
+    "eof": (BASE, len(BASE)),
+    "run-in-head": _in_run(BASE, ":"),
+    "run-between-pairs": _in_run(BASE, "[[1, 0]"),
+    "run-in-a-cut": _in_run(BASE, ", [[1, 0]"),
+    "run-after-the-array": _in_run(BASE, "}]}"),
+    "run-before-eof": (BASE + LONG_RUN, len(BASE) + len(LONG_RUN) // 2),
+    "indented": (INDENTED, INDENTED.index("]\n        ],\n") + 1),
+    "indented-closing": (INDENTED, INDENTED.index("]\n      ]\n    }") + 1),
+}
+
+
+@pytest.mark.parametrize("slice_size", SLICES)
+@pytest.mark.parametrize("case", sorted(BOUNDARIES))
+def test_read_boundaries_leave_the_positions_as_a_whole_read(case, slice_size):
+    text, at = BOUNDARIES[case]
+    whole = walk(text, len(text) + 1, slice_size)  # the whole file in one read
+    assert whole is not None and whole == walk(BASE, len(BASE) + 1)
+    for read_size in {1, 2, 3, *range(max(at - 2, 1), at + 3)}:
+        assert walk(text, read_size, slice_size) == whole, read_size
+
+
+def test_read_boundaries_leave_the_slices_as_a_whole_read(monkeypatch):
+    # BASE has no run of two whitespace bytes, so the window cuts none
+    # short: a cut is found where a whole read finds it, even when a read
+    # boundary falls inside it
+    parts = []
+    real = _lanes._pair_count
+    monkeypatch.setattr(_lanes, "_pair_count",
+                        lambda part, rank: parts.append(part) or real(part, rank))
+    walk(BASE, len(BASE) + 1, 7)
+    whole, parts[:] = parts[:], []
+    assert len(whole) > 3
+    for read_size in range(1, len(BASE) + 1):
+        walk(BASE, read_size, 7)
+        assert parts == whole, read_size
+        parts.clear()
+
+
+def test_a_long_whitespace_run_keeps_the_window_small(monkeypatch):
+    # 100 KB of whitespace in a cut and 100 KB before the end of the file,
+    # read 64 bytes at a time: the window cuts each run short as it reads
+    # on, so it never holds more than a few reads
+    run = LONG_RUN * 250
+    text = BASE.replace("]], [[", "]]" + run + ", [[", 1) + run
+    sizes = []
+    real = _lanes._Window.more
+    monkeypatch.setattr(_lanes._Window, "more",
+                        lambda window: sizes.append(len(window.data)) or real(window))
+    assert walk(text, 64, 7) == walk(BASE, len(BASE) + 1)
+    assert len(sizes) > len(text) // 64
+    assert max(sizes) < 4 * 64
+
+
+@pytest.mark.parametrize("text", [BASE[:-1], BASE[:BASE.index("]]]") + 2], BASE[:len(BASE) // 2],
+                                  BASE + "x", BASE + LONG_RUN + "x"])
+def test_truncated_or_trailing_bytes_are_refused_at_every_read_size(text):
+    for read_size in [*range(1, 9), len(text) + 1]:
+        assert walk(text, read_size) is None, read_size
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_unreadable_path_cannot_be_read(tmp_path, missing):
+    # a missing file, or a directory, which opens on neither path
+    path = tmp_path / "missing.json" if missing else tmp_path
+    walked = outcome(Z2Z3, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lanes, "table_positions", lambda fh, orders: None)
+        assert outcome(Z2Z3, path) == walked
+    code, out, (kind, message, _) = walked
+    assert code == 2 and kind is MalformedInputError
+    assert message.startswith(f"cannot read {path}: ")
+    assert json.loads(out)["error"]["message"] == message
+
+
+def _stdout(group: str, path) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["components", "--group", group, "--d", "2", "--aut", str(path)])
+    return code, out.getvalue().replace(str(path), "PATH")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="pipes are opened through /dev/fd")
+@pytest.mark.parametrize("case", ["base", "two-permutations", "matrix-then-permutation",
+                                  "trailing-garbage", "truncated"])
+def test_a_pipe_reads_as_a_file(tmp_path, case):
+    # a pipe cannot be read twice, so the walk and the general parser read
+    # one copy of it, and it gives what the same bytes in a file give
+    group, text = FIXED[case]
+    path = tmp_path / "aut.json"
+    path.write_bytes(text.encode("utf-8"))
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        assert _stdout(group, f"/dev/fd/{r}") == _stdout(group, path)
+    finally:
+        os.close(r)
 
 
 GROUPS = [(2, 3), (4,), (3, 3), (2, 2, 2), ()]
@@ -276,9 +411,9 @@ def table_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table_files(), st.sampled_from(SLICES))
-def test_walk_matches_the_general_parser_on_any_file(file, slice_size):
-    both_paths(*file, slice_size)
+@given(table_files(), st.sampled_from(SLICES), st.sampled_from(READS))
+def test_walk_matches_the_general_parser_on_any_file(file, slice_size, read_size):
+    both_paths(*file, slice_size, read_size)
 
 
 def _walked(monkeypatch, group: str, path: Path) -> list:

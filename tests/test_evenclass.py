@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,8 +213,17 @@ def test_census_builds_no_matrix_and_no_second_orbit_pass(monkeypatch):
 
 def test_burnside_disagreement_fails_the_census(monkeypatch):
     monkeypatch.setattr(glgroup, "_burnside_orbit_count", lambda k, masks: 3)
-    with pytest.raises(ValidationError, match="Burnside recount 3 disagrees with census 2"):
+    with pytest.raises(ValidationError, match="Burnside recount 3 disagrees with census 2") as err:
         verify_lemma_ev()
+    assert err.value.details == {"burnside": 3, "census": 2}
+
+
+def test_census_of_other_than_two_orbits_fails(monkeypatch):
+    monkeypatch.setattr(glgroup, "gl_orbit_census",
+                        lambda k, masks: (SimpleNamespace(orbit_count=1), None, 1))
+    with pytest.raises(ValidationError, match="expected 2 orbits, found 1") as err:
+        verify_lemma_ev()
+    assert err.value.details == {"found": 1}
 
 
 def test_census_without_a_type_i_orbit_fails(monkeypatch):

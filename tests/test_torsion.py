@@ -21,6 +21,7 @@ from _oracles import (
     invariant_factors,
     table_positions_oracle,
     tor_d_elements,
+    union_find_orbit_count,
 )
 from plurican import _lanes, cli, torsion
 from plurican.errors import DomainError, HypothesisError, MalformedInputError, ValidationError
@@ -189,6 +190,65 @@ def test_orbit_count_matches_burnside_randomized():
     for _ in range(10):
         gens = [AutAction.from_matrix(G, rng.choice(mats)) for _ in range(rng.randint(0, 3))]
         assert orbit_count(G, gens) == burnside_orbit_count(G, gens)
+        assert orbit_count(G, gens) == union_find_orbit_count(G, gens)
+
+
+def _scalings(p: int, *units: int) -> list:
+    """x -> u x on Z/p for each u in `units`."""
+    G = FiniteAbelianGroup((p,))
+    return [AutAction.from_matrix(G, [[u]]) for u in units]
+
+
+# (group orders, generators, orbits): each walked by `orbit_count` and
+# recounted by union-find and by Burnside
+ORBIT_CASES = {
+    "no-generators": ((3, 4), lambda G: [], 12),
+    "identity": ((4, 2), lambda G: [AutAction(G, [(1, 0), (0, 1)])], 8),
+    # 3 is a primitive root mod 7: one cycle of the 6 nonzero elements
+    "primitive-root-cycle": ((7,), lambda G: _scalings(7, 3), 2),
+    "repeated-generator": ((5, 5), lambda G: [AutAction.from_matrix(G, [[0, 1], [1, 0]])] * 3,
+                           15),
+    # the cycle of 1 under x -> 3x meets 2, pushed from 1 under x -> 2x,
+    # after 3: 1, 3, then 2 is already seen, and is walked on from the stack
+    "stacked-element-met-in-a-cycle": ((7,), lambda G: _scalings(7, 3, 2), 2),
+    # x -> -x pushes the second half of the cycle of 1 under x -> 3x
+    "half-the-cycle-stacked": ((17,), lambda G: _scalings(17, 3, -1), 2),
+    # GL(2, 2) permutes the three nonzero elements
+    "gl2-on-z2-squared": ((2, 2), lambda G: [AutAction.from_matrix(G, [[0, 1], [1, 0]]),
+                                             AutAction.from_matrix(G, [[1, 1], [0, 1]])], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_count_fixed_inputs(case):
+    orders, make, orbits = ORBIT_CASES[case]
+    G = FiniteAbelianGroup(orders)
+    gens = make(G)
+    assert orbit_count(G, gens) == orbits
+    assert union_find_orbit_count(G, gens) == orbits
+    assert burnside_orbit_count(G, gens) == orbits
+
+
+def test_orbit_count_takes_an_iterator_of_generators():
+    G = FiniteAbelianGroup((7,))
+    assert orbit_count(G, iter(_scalings(7, 2))) == 3  # {0}, {1, 2, 4}, {3, 6, 5}
+
+
+def test_orbit_count_peak_memory():
+    # x -> 3x and x -> -x on Z/65537, 3 a primitive root: one orbit of
+    # every nonzero element, whose cycle of 1 under x -> 3x pushes each
+    # element of its second half, -1 = 3^32768 on, before it meets -1.
+    # That is the largest stack two generators can build, half the
+    # elements at 4 bytes each; with the seen bytes, 3.1 bytes per element
+    # (0.20 MB, Python 3.11) against the bound's 5.  The union-find held a
+    # list of Python ints, about 38 bytes per element.
+    p = 65537
+    G = FiniteAbelianGroup((p,))
+    gens = _scalings(p, 3, -1)
+    count = []
+    peak = _traced_peak(lambda: count.append(orbit_count(G, gens)))
+    assert count == [2]
+    assert peak <= 5 * p, f"peak {peak / p:.2f} bytes per element"
 
 
 def test_perm_is_an_array_of_32_bit_positions():
@@ -472,48 +532,77 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_table_walk_peak_memory():
-    # Above its bytes, made before the trace starts, the walk holds the
-    # positions, two 32-bit lanes (8 bytes) per pair, and the temporaries of
-    # one slice of `_SLICE` bytes.  A slice decoded by `json.loads` holds
-    # the most: the slice, its marked copy and skeleton, its flat text
+def _table_file(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
+                    encoding="utf-8")
+    return path
+
+
+def test_table_walk_peak_memory(tmp_path):
+    # The walk holds the positions, two 32-bit lanes (8 bytes) per pair, its
+    # window of the file, about two slices of `_SLICE` bytes and a read,
+    # and the temporaries of one slice.  A slice decoded by `json.loads`
+    # holds the most: the slice, its marked copy and skeleton, its flat text
     # (about a slice each), the list of its numbers (8 bytes a reference and
     # at least 2 characters a number: 4 slices) and one column of them with
     # its lanes, 10 slices in all.  The byte-lane decode of this table's 1-
     # and 2-digit coordinates holds less: the slice, a digit mask and a few
-    # big ints of a byte per byte of the slice.  Python 3.11: 0.99 MB
-    # against the bound's 1.26 MB; the walk on text, which decoded every
-    # slice with `json.loads`, peaked at 1.07 MB, and the one before it,
-    # which decoded each slice to nested lists, at 1.59 MB.
-    pairs = _unit_table()
-    data = json.dumps({"generators": [{"kind": "permutation", "pairs": pairs}]}).encode()
-    del pairs
+    # big ints of a byte per byte of the slice.  Python 3.11: 1.18 MB
+    # against the bound's 1.39 MB, and nothing for the file's 2.5 MB.  The
+    # walk of the file's bytes held whole peaked at 0.99 MB above them, the
+    # walk on text at 1.07 MB and the one before it, which decoded each
+    # slice to nested lists, at 1.59 MB.
+    path = _table_file(tmp_path)
     tables = []
-    peak = _traced_peak(lambda: tables.extend(_lanes.table_positions(data, TABLE_ORDERS)))
+    with open(path, "rb") as fh:
+        peak = _traced_peak(lambda: tables.extend(_lanes.table_positions(fh, TABLE_ORDERS)))
     G = FiniteAbelianGroup(TABLE_ORDERS)
     pos = tables[0]
     assert pos[0::2] == array(pos.typecode, range(G.order))
     assert pos[2 * G.index((1, 1, 1, 1)) + 1] == G.index(TABLE_UNITS)
-    bound = 8 * G.order + 10 * _lanes._SLICE
+    bound = 8 * G.order + 12 * _lanes._SLICE
+    assert bound < path.stat().st_size
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
-def test_components_table_peaks_under_a_third_of_its_parsed_json(tmp_path):
-    # the parsed table is ~20 MB of lists and ints (a 23.1 MB peak, Python
-    # 3.11); the command reads the file's bytes a slice at a time into
-    # 32-bit positions and peaks at 3.5 MB, its 2.5 MB of bytes included
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({"generators": [{"kind": "permutation", "pairs": _unit_table()}]}),
-                    encoding="utf-8")
-    parse = _traced_peak(lambda: cli._load_json(path))
+def _components_table(path):
     out = io.StringIO()
     argv = ["components", "--group", ",".join(map(str, TABLE_ORDERS)), "--d", "2",
             "--aut", str(path)]
     with contextlib.redirect_stdout(out):
-        command = _traced_peak(lambda: cli.main(argv))
+        peak = _traced_peak(lambda: cli.main(argv))
     assert json.loads(out.getvalue())["orbit_count"] > 0
-    assert command <= parse / 3, (
+    return peak
+
+
+def test_components_table_peaks_under_a_third_of_its_parsed_json(tmp_path):
+    # the parsed table is ~20 MB of lists and ints (a 23.1 MB peak, Python
+    # 3.11); the command reads the file a window at a time into 32-bit
+    # positions and peaks at 1.55 MB while it builds the action, a
+    # fifteenth of the parse.  It peaked at 3.5 MB when it held the file's
+    # 2.5 MB of bytes, and at 5.0 MB when it held them and their text.
+    path = _table_file(tmp_path)
+    parse = _traced_peak(lambda: cli._load_json(path))
+    command = _components_table(path)
+    assert command <= parse / 10, (
         f"command {command / 1e6:.1f} MB, parse {parse / 1e6:.1f} MB")
+
+
+def test_components_table_peak_has_no_term_for_the_file(tmp_path):
+    # The walk holds 8 bytes per pair and a few slices (see
+    # `test_table_walk_peak_memory`).  The action arrays follow: the
+    # per-element table (4 bytes), the hit bytes (1) and the permutation
+    # (4), 9 bytes per element, while the permutation's lanes are built in
+    # the room the freed positions leave.  Python 3.11: 1.55 MB against the
+    # bound's 1.81 MB; the file is 2.51 MB, and the command peaked at 3.50
+    # MB when it held the file's bytes.
+    path = _table_file(tmp_path)
+    order = prod(TABLE_ORDERS)
+    bound = 8 * order + 9 * order + 8 * _lanes._SLICE
+    assert bound < path.stat().st_size
+    command = _components_table(path)
+    assert command <= bound, f"command {command / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 def test_permutation_table_needs_basis_images_of_right_order():
@@ -543,9 +632,14 @@ def test_matrix_action_rejections():
 
 
 def test_generator_group_mismatch():
+    G = FiniteAbelianGroup((7,))
     inv = AutAction.from_matrix(FiniteAbelianGroup((5,)), [[-1]])
-    with pytest.raises(ValidationError):
-        orbit_count(FiniteAbelianGroup((7,)), [inv])
+    with pytest.raises(ValidationError, match="acts on a different group") as err:
+        orbit_count(G, [*_scalings(7, 3), inv])
+    assert err.value.details == {"index": 1, "cyclic_orders": [5]}
+    with pytest.raises(ValidationError, match="must be AutAction instances") as err:
+        orbit_count(G, [_scalings(7, 3)[0].perm])
+    assert err.value.details == {"index": 0}
 
 
 def test_cnew_component_count():
