@@ -3,8 +3,9 @@
 Modules by theme:
 
 - :mod:`plurican.f2geom`: points, hyperplanes and point sets of PG(k-1, F2)
-- :mod:`plurican.glgroup`: GL(k, F2) as one table of point permutations:
-  orbits, canonical forms and the Burnside recount
+- :mod:`plurican.glgroup`: GL(k, F2) as one flat table of point
+  permutations, a row of 2^k bytes per element: orbits, canonical forms and
+  the Burnside recount
 - :mod:`plurican.evenclass`: census of totally even 8-point sets in PG(3, F2)
 - :mod:`plurican.invariants`: covering invariants, canonical-map degrees,
   moduli dimensions, and the catalogue of base surfaces

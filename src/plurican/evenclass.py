@@ -22,8 +22,8 @@ from .f2geom import (
     Hyperplane,
     PointSet,
     _hyperplane_masks,
-    hyperplane_profile,
-    is_totally_even,
+    _profile,
+    _sections,
     num_points,
     pointset_to_json,
 )
@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from .glgroup import OrbitCensus
 
 K = 4
+_EVEN_SIZES = frozenset(range(0, 16, 2))
 
 
 class EvenSetTag(str, Enum):
@@ -84,23 +85,27 @@ def classify_type(s: PointSet) -> EvenSetType:
         raise ValidationError(f"classification lives in PG(3, F2); got k={s.k}")
     if s.size != 8:
         raise ValidationError(f"expected a set of size 8, got size {s.size}", size=s.size)
-    if not is_totally_even(s):
-        return EvenSetType(EvenSetTag.NOT_TOTALLY_EVEN, None)
-    masks = _hyperplane_masks(K)
-    six = []
-    for normal in range(1, num_points(K) + 1):
-        inter = (s.mask & masks[normal]).bit_count()
-        if inter == 0:
-            return EvenSetType(EvenSetTag.TYPE_I, Hyperplane(K, normal))
-        if inter == 6:
-            six.append(normal)
-    if len(six) != 1:
+    tag, normal = _type_of(s.mask, _sections(K, s.mask))
+    return EvenSetType(tag, normal and Hyperplane(K, normal))
+
+
+def _type_of(mask: int, sections: list[int]) -> tuple[EvenSetTag, int | None]:
+    """The type of the 8-point set ``mask`` from its hyperplane sections
+    (:func:`f2geom._sections`), with the normal of its witness hyperplane:
+    the first disjoint one for type I, the unique 6-point section for
+    type II, none for a set that is not totally even."""
+    if not _EVEN_SIZES.issuperset(sections):
+        return EvenSetTag.NOT_TOTALLY_EVEN, None
+    if 0 in sections:
+        return EvenSetTag.TYPE_I, sections.index(0) + 1
+    if sections.count(6) != 1:
         raise ValidationError(
             "classification dichotomy failed: no disjoint hyperplane and no "
             "unique 6-point section",
-            set=pointset_to_json(s), six_point_normals=six,
+            set=pointset_to_json(PointSet(K, mask)),
+            six_point_normals=[normal for normal, size in enumerate(sections, 1) if size == 6],
         )
-    return EvenSetType(EvenSetTag.TYPE_II, Hyperplane(K, six[0]))
+    return EvenSetTag.TYPE_II, sections.index(6) + 1
 
 
 class LemmaEvReport(Record):
@@ -135,10 +140,12 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     Asserts that there are exactly two orbits, that the type I orbit has
     size 15, that the classification is constant on orbits, and that the
     independent Burnside recount agrees with the partition.  Both read the
-    GL(4, 2) permutation table directly, and the constancy check compares
-    each set's type with that of its orbit, looked up in the census's orbit
-    index.  ``profile_separates_orbits`` reports whether the hyperplane
-    profile is constant on each orbit and differs between orbits.
+    GL(4, 2) permutation table in place.  One pass over the sets takes each
+    set's 15 hyperplane sections once: from them the constancy check
+    compares the set's type with that of its orbit, looked up in the
+    census's orbit index, and ``profile_separates_orbits`` reports whether
+    the hyperplane profile is constant on each orbit and differs between
+    orbits.  The pass builds no record per set.
     ``workers`` is validated and otherwise unused: the work is
     single-process.
     """
@@ -166,9 +173,14 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
                 representative=pointset_to_json(orbit.representative),
             )
 
-    # re-classify every set and compare with the type of its orbit
+    # one pass over the sets, through each set's 15 hyperplane sections:
+    # its type against that of its orbit, and its hyperplane profile.  The
+    # profile separates the orbits when the (orbit, profile) pairs match one
+    # profile to each orbit and one orbit to each profile.
+    profiles = set()
     for s in sets:
-        tag = classify_type(s).tag
+        sections = _sections(K, s.mask)
+        tag = _type_of(s.mask, sections)[0]
         idx = orbit_of[s.mask]
         if tag is not orbit_types[idx]:
             _fail(
@@ -176,10 +188,7 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
                 representative=pointset_to_json(census.orbits[idx].representative),
                 tags=sorted({tag.value, orbit_types[idx].value}),
             )
-
-    # the profile separates the orbits when (orbit, profile) pairs match one
-    # profile to each orbit and one orbit to each profile
-    profiles = {(orbit_of[s.mask], hyperplane_profile(s)) for s in sets}
+        profiles.add((idx, _profile(sections)))
     separates = len(profiles) == len({i for i, _ in profiles}) == len({p for _, p in profiles})
 
     type_i = [o for o, tag in zip(census.orbits, orbit_types) if tag is EvenSetTag.TYPE_I]

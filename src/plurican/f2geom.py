@@ -125,8 +125,9 @@ class PointSet(Record):
         if not points:
             raise ValidationError("cannot infer dimension from an empty point list")
         k = points[0].k
-        if any(p.k != k for p in points):
-            raise ValidationError("points of mixed dimensions")
+        for p in points:
+            if p.k != k:
+                raise ValidationError("points of mixed dimensions", dims=[k, p.k])
         return cls.from_codes(k, (p.code for p in points))
 
     @property
@@ -171,10 +172,20 @@ def _hyperplane_masks(k: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _sections(k: int, mask: int) -> list[int]:
+    """Intersection sizes |mask & H| over the hyperplanes H of PG(k-1, F2),
+    by ascending normal."""
+    return [(mask & m).bit_count() for m in _hyperplane_masks(k)[1:]]
+
+
+def _profile(sections: list[int]) -> tuple[int, ...]:
+    """The hyperplane profile of a set from its :func:`_sections`."""
+    return tuple(sorted(sections, reverse=True))
+
+
 def hyperplane_profile(s: PointSet) -> tuple[int, ...]:
     """Intersection sizes |s & H| over all hyperplanes H, sorted descending."""
-    masks = _hyperplane_masks(s.k)
-    return tuple(sorted(((s.mask & m).bit_count() for m in masks[1:]), reverse=True))
+    return _profile(_sections(s.k, s.mask))
 
 
 def is_totally_even(s: PointSet) -> bool:

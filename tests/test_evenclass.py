@@ -106,15 +106,16 @@ def test_verify_report_shape(lemma_report):
     assert sizes == [15, N8 - 15]
 
 
-# stand-in profiles: shifted by 1 (constant per orbit, no 0 and no 6), one
-# for every set (the orbits share it), and the set itself (not constant)
+# stand-in profiles of a set's hyperplane sections: shifted by 1 (constant
+# per orbit, no 0 and no 6), one for every set (the orbits share it), and
+# the sections unsorted (not constant)
 @pytest.mark.parametrize("profile,separates", [
-    (lambda s: tuple(x + 1 for x in hyperplane_profile(s)), True),
-    (lambda s: (4,), False),
-    (lambda s: (s.mask,), False),
+    (lambda sections: tuple(x + 1 for x in sorted(sections, reverse=True)), True),
+    (lambda sections: (4,), False),
+    (lambda sections: tuple(sections), False),
 ])
 def test_profile_separates_orbits_is_the_named_property(monkeypatch, profile, separates):
-    monkeypatch.setattr(evenclass, "hyperplane_profile", profile)
+    monkeypatch.setattr(evenclass, "_profile", profile)
     assert verify_lemma_ev().profile_separates_orbits is separates
 
 
@@ -181,10 +182,10 @@ def test_constancy_failure_names_orbit_and_tags(monkeypatch, gl4, wrong):
     # the victim one more member of that orbit
     rep = canonical_form(TYPE_II_REPRESENTATIVE)
     victim = next(img for img in (act(m, rep) for m in gl4) if img != rep)
-    real = evenclass.classify_type
+    real = evenclass._type_of
     monkeypatch.setattr(
-        evenclass, "classify_type",
-        lambda s: EvenSetType(wrong, None) if s == victim else real(s),
+        evenclass, "_type_of",
+        lambda mask, sections: (wrong, None) if mask == victim.mask else real(mask, sections),
     )
     with pytest.raises(ValidationError, match="classification is not constant on an orbit") as err:
         verify_lemma_ev()
@@ -228,11 +229,20 @@ def test_census_of_other_than_two_orbits_fails(monkeypatch):
 
 def test_census_without_a_type_i_orbit_fails(monkeypatch):
     # every set reported as type II: constant on orbits, but no type I orbit
-    real = evenclass.classify_type
+    real = evenclass._type_of
     monkeypatch.setattr(
-        evenclass, "classify_type",
-        lambda s: EvenSetType(EvenSetTag.TYPE_II, real(s).witness),
+        evenclass, "_type_of",
+        lambda mask, sections: (EvenSetTag.TYPE_II, real(mask, sections)[1]),
     )
     with pytest.raises(ValidationError, match="a single type I orbit of size 15") as err:
         verify_lemma_ev()
     assert err.value.details == {"sizes": []}
+
+
+@pytest.mark.parametrize("sections,six", [([4] * 15, []), ([6, 4, 6] + [4] * 12, [1, 3])])
+def test_classification_dichotomy_failure_names_the_set_and_its_six_point_sections(sections, six):
+    # no real set has these sections: the check stands behind the case analysis
+    with pytest.raises(ValidationError, match="classification dichotomy failed") as err:
+        evenclass._type_of(TYPE_II_REPRESENTATIVE.mask, sections)
+    assert err.value.details == {
+        "set": pointset_to_json(TYPE_II_REPRESENTATIVE), "six_point_normals": six}

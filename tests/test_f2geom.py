@@ -61,6 +61,13 @@ def test_symmetric_difference_dimension_mismatch():
         PointSet.from_codes(3, [1]) ^ PointSet.from_codes(4, [1])
 
 
+def test_points_of_mixed_dimensions_name_the_first_two():
+    points = [F2Point(4, 1), F2Point(4, 2), F2Point(3, 1), F2Point(2, 1)]
+    with pytest.raises(ValidationError, match="points of mixed dimensions") as err:
+        PointSet.from_points(points)
+    assert err.value.details == {"dims": [4, 3]}
+
+
 def test_every_hyperplane_is_a_fano_plane():
     for mask in _hyperplane_masks(4)[1:]:
         assert mask.bit_count() == 7

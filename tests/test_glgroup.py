@@ -16,7 +16,8 @@ from _oracles import (
 )
 from plurican import glgroup
 from plurican.errors import ValidationError
-from plurican.f2geom import F2Point, PointSet, is_totally_even
+from plurican.evenclass import verify_lemma_ev
+from plurican.f2geom import F2Point, PointSet, is_totally_even, pointset_to_json
 from plurican.glgroup import (
     F2Matrix,
     Orbit,
@@ -35,7 +36,7 @@ def hyperplane_complements():
 
 @pytest.mark.parametrize("k,order", [(2, 6), (3, 168), (4, 20160)])
 def test_group_orders(k, order):
-    assert len(_gl_table(k)) == order
+    assert len(_gl_table(k)) == order << k
     assert orbit_census(k, [PointSet(k, 0)]).group_order == order
 
 
@@ -69,16 +70,39 @@ def test_enumeration_order_is_ascending_packed(gl4):
         assert all(a < b for a, b in zip(packed, packed[1:]))
 
 
+def table_rows(k: int) -> list[bytes]:
+    """The rows of the table of GL(k, F2), one point permutation each."""
+    n = 1 << k
+    table = _gl_table(k)
+    return [table[i:i + n] for i in range(0, len(table), n)]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_table_invariants(k):
-    perms = _gl_table(k)
-    assert type(perms) is tuple
-    assert len(perms) == prod((1 << k) - (1 << i) for i in range(k))
-    assert len(set(perms)) == len(perms)
-    for perm in perms:
-        assert type(perm) is bytes
-        assert perm[0] == 0
-        assert sorted(perm) == list(range(1 << k))
+    # one bytes, one row of 2^k bytes per element: distinct permutations of
+    # the codes that fix 0
+    table = _gl_table(k)
+    assert type(table) is bytes
+    assert len(table) == prod((1 << k) - (1 << i) for i in range(k)) << k
+    rows = table_rows(k)
+    assert len(set(rows)) == len(rows)
+    for row in rows:
+        assert row[0] == 0
+        assert sorted(row) == list(range(1 << k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_table_blocks_share_their_lower_half(k):
+    # the Burnside recount reads the lower half once per block: the 2^(k-1)
+    # rows of a block share their first 2^(k-1) bytes, one block per lower
+    # half, and its rows differ in their upper halves
+    half = 1 << (k - 1)
+    rows = table_rows(k)
+    blocks = [rows[i:i + half] for i in range(0, len(rows), half)]
+    for block in blocks:
+        assert len({row[:half] for row in block}) == 1
+        assert len({row[half:] for row in block}) == half
+    assert len({block[0][:half] for block in blocks}) == len(blocks)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -87,7 +111,7 @@ def test_point_permutations_by_linearity_match_apply_code(k, gl3, gl4):
     oracle = {2: enumerate_gl(2), 3: gl3, 4: gl4}[k]
     assert len(oracle) == {2: 6, 3: 168, 4: 20160}[k]
     direct = [tuple(m.apply_code(c) for c in range(1 << k)) for m in oracle]
-    assert set(direct) == {tuple(perm) for perm in _gl_table(k)}
+    assert set(direct) == {tuple(row) for row in table_rows(k)}
     for m, perm in zip(oracle, direct):
         assert m.point_permutation() == perm
 
@@ -175,9 +199,9 @@ def test_census_closure_violation():
 
 
 def test_census_orbit_stabilizer_check_on_a_table_with_a_duplicate(monkeypatch):
-    # the first permutation twice: every stabilizer is one too large
+    # the first row twice: every stabilizer is one too large
     table = _gl_table(4)
-    monkeypatch.setattr(glgroup, "_gl_table", lambda k: table + table[:1])
+    monkeypatch.setattr(glgroup, "_gl_table", lambda k: table + table[:16])
     with pytest.raises(ValidationError, match="full group without duplicates") as err:
         orbit_census(4, hyperplane_complements())
     assert err.value.details == {"orbit_size": 15, "stabilizer_order": 1345}
@@ -193,12 +217,35 @@ def test_census_record_checks_orbit_stabilizer_and_distinct_representatives():
         OrbitCensus((orbit, orbit), 20160)
 
 
+def test_repeated_representative_is_named():
+    other = Orbit(TYPE_II_REPRESENTATIVE, 420, 48)
+    first = Orbit(TYPE_I_REPRESENTATIVE, 15, 1344)
+    with pytest.raises(ValidationError, match="not pairwise distinct") as err:
+        OrbitCensus((first, other, other, first), 20160)
+    assert err.value.details == {"representative": pointset_to_json(TYPE_II_REPRESENTATIVE)}
+
+
+def test_matrix_with_a_wrong_number_of_rows_names_both_counts():
+    with pytest.raises(ValidationError, match="expected 4 rows, got 3") as err:
+        F2Matrix(4, (0b1000, 0b0100, 0b0010))
+    assert err.value.details == {"expected": 4, "got": 3}
+
+
 def test_burnside_matches_census_on_complements():
     assert burnside_orbit_count(4, hyperplane_complements()) == 1
 
 
 def test_burnside_matches_census_on_totally_even_family(te8, lemma_report):
     assert burnside_orbit_count(4, te8) == lemma_report.census.orbit_count
+
+
+def test_burnside_on_every_subset_of_the_projective_line():
+    # k = 2, one 16-bit word per half row: the 8 subsets of the 3 points of
+    # PG(1, F2) fall into 4 orbits, one per size
+    family = [PointSet(2, mask) for mask in range(0, 1 << 4, 2)]
+    assert burnside_orbit_count(2, family) == 4
+    assert orbit_census(2, family).orbit_count == 4
+    assert burnside_orbit_count(2, []) == 0
 
 
 def test_burnside_matches_census_on_mixed_sizes():
@@ -392,8 +439,7 @@ def test_census_burnside_and_canonical_form_match_brute_force_gl4(brute_gl, data
 def test_census_passes_hold_no_per_element_list(te8):
     # With the table built, the census and the Burnside recount of the 435
     # sets peak at ~0.3 MB traced: each pass keeps only the distinct images or
-    # one value per pair of points.  A list of the 20160 images (1.7 MB) or a
-    # joined copy of the table (0.3 MB of bytes and 1.6 MB of buffer views)
+    # one value per pair of points.  A list of the 20160 images (1.7 MB)
     # would pass the bound.
     masks = [s.mask for s in te8]
     _gl_table(4)
@@ -405,3 +451,26 @@ def test_census_passes_hold_no_per_element_list(te8):
         tracemalloc.stop()
     assert (census.orbit_count, burnside) == (2, 2)
     assert peak < 1_000_000
+
+
+def test_table_build_holds_no_per_element_bytes():
+    # the table is 0.32 MB; a bytes object per element while it is built
+    # (1.3 MB traced for a tuple of the 20160 rows) would pass the bound
+    tracemalloc.start()
+    try:
+        table = _gl_table.__wrapped__(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == _gl_table(4)
+    assert peak < 1_000_000
+
+
+def test_table_is_built_once_per_process(te8):
+    # the census, a canonical form and a Burnside recount share one build
+    _gl_table.cache_clear()
+    verify_lemma_ev()
+    canonical_form(TYPE_II_REPRESENTATIVE)
+    burnside_orbit_count(4, te8)
+    info = _gl_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
