@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 # module -> the names the package re-exports from it
 _EXPORTS = {
     "errors": ("DomainError", "HypothesisError", "MalformedInputError", "ValidationError"),
-    "f2geom": ("F2Point", "Hyperplane", "PointSet", "hyperplane_profile", "is_totally_even"),
+    "f2geom": ("F2Point", "Hyperplane", "PointSet", "is_totally_even"),
     "glgroup": ("F2Matrix", "OrbitCensus", "act", "canonical_form", "orbit_census"),
     "evenclass": ("EvenSetTag", "EvenSetType", "classify_type", "enumerate_totally_even",
                   "verify_lemma_ev"),

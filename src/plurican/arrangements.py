@@ -206,12 +206,14 @@ class LabeledArrangement(Record):
             seen[line] = i
         if self.labels and len(self.labels) != len(self.lines):
             raise ValidationError(
-                f"{len(self.labels)} labels for {len(self.lines)} lines"
+                f"{len(self.labels)} labels for {len(self.lines)} lines",
+                labels=len(self.labels), lines=len(self.lines),
             )
         if self.labels:
             k = self.labels[0].k
-            if any(lab.k != k for lab in self.labels):
-                raise ValidationError("labels of mixed dimensions")
+            for i, lab in enumerate(self.labels):
+                if lab.k != k:
+                    raise ValidationError("labels of mixed dimensions", index=i, dims=[k, lab.k])
 
 
 # Peak memory grows with the number of line pairs, by about 0.5 KB per pair
@@ -365,6 +367,17 @@ class CampedelliReport(Record):
         }
 
 
+def _check_labels(labels: tuple[F2Point, ...], count: int, k: int) -> None:
+    """Refuse labels that are not ``count`` points over (Z/2)^k; the witness
+    is the number of labels, or the first label of another dimension."""
+    message = f"expected {count} labels over (Z/2)^{k}"
+    if len(labels) != count:
+        raise ValidationError(message, labels=len(labels))
+    for i, lab in enumerate(labels):
+        if lab.k != k:
+            raise ValidationError(message, index=i, k=lab.k)
+
+
 def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
     """Check the three covering-data conditions for a labeled 7-line
     arrangement: labels exhaust the nonzero vectors of (Z/2)^3, no point has
@@ -372,9 +385,8 @@ def check_campedelli(arr: LabeledArrangement) -> CampedelliReport:
     nonzero vector.  Every violation is reported with its witness.
     """
     if len(arr.lines) != 7:
-        raise ValidationError(f"expected 7 lines, got {len(arr.lines)}")
-    if len(arr.labels) != 7 or any(lab.k != 3 for lab in arr.labels):
-        raise ValidationError("expected 7 labels over (Z/2)^3")
+        raise ValidationError(f"expected 7 lines, got {len(arr.lines)}", lines=len(arr.lines))
+    _check_labels(arr.labels, 7, 3)
     violations: list[dict] = []
     codes = sorted(lab.code for lab in arr.labels)
     if codes != list(range(1, 8)):
@@ -435,9 +447,8 @@ def analyze_extension(arr: LabeledArrangement) -> ExtensionReport:
     """Analyze the (Z/2)^4 labels of an 8-line arrangement: whether they sum
     to zero, whether they form a totally even set, and of which type."""
     if len(arr.lines) != 8:
-        raise ValidationError(f"expected 8 lines, got {len(arr.lines)}")
-    if len(arr.labels) != 8 or any(lab.k != 4 for lab in arr.labels):
-        raise ValidationError("expected 8 labels over (Z/2)^4")
+        raise ValidationError(f"expected 8 lines, got {len(arr.lines)}", lines=len(arr.lines))
+    _check_labels(arr.labels, 8, 4)
     if len({lab.code for lab in arr.labels}) != 8:
         raise ValidationError(
             "labels must be pairwise distinct",

@@ -357,7 +357,8 @@ def cmd_check_arrangement(args) -> tuple[dict, int]:
             mode = "extension"
         else:
             raise MalformedInputError(
-                f"cannot infer mode for {len(arr.lines)} lines; pass --mode"
+                f"cannot infer mode for {len(arr.lines)} lines; pass --mode",
+                lines=len(arr.lines),
             )
     if mode == "campedelli":
         report = arrangements.check_campedelli(arr)

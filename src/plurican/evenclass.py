@@ -22,7 +22,6 @@ from .f2geom import (
     Hyperplane,
     PointSet,
     _hyperplane_masks,
-    _profile,
     _sections,
     num_points,
     pointset_to_json,
@@ -144,8 +143,8 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     set's 15 hyperplane sections once: from them the constancy check
     compares the set's type with that of its orbit, looked up in the
     census's orbit index, and ``profile_separates_orbits`` reports whether
-    the hyperplane profile is constant on each orbit and differs between
-    orbits.  The pass builds no record per set.
+    the hyperplane profile, the sorted section sizes, is constant on each
+    orbit and differs between orbits.  The pass builds no record per set.
     ``workers`` is validated and otherwise unused: the work is
     single-process.
     """
@@ -188,7 +187,7 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
                 representative=pointset_to_json(census.orbits[idx].representative),
                 tags=sorted({tag.value, orbit_types[idx].value}),
             )
-        profiles.add((idx, _profile(sections)))
+        profiles.add((idx, tuple(sorted(sections))))
     separates = len(profiles) == len({i for i, _ in profiles}) == len({p for _, p in profiles})
 
     type_i = [o for o, tag in zip(census.orbits, orbit_types) if tag is EvenSetTag.TYPE_I]

@@ -140,17 +140,6 @@ class PointSet(Record):
     def points(self) -> tuple[F2Point, ...]:
         return tuple(F2Point(self.k, c) for c in self.codes())
 
-    def __contains__(self, p: F2Point) -> bool:
-        return p.k == self.k and bool((self.mask >> p.code) & 1)
-
-    def __xor__(self, other: "PointSet") -> "PointSet":
-        if other.k != self.k:
-            raise ValidationError("dimension mismatch in symmetric difference")
-        return PointSet(self.k, self.mask ^ other.mask)
-
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return f"PointSet(k={self.k}, {{{', '.join(str(c) for c in self.codes())}}})"
 
@@ -176,16 +165,6 @@ def _sections(k: int, mask: int) -> list[int]:
     """Intersection sizes |mask & H| over the hyperplanes H of PG(k-1, F2),
     by ascending normal."""
     return [(mask & m).bit_count() for m in _hyperplane_masks(k)[1:]]
-
-
-def _profile(sections: list[int]) -> tuple[int, ...]:
-    """The hyperplane profile of a set from its :func:`_sections`."""
-    return tuple(sorted(sections, reverse=True))
-
-
-def hyperplane_profile(s: PointSet) -> tuple[int, ...]:
-    """Intersection sizes |s & H| over all hyperplanes H, sorted descending."""
-    return _profile(_sections(s.k, s.mask))
 
 
 def is_totally_even(s: PointSet) -> bool:

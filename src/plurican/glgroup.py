@@ -219,15 +219,6 @@ def _orbit(mask: int, k: int, table: bytes) -> dict[int, int]:
     return dict(Counter(memoryview(lanes).cast("H")))
 
 
-def _masks(k: int, sets: list[PointSet]) -> list[int]:
-    """Bit sets of ``sets``, after checking that each lies in PG(k-1, F2)."""
-    _check_dim(k)
-    for s in sets:
-        if s.k != k:
-            raise ValidationError(f"dimension mismatch: group k={k}, set k={s.k}")
-    return [s.mask for s in sets]
-
-
 def canonical_form(s: PointSet) -> PointSet:
     """Minimum bit-set encoding over the GL(k, F2)-orbit of s; constant on
     orbits."""
@@ -240,7 +231,11 @@ def orbit_census(k: int, sets: list[PointSet]) -> OrbitCensus:
     The caller guarantees that ``sets`` is closed under the action; a
     computed orbit element outside ``sets`` raises a closure violation.
     """
-    return _orbit_census(k, _masks(k, sets))[0]
+    _check_dim(k)
+    for s in sets:
+        if s.k != k:
+            raise ValidationError(f"dimension mismatch: group k={k}, set k={s.k}")
+    return _orbit_census(k, [s.mask for s in sets])[0]
 
 
 def _orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int]]:
@@ -281,14 +276,14 @@ def gl_orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, in
     """Census of a family of set bit masks under GL(k, F2), for callers that
     hold masks rather than point sets: the :func:`orbit_census`, the orbit
     index of every mask of the family, and the independent
-    :func:`burnside_orbit_count` recount."""
+    :func:`_burnside_orbit_count` recount."""
     census, orbit_of = _orbit_census(k, masks)
     return census, orbit_of, _burnside_orbit_count(k, masks)
 
 
-def burnside_orbit_count(k: int, sets: list[PointSet]) -> int:
-    """Number of GL(k, F2)-orbits of ``sets``, as the average number of
-    fixed sets per group element.
+def _burnside_orbit_count(k: int, masks: list[int]) -> int:
+    """Number of GL(k, F2)-orbits of the sets with bit masks ``masks``, as
+    the average number of fixed sets per group element.
 
     The family is bit-sliced: bit i of column[p] is set when set i contains
     point p.  An element g fixes set i exactly when no point p has column[p]
@@ -299,11 +294,6 @@ def burnside_orbit_count(k: int, sets: list[PointSet]) -> int:
     cross-checking :func:`orbit_census`; requires the family to be closed
     under the action.
     """
-    return _burnside_orbit_count(k, _masks(k, sets))
-
-
-def _burnside_orbit_count(k: int, masks: list[int]) -> int:
-    """:func:`burnside_orbit_count` on set bit masks."""
     table = _gl_table(k)
     n = 1 << k
     order = len(table) >> k

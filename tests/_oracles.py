@@ -17,10 +17,11 @@ full rank (the package builds the group's permutation table by linearity
 and lists no matrix).
 
 It also holds the helpers that only tests call: the two orbit
-representatives of the totally even census, listing the d-torsion,
-applying an automorphism to an element tuple and a matrix to a point, and
-writing an arrangement as its JSON input.  The package itself works on
-element positions and point permutations, and only reads arrangements.
+representatives of the totally even census, the hyperplane profile of a
+point set, listing the d-torsion, applying an automorphism to an element
+tuple and a matrix to a point, and writing an arrangement as its JSON
+input.  The package itself works on element positions and point
+permutations, and only reads arrangements.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from math import gcd, prod
 
 from plurican.arrangements import _key_json
 from plurican.errors import MalformedInputError, ValidationError
-from plurican.f2geom import F2Point, PointSet
+from plurican.f2geom import F2Point, PointSet, _sections
 from plurican.glgroup import F2Matrix
 
 BURNSIDE_GROUP_CAP = 100_000
@@ -130,6 +131,12 @@ def aut_apply(aut, a) -> tuple[int, ...]:
     """Image of the element a under the automorphism ``aut``."""
     G = aut.group
     return G.element_at(aut.perm[G.index(G.element(a))])
+
+
+def hyperplane_profile(s: PointSet) -> tuple[int, ...]:
+    """The sizes of the sections of s by the hyperplanes, sorted
+    descending, from the package's sections."""
+    return tuple(sorted(_sections(s.k, s.mask), reverse=True))
 
 
 def matrix_apply(m, p: F2Point) -> F2Point:

@@ -626,14 +626,30 @@ def test_campedelli_incomplete_labels_fail():
 
 
 def test_campedelli_shape_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="expected 7 lines, got 6") as err:
         check_campedelli(LabeledArrangement(tuple(moment_lines(6)), tuple(labels3(range(1, 7)))))
-    with pytest.raises(ValidationError):
+    assert err.value.details == {"lines": 6}
+    with pytest.raises(ValidationError, match=r"expected 7 labels over \(Z/2\)\^3") as err:
         check_campedelli(
             LabeledArrangement(
                 tuple(moment_lines(7)), tuple(F2Point(4, c) for c in range(1, 8))
             )
         )
+    assert err.value.details == {"index": 0, "k": 4}
+    with pytest.raises(ValidationError, match=r"expected 7 labels over \(Z/2\)\^3") as err:
+        check_campedelli(LabeledArrangement(tuple(moment_lines(7))))
+    assert err.value.details == {"labels": 0}
+
+
+@pytest.mark.parametrize("labels,message,details", [
+    (labels3([1, 2]), "2 labels for 3 lines", {"labels": 2, "lines": 3}),
+    ([F2Point(3, 1), F2Point(3, 2), F2Point(4, 3)], "labels of mixed dimensions",
+     {"index": 2, "dims": [3, 4]}),
+])
+def test_label_shape_errors_name_their_witness(labels, message, details):
+    with pytest.raises(ValidationError, match=message) as err:
+        LabeledArrangement(tuple(moment_lines(3)), tuple(labels))
+    assert err.value.details == details
 
 
 def test_extension_type1_fixture():
@@ -669,8 +685,20 @@ def test_extension_duplicate_labels_rejected():
 
 def test_extension_line_count_enforced():
     labels = tuple(F2Point(4, c) for c in range(1, 8))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="expected 8 lines, got 7") as err:
         analyze_extension(LabeledArrangement(tuple(moment_lines(7)), labels))
+    assert err.value.details == {"lines": 7}
+
+
+def test_extension_label_shape_enforced():
+    with pytest.raises(ValidationError, match=r"expected 8 labels over \(Z/2\)\^4") as err:
+        analyze_extension(
+            LabeledArrangement(tuple(moment_lines(8)), tuple(labels3([1, 2, 3, 4, 5, 6, 7, 1])))
+        )
+    assert err.value.details == {"index": 0, "k": 3}
+    with pytest.raises(ValidationError, match=r"expected 8 labels over \(Z/2\)\^4") as err:
+        analyze_extension(LabeledArrangement(tuple(moment_lines(8))))
+    assert err.value.details == {"labels": 0}
 
 
 # --- JSON -------------------------------------------------------------------

@@ -406,6 +406,7 @@ def test_check_arrangement_one_labelled_line(capsys, tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     error = run_cli_malformed(capsys, "check-arrangement", str(path))["error"]
     assert error["message"] == "cannot infer mode for 1 lines; pass --mode"
+    assert error["details"] == {"lines": 1}
 
 
 def test_incidences_dual_hesse(capsys):

@@ -8,6 +8,7 @@ from _oracles import (
     TYPE_I_REPRESENTATIVE,
     TYPE_II_REPRESENTATIVE,
     complement_masks,
+    hyperplane_profile,
     null_space_count_by_weight,
 )
 from plurican import evenclass, f2geom, glgroup
@@ -22,7 +23,6 @@ from plurican.evenclass import (
 from plurican.f2geom import (
     F2Point,
     PointSet,
-    hyperplane_profile,
     is_totally_even,
     pointset_to_json,
 )
@@ -106,16 +106,19 @@ def test_verify_report_shape(lemma_report):
     assert sizes == [15, N8 - 15]
 
 
-# stand-in profiles of a set's hyperplane sections: shifted by 1 (constant
-# per orbit, no 0 and no 6), one for every set (the orbits share it), and
-# the sections unsorted (not constant)
-@pytest.mark.parametrize("profile,separates", [
-    (lambda sections: tuple(x + 1 for x in sorted(sections, reverse=True)), True),
-    (lambda sections: (4,), False),
-    (lambda sections: tuple(sections), False),
+# stand-in sections that the profile is taken from, while each set keeps the
+# type of its real sections: shifted by 1 (the profile stays constant per
+# orbit), one section for every set (the orbits share a profile), and only
+# the first section (not constant on the orbit of the 15 complements)
+@pytest.mark.parametrize("stand_in,separates", [
+    (lambda sections: [x + 1 for x in sections], True),
+    (lambda sections: [4], False),
+    (lambda sections: sections[:1], False),
 ])
-def test_profile_separates_orbits_is_the_named_property(monkeypatch, profile, separates):
-    monkeypatch.setattr(evenclass, "_profile", profile)
+def test_profile_separates_orbits_is_the_named_property(monkeypatch, stand_in, separates):
+    sections, type_of = evenclass._sections, evenclass._type_of
+    monkeypatch.setattr(evenclass, "_sections", lambda k, mask: stand_in(sections(k, mask)))
+    monkeypatch.setattr(evenclass, "_type_of", lambda mask, _: type_of(mask, sections(4, mask)))
     assert verify_lemma_ev().profile_separates_orbits is separates
 
 
