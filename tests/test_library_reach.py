@@ -108,19 +108,18 @@ def reached() -> set[tuple[str, int]]:
         if event == "call" and frame.f_code.co_filename.startswith(prefix):
             seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    previous = sys.getprofile()
-    for case, (argv, expected_code) in sorted(CASES.items()):
+    def traced(call):
+        previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            code, _ = run(argv)
+            return call()
         finally:
             sys.setprofile(previous)
+
+    for case, (argv, expected_code) in sorted(CASES.items()):
+        code, _ = traced(lambda: run(argv))
         assert code == expected_code, case
-    sys.setprofile(profile)
-    try:
-        run_library_block()
-    finally:
-        sys.setprofile(previous)
+    traced(run_library_block)
     return seen
 
 
