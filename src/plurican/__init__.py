@@ -10,9 +10,12 @@ Modules by theme:
 - :mod:`plurican.invariants`: covering invariants, canonical-map degrees,
   moduli dimensions, and the catalogue of base surfaces
 - :mod:`plurican.torsion`: finite abelian torsion groups, covering counts and
-  component bounds
+  component bounds; its automorphism actions, `AutAction`, live in
+  ``plurican._lanes``, which only action-building code loads
 - :mod:`plurican.arrangements`: exact line arrangements over Q and Q(omega)
-- :mod:`plurican.cli`: the ``plurican`` command
+- :mod:`plurican.cli`: the ``plurican`` command's parser, JSON writer and
+  error plumbing; each command is a module of :mod:`plurican.commands`,
+  and a command loads only its own module and the modules it runs
 
 ``import plurican`` loads none of them.  A module loads on first use: when
 it is imported, or when one of its names below is read from the package

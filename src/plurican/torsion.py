@@ -2,24 +2,20 @@
 
 Groups are given by explicit cyclic factors (not necessarily in invariant
 factor form); elements are coordinate tuples reduced modulo the factor
-orders and numbered in lexicographic order.  An automorphism is a permutation
-of those numbers, held as an `array` of 32-bit items (`AutAction.perm`), so
-an action costs 4 bytes per element.  Orbits are counted by walking the
-generators' cycles over a bytearray of seen elements (`orbit_count`), which
-forms no element tuple and holds at most 5 bytes per element.
+orders and numbered in lexicographic order.  An automorphism, `AutAction`,
+is a permutation of those numbers, held as an `array` of 32-bit items
+(`AutAction.perm`), so an action costs 4 bytes per element.  Orbits are
+counted by walking the generators' cycles over a bytearray of seen elements
+(`orbit_count`), which forms no element tuple and holds at most 5 bytes per
+element.
 
-Actions and table positions are computed one coordinate column at a time as
-32-bit lanes of one Python int (`_lanes`, imported only where an action is
-built or a table read).  Lanes stay exact while every number fits in 32 bits and
-n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and table inside that.
-
-A parsed permutation table is read one coordinate column at a time, in
-chunks of elements (`AutAction.from_table`, `_lanes.positions`): a bad
-element raises exactly the error `FiniteAbelianGroup.element` raises for it,
-and the first bad element in table order wins.  The per-element table, a
-32-bit array, is allocated only once the number of pairs has reached the
-group order, so its size is bounded by the input, and its checks hold no
-Python int per element.
+`AutAction` is defined in `_lanes`, with the 32-bit lane arithmetic that
+builds its actions and reads its tables, and only code that builds an
+action imports it: ``torsion.AutAction`` loads it on first use (PEP 562),
+and `orbit_count` only when it is given generators, so importing this
+module compiles no action code.  Lanes stay exact while every number fits
+in 32 bits and n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and
+table inside that.
 """
 
 from __future__ import annotations
@@ -109,183 +105,17 @@ def _is_array(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
-def _all_arrays(values) -> bool:
-    """`_is_array` for every value: one pass over the types, and the
-    per-value test only when some type is not exactly list or tuple."""
-    return set(map(type, values)) <= {list, tuple} or all(map(_is_array, values))
-
-
 def _is_int_array(value) -> bool:
     return _is_array(value) and all_int(value)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * (m[-1][-1] if n else 1)
+def __getattr__(name: str):
+    if name != "AutAction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._lanes import AutAction
 
-
-class AutAction:
-    """An automorphism of a finite abelian group: the element at position i
-    (see `FiniteAbelianGroup.index`) maps to the element at position perm[i].
-
-    `perm` is built by additivity from the images f_j of the basis elements
-    e_j, (x_1, ..., x_r) -> x_1 f_1 + ... + x_r f_r, well defined exactly
-    when n_j f_j = 0, one coordinate column at a time as lanes
-    (`_lanes.extend`), and unpacked once into an `array` of 32-bit items.
-    `from_matrix` and `from_table` parse the two file forms into basis
-    images.
-    """
-
-    def __init__(self, group: FiniteAbelianGroup, basis_images):
-        _check_action_order(group)
-        self.group = group
-        images = [group.element(f) for f in basis_images]
-        if len(images) != group.rank:
-            raise ValidationError(f"{len(images)} basis images for a rank {group.rank} group")
-        orders = group.cyclic_orders
-        for j, (f, n) in enumerate(zip(images, orders)):
-            if group.scale(n, f) != group.zero():
-                raise ValidationError(
-                    f"map does not preserve the group operation: {n} * f_{j} != 0",
-                    basis=j, image=list(f),
-                )
-        from . import _lanes
-
-        perm = 0
-        for i, n in enumerate(orders):
-            # coordinate i of every image, from the last basis element back;
-            # x + c e_j maps to phi(x) + c f_j
-            col, size = 0, 1
-            for f, m in zip(reversed(images), reversed(orders)):
-                col = _lanes.extend(col, size, f[i], m, n)
-                size *= m
-            # in steps, so that the old and the scaled perm are not held
-            # next to the sum, nor the last column next to the unpacked perm
-            perm *= n
-            perm += col
-            del col
-        self.perm = _lanes.unpack(perm, group.order)
-
-    @classmethod
-    def from_matrix(cls, group: FiniteAbelianGroup, entries) -> "AutAction":
-        """Matrix form: integer rows (no booleans or floats); column j is the image of e_j."""
-        if not _is_array(entries) or not all(map(_is_int_array, entries)):
-            raise MalformedInputError(
-                f"automorphism matrix must be an array of integer rows, got {entries!r}"
-            )
-        if len(set(group.cyclic_orders)) > 1:
-            raise ValidationError(
-                "matrix automorphisms require all cyclic factors equal; "
-                "use a permutation table instead",
-                cyclic_orders=list(group.cyclic_orders),
-            )
-        r = group.rank
-        if len(entries) != r or any(len(row) != r for row in entries):
-            raise ValidationError(f"automorphism matrix must be {r} x {r}")
-        if r:
-            n = group.cyclic_orders[0]
-            # det(M mod n) = det(M) mod n, and reduced entries keep the
-            # elimination and the reported det small
-            entries = [[x % n for x in row] for row in entries]
-            det = _int_det(entries) % n
-            if gcd(det, n) != 1:
-                raise ValidationError(
-                    f"matrix is not invertible modulo {n} (det = {det})", det=det, n=n
-                )
-        return cls(group, zip(*entries))
-
-    @classmethod
-    def from_table(cls, group: FiniteAbelianGroup, mapping) -> "AutAction":
-        """Table form: an array of [element, image] pairs of integer arrays;
-        it must be a bijection equal to the additive extension of its e_j.
-
-        A group of order above `MAX_ACTION_ORDER` is refused first, before
-        anything is parsed.  Then every element and image is parsed, key
-        before image and pair by pair, so the first bad array in table order
-        raises (see `_lanes.positions`).  A later pair for the same element
-        replaces an earlier one.  Then, in order, each with its witness:
-        defined on every element (``pairs`` and ``order`` when there are
-        fewer pairs than elements, else the first ``element`` with no pair),
-        a bijection (the first element that is no image, ``missing_image``),
-        fixes 0 (the ``image`` of 0), additive (the first element where the
-        table leaves its additive extension, ``at``).  The position table is
-        allocated only once there are at least as many pairs as group
-        elements.
-        """
-        _check_action_order(group)
-        if not (_is_array(mapping) and _all_arrays(mapping) and set(map(len, mapping)) <= {2}
-                and _all_arrays(flat := [x for pair in mapping for x in pair])):
-            raise MalformedInputError(
-                "permutation table must be an array of [element, image] pairs of "
-                "integer arrays"
-            )
-        from . import _lanes
-
-        pos = _lanes.positions(flat, group.cyclic_orders,
-                               lambda a: group.index(group.element(a)))
-        del flat  # a reference per coordinate array: freed before the table
-        return cls._from_positions(group, pos)
-
-    @classmethod
-    def _from_positions(cls, group: FiniteAbelianGroup, pos) -> "AutAction":
-        """The checks of `from_table` that follow parsing, on `pos`, the
-        positions of a table's elements and images alternately, in table
-        order.  `pos` is emptied once the per-element table is filled, so
-        its memory is freed before the checks run."""
-        order = group.order
-        # every position is in range(order), so fewer pairs than elements
-        # leave one out, and at least as many bound the table's size
-        if len(pos) < 2 * order:
-            raise ValidationError("permutation table must be defined on every element",
-                                  pairs=len(pos) // 2, order=order)
-        from . import _lanes
-
-        table = _lanes.full(order, order)  # `order`: no pair for this element
-        for i, j in zip(pos[0::2], pos[1::2]):
-            table[i] = j
-        del pos[:]
-        hit = bytearray(order + 1)  # hit[j] = 1 for every image j
-        for j in table:
-            hit[j] = 1
-        if hit[order]:
-            raise ValidationError("permutation table must be defined on every element",
-                                  element=list(group.element_at(table.index(order))))
-        missing = hit.find(0)  # `order` when every element is an image
-        if missing < order:
-            raise ValidationError("permutation table is not a bijection",
-                                  missing_image=list(group.element_at(missing)))
-        if table[0] != 0:
-            raise ValidationError("permutation table does not fix the identity",
-                                  image=list(group.element_at(table[0])))
-        orders = group.cyclic_orders
-        # e_j sits at position n_(j+1) * ... * n_r
-        basis = [table[prod(orders[j + 1:])] for j in range(len(orders))]
-        message = "permutation table does not preserve the group operation"
-        try:
-            aut = cls(group, map(group.element_at, basis))
-        except ValidationError as exc:  # some n_j f_j != 0
-            raise ValidationError(message, **exc.details) from exc
-        if table != aut.perm:
-            at = next(i for i, (p, q) in enumerate(zip(table, aut.perm)) if p != q)
-            raise ValidationError(message, at=list(group.element_at(at)))
-        return aut
+    globals()[name] = AutAction  # later reads skip this hook
+    return AutAction
 
 
 def tor_d_order(G: FiniteAbelianGroup, d: int) -> int:
@@ -324,32 +154,42 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
     With no generators every element is its own orbit.  Otherwise a walk
     over a ``seen`` bytearray, a byte per element: each element not yet
     seen starts an orbit, and the walk follows its cycle under the first
-    generator, marking each element.  Each element's images under the other
-    generators are marked and pushed, if not yet seen, onto a stack of
-    32-bit positions; popping one resumes the walk along its cycle.  Every
-    element is marked once and walked from once, so the walk holds at most
-    5 bytes per element besides the generators' arrays.
+    generator, marking each element.  With one generator that cycle is the
+    orbit.  With more, each element's images under the other generators
+    are marked and pushed, if not yet seen, onto a stack of 32-bit
+    positions; popping one resumes the walk along its cycle.  Every element
+    is marked once and walked from once, so the walk holds at most 5 bytes
+    per element besides the generators' arrays.
     """
     _check_action_order(G)
     gens = list(generators)
     if not gens:
         return G.order
+    from array import array
+
+    from ._lanes import LANE, AutAction
+
     for index, gen in enumerate(gens):
         if not isinstance(gen, AutAction):
             raise ValidationError("generators must be AutAction instances", index=index)
         if gen.group != G:
             raise ValidationError("generator acts on a different group", index=index,
                                   cyclic_orders=list(gen.group.cyclic_orders))
-    from array import array
-
-    from ._lanes import LANE
-
     first, *rest = [gen.perm for gen in gens]
     seen = bytearray(G.order)
-    stack = array(LANE)
-    push, pop = stack.append, stack.pop
     orbits = 0
     s = seen.find(0)
+    if not rest:
+        while s >= 0:
+            orbits += 1
+            i = s
+            while not seen[i]:
+                seen[i] = 1
+                i = first[i]
+            s = seen.find(0, s + 1)
+        return orbits
+    stack = array(LANE)
+    push, pop = stack.append, stack.pop
     while s >= 0:
         orbits += 1
         seen[s] = 1

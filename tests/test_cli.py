@@ -1,6 +1,7 @@
 import argparse
 import errno
 import gc
+import importlib
 import json
 import os
 import random
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from plurican import arrangements, cli, torsion
-from plurican.cli import MAX_DIGITS, main
+from plurican.cli import MAX_DIGITS, RECIPES, main
+from plurican.commands import catalog, reproduce
 from plurican.errors import MalformedInputError
 from test_arrangements import tangent_lines
 
@@ -517,11 +519,25 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: plurican components")
 
 
+def test_every_command_and_recipe_resolves_to_a_run():
+    # `_run` imports "plurican.commands." + the command's name with "-" as
+    # "_", and `reproduce` looks its recipe up in `_RECIPES`
+    subparsers = next(action for action in cli._parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    modules = {path.stem for path in Path(catalog.__file__).parent.glob("*.py")}
+    assert modules - {"__init__"} == {name.replace("-", "_") for name in subparsers.choices}
+    for name in subparsers.choices:
+        module = importlib.import_module("plurican.commands." + name.replace("-", "_"))
+        assert callable(module.run), name
+    assert tuple(reproduce._RECIPES) == RECIPES
+    assert all(map(callable, reproduce._RECIPES.values()))
+
+
 def test_internal_error_is_one_json_document(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "catalog", broken)
+    monkeypatch.setattr(catalog, "run", broken)
     code = main(["catalog"])
     captured = capsys.readouterr()
     assert code == 3

@@ -5,12 +5,14 @@ catch a handler that works only because another command imported its module
 first.  Here each command line runs in a new ``python -c`` through
 `plurican.cli.main`: its stdout must match the golden capture where one
 exists, and the ``plurican`` modules in ``sys.modules`` at exit must be
-exactly the listed ones, and no command may load ``dataclasses`` (about 13 ms
-of a cold start) or ``fractions`` and the ``decimal`` it loads (line
-arrangements read JSON coefficients as integer pairs; `Fraction` is for
-library callers only).  ``array`` is watched too: only a command that builds
-an automorphism action loads it, with the lane helpers of ``plurican._lanes``.
-Structural only: nothing is timed.
+exactly the listed ones: `cli` and `errors`, the command's own module of
+`plurican.commands` and the modules it runs, and no other command's module.
+No command may load ``dataclasses`` (about 13 ms of a cold start) or
+``fractions`` and the ``decimal`` it loads (line arrangements read JSON
+coefficients as integer pairs; `Fraction` is for library callers only).
+``array`` is watched too: only ``components --aut`` loads it, with the
+automorphism actions of ``plurican._lanes``, which ``import plurican.torsion``
+does not load.  Structural only: nothing is timed.
 """
 
 import os
@@ -39,6 +41,13 @@ sys.exit(code)
 """
 
 CLI = {"plurican", "plurican.cli", "plurican.errors"}
+
+
+def command(name: str) -> set[str]:
+    """The modules that dispatching to the command module ``name`` loads."""
+    return {"plurican.commands", f"plurican.commands.{name}"}
+
+
 TORSION = {"plurican.torsion"}
 ACTIONS = TORSION | {"plurican._lanes", "array"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
@@ -47,30 +56,36 @@ CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.g
 
 # golden case -> the modules it loads besides CLI
 GOLDEN_LOADS = {
-    "catalog": INVARIANTS,
-    "invariants-pa37-k2-333": INVARIANTS,
-    "components-aut": ACTIONS,
-    "components-d0": TORSION,
-    "incidences-dual-hesse": ARRANGEMENTS,
-    "check-arrangement-campedelli-generic": ARRANGEMENTS,
-    "check-arrangement-extension-type1": ARRANGEMENTS | {"plurican.evenclass"},
-    "verify-lemma-ev": CENSUS,
-    "reproduce-lemma-ev": CENSUS,
-    "reproduce-camp1-moduli": CENSUS | INVARIANTS,
-    "reproduce-cplus": INVARIANTS,
-    "reproduce-campedelli-cover": INVARIANTS,
-    "reproduce-burniat-cover": INVARIANTS,
-    "reproduce-mlp-cover": INVARIANTS,
+    "catalog": command("catalog") | INVARIANTS,
+    "invariants-pa37-k2-333": command("invariants") | INVARIANTS,
+    "components-aut": command("components") | ACTIONS,
+    "components-d0": command("components") | TORSION,
+    "incidences-dual-hesse": command("incidences") | ARRANGEMENTS,
+    "check-arrangement-campedelli-generic": command("check_arrangement") | ARRANGEMENTS,
+    "check-arrangement-extension-type1":
+        command("check_arrangement") | ARRANGEMENTS | {"plurican.evenclass"},
+    "verify-lemma-ev": command("verify_lemma_ev") | CENSUS,
+    "reproduce-lemma-ev": command("reproduce") | CENSUS,
+    "reproduce-camp1-moduli": command("reproduce") | CENSUS | INVARIANTS,
+    "reproduce-cplus": command("reproduce") | INVARIANTS,
+    "reproduce-campedelli-cover": command("reproduce") | INVARIANTS,
+    "reproduce-burniat-cover": command("reproduce") | INVARIANTS,
+    "reproduce-mlp-cover": command("reproduce") | INVARIANTS,
 }
 
 # command lines without a capture: (argv, exit code, modules besides CLI)
 OTHER_LOADS = [
-    (["components", "--group", "2,2,2", "--d", "2"], 0, TORSION),
-    (["invariants", "--surface", "campedelli", "--d", "2", "--m", "1"], 0, INVARIANTS),
+    (["components", "--group", "2,2,2", "--d", "2"], 0, command("components") | TORSION),
+    (["components", "--group", "5,5,5,5,5,5,5", "--d", "2", "--m", "3"], 0,
+     command("components") | TORSION),
+    (["invariants", "--surface", "campedelli", "--d", "2", "--m", "1"], 0,
+     command("invariants") | INVARIANTS),
     (["frobnicate"], 2, set()),
-    (["components", "--group", "2,x", "--d", "2"], 2, TORSION),
-    (["incidences", str(GOLDEN / "missing.json")], 2, ARRANGEMENTS),
+    (["components", "--group", "2,x", "--d", "2"], 2, command("components") | TORSION),
+    (["incidences", str(GOLDEN / "missing.json")], 2, command("incidences") | ARRANGEMENTS),
 ]
+
+ACTION_CODE = {"plurican._lanes", "array"}
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -93,13 +108,34 @@ def test_import_plurican_loads_no_submodule():
     assert proc.stdout.decode().strip() == "['plurican']"
 
 
+def test_import_torsion_loads_no_action_code():
+    proc = fresh("-c", "import sys, plurican.torsion; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] in ('plurican', 'array')))")
+    assert proc.stdout.decode().strip() == "['plurican', 'plurican.errors', 'plurican.torsion']"
+
+
+def test_aut_action_is_one_class_under_every_name():
+    proc = fresh("-c", "import plurican, plurican.torsion as torsion\n"
+                       "from plurican.torsion import AutAction\n"
+                       "from plurican._lanes import AutAction as defined\n"
+                       "print(AutAction is defined is torsion.AutAction is plurican.AutAction)")
+    assert proc.stdout.decode().strip() == "True"
+
+
+def check_loads(argv: list[str], loaded: list[str], expected: set[str]) -> None:
+    assert loaded == sorted(expected)
+    if "--aut" not in argv:
+        assert not ACTION_CODE & set(loaded)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_LOADS))
 def test_cold_golden_command(case):
     argv, code = CASES[case]
     proc = fresh("-c", CHILD, *argv)
     assert proc.returncode == code
     assert proc.stdout == (GOLDEN / f"{case}.json").read_bytes()
-    assert proc.stderr.decode().split() == sorted(CLI | GOLDEN_LOADS[case])
+    check_loads(argv, proc.stderr.decode().split(), CLI | GOLDEN_LOADS[case])
 
 
 @pytest.mark.parametrize("argv,code,loads", OTHER_LOADS)
@@ -107,4 +143,4 @@ def test_cold_command(argv, code, loads):
     proc = fresh("-c", CHILD, *argv)
     assert proc.returncode == code
     assert proc.stdout.decode().startswith('{\n  "')
-    assert proc.stderr.decode().split() == sorted(CLI | loads)
+    check_loads(argv, proc.stderr.decode().split(), CLI | loads)

@@ -1,11 +1,11 @@
 """Every module-level name of the package is used somewhere in `src/`.
 
 A function, class or assigned name at the top level of a module of
-``src/plurican`` whose name occurs in ``src/`` (as a whole word, in any
-``.py`` file, comments and docstrings included) only at its own definition
-is dead code, or a helper that only tests use and that belongs in
-``tests/``.  The package's own hooks, ``__version__``, ``__getattr__`` and
-``__dir__``, are the only exceptions.  Structural only: nothing is run.
+``src/plurican`` (``plurican.commands`` included) whose name occurs in
+``src/`` (as a whole word, in any ``.py`` file, comments and docstrings
+included) only at its own definition is dead code, or a helper that only
+tests use and that belongs in ``tests/``.  The package's own hooks,
+``__version__``, ``__getattr__`` and ``__dir__``, are the only exceptions.  Structural only: nothing is run.
 """
 
 import ast
@@ -47,8 +47,8 @@ def dead_names(modules: dict[str, str], text: str) -> list[str]:
 
 
 def test_every_module_level_name_is_used_in_src():
-    modules = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
+    modules = {path.relative_to(PACKAGE).with_suffix("").as_posix():
+               path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
     text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py")))
     assert dead_names(modules, text) == []
 

@@ -110,7 +110,7 @@ def test_points_past_the_digit_limit_raise_before_any_write(monkeypatch):
     limit = sys.get_int_max_str_digits()
     points = [((1, 0, 0, 0, 0, 0), (0, 1)), ((1, 0, 10**limit, 0, 0, 0), (0, 2))]
     # `_points_json` raises when called, not when its parts are read, so
-    # `cmd_incidences` fails before it hands `_emit` anything to write
+    # `commands.incidences.run` fails before it hands `_emit` anything to write
     with pytest.raises(MalformedInputError) as err:
         _points_json(points)
     assert err.value.details == {"limit": limit}

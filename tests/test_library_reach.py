@@ -6,7 +6,8 @@ The python block of the README's ``## Library`` section is executed exactly
 as written.  Each golden command line (``test_golden.CASES``), and then the
 block, runs in process under ``sys.setprofile``, which records the code
 object of every Python call into ``src/plurican``.  The walk covers the
-module-level functions of each module and the functions, classmethods,
+module-level functions of each module (private modules and
+``plurican.commands`` included) and the functions, classmethods,
 staticmethods and property getters of its classes, operator dunders among
 them; a name is public when no part of it starts with ``_``, a walked dunder
 aside.  Construction dunders, the ``Record`` protocol and what a class
@@ -89,11 +90,12 @@ def public_functions() -> dict[str, tuple[str, int]]:
     """``module.qualname`` -> (co_filename, co_firstlineno) of every public
     function and method defined in a module of the package."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem.startswith("_"):  # __init__, __main__ and private modules
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.stem in ("__init__", "__main__"):
             continue
-        module = importlib.import_module(f"plurican.{path.stem}")
-        found.update({f"{path.stem}.{name}": where for name, where in walk(module).items()})
+        name = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        module = importlib.import_module(f"plurican.{name}")
+        found.update({f"{name}.{qualname}": where for qualname, where in walk(module).items()})
     return found
 
 
