@@ -11,7 +11,7 @@ Modules by theme:
   moduli dimensions, and the catalogue of base surfaces
 - :mod:`plurican.torsion`: finite abelian torsion groups, covering counts and
   component bounds; its automorphism actions, `AutAction`, live in
-  ``plurican._lanes``, which only action-building code loads
+  ``plurican._actions``, which only action-building code loads
 - :mod:`plurican.arrangements`: exact line arrangements over Q and Q(omega)
 - :mod:`plurican.cli`: the ``plurican`` command's parser, JSON writer and
   error plumbing; each command is a module of :mod:`plurican.commands`,

@@ -1,6 +1,6 @@
 """``plurican components``: torsion-group covering counts and component bounds.
 
-The automorphism code, `_lanes`, is imported only for ``--aut``.
+The automorphism code, `_actions` and `_lanes`, is imported only for ``--aut``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def run(args) -> tuple[dict, int]:
         "theorem_mod_bound": torsion.theorem_mod_component_bound(G, args.d),
     }
     if args.aut is not None:
-        from .._lanes import load_generators
+        from .._actions import load_generators
 
         gens = load_generators(G, args.aut)
         if args.m is None:

@@ -9,13 +9,13 @@ counted by walking the generators' cycles over a bytearray of seen elements
 (`orbit_count`), which forms no element tuple and holds at most 5 bytes per
 element.
 
-`AutAction` is defined in `_lanes`, with the 32-bit lane arithmetic that
-builds its actions and reads its tables, and only code that builds an
-action imports it: ``torsion.AutAction`` loads it on first use (PEP 562),
-and `orbit_count` only when it is given generators, so importing this
-module compiles no action code.  Lanes stay exact while every number fits
-in 32 bits and n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and
-table inside that.
+`AutAction` is defined in `_actions` and built in the 32-bit lanes of
+`_lanes`, and only code that builds an action imports them:
+``torsion.AutAction`` loads the class on first use (PEP 562), and
+`orbit_count` only when it is given generators, so importing this module
+compiles no action code.  Lanes stay exact while every number fits in 32
+bits and n <= 2^31; `MAX_ACTION_ORDER` = 2^20 keeps every action and table
+inside that.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _is_int_array(value) -> bool:
 def __getattr__(name: str):
     if name != "AutAction":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from ._lanes import AutAction
+    from ._actions import AutAction
 
     globals()[name] = AutAction  # later reads skip this hook
     return AutAction
@@ -167,7 +167,8 @@ def orbit_count(G: FiniteAbelianGroup, generators) -> int:
         return G.order
     from array import array
 
-    from ._lanes import LANE, AutAction
+    from ._actions import AutAction
+    from ._lanes import LANE
 
     for index, gen in enumerate(gens):
         if not isinstance(gen, AutAction):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plurican import _lanes, cli
+from plurican import _actions, _lanes, cli
 from plurican.commands import components
 from plurican.errors import DomainError, MalformedInputError
 from plurican.torsion import AutAction, FiniteAbelianGroup
@@ -47,12 +47,12 @@ def document(*specs) -> str:
 
 def outcome(group: str, path: Path) -> tuple:
     """(exit code, stdout) of `components --aut`, and the perm arrays of
-    `_lanes.load_generators`, or its error's type, message and details."""
+    `_actions.load_generators`, or its error's type, message and details."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["components", "--group", group, "--d", "2", "--aut", str(path)])
     try:
-        gens = [g.perm for g in _lanes.load_generators(components._parse_group(group), path)]
+        gens = [g.perm for g in _actions.load_generators(components._parse_group(group), path)]
     except DomainError as exc:
         gens = (type(exc), str(exc), exc.details)
     return code, out.getvalue(), gens
@@ -418,13 +418,13 @@ def test_walk_matches_the_general_parser_on_any_file(file, slice_size, read_size
 
 
 def _walked(monkeypatch, group: str, path: Path) -> list:
-    """The perms `_lanes.load_generators` reads from ``path`` with `_load_json`
-    made to fail, so only the walk can read it."""
+    """The perms `_actions.load_generators` reads from ``path`` with
+    `_load_json` made to fail, so only the walk can read it."""
     def refuse(path):
         raise AssertionError("the general parser was called")
 
     monkeypatch.setattr(cli, "_load_json", refuse)
-    return [g.perm for g in _lanes.load_generators(components._parse_group(group), path)]
+    return [g.perm for g in _actions.load_generators(components._parse_group(group), path)]
 
 
 @pytest.mark.parametrize("slice_size", [1000, _lanes._SLICE, 1 << 22])

@@ -11,8 +11,9 @@ No command may load ``dataclasses`` (about 13 ms of a cold start) or
 ``fractions`` and the ``decimal`` it loads (line arrangements read JSON
 coefficients as integer pairs; `Fraction` is for library callers only).
 ``array`` is watched too: only ``components --aut`` loads it, with the
-automorphism actions of ``plurican._lanes``, which ``import plurican.torsion``
-does not load.  Structural only: nothing is timed.
+automorphism actions of ``plurican._actions`` and the lanes of
+``plurican._lanes``, which ``import plurican.torsion`` does not load.
+Structural only: nothing is timed.
 """
 
 import os
@@ -49,7 +50,7 @@ def command(name: str) -> set[str]:
 
 
 TORSION = {"plurican.torsion"}
-ACTIONS = TORSION | {"plurican._lanes", "array"}
+ACTIONS = TORSION | {"plurican._actions", "plurican._lanes", "array"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
 ARRANGEMENTS = {"plurican.arrangements", "plurican.f2geom"}
 CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
@@ -85,7 +86,7 @@ OTHER_LOADS = [
     (["incidences", str(GOLDEN / "missing.json")], 2, command("incidences") | ARRANGEMENTS),
 ]
 
-ACTION_CODE = {"plurican._lanes", "array"}
+ACTION_CODE = {"plurican._actions", "plurican._lanes", "array"}
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -118,7 +119,7 @@ def test_import_torsion_loads_no_action_code():
 def test_aut_action_is_one_class_under_every_name():
     proc = fresh("-c", "import plurican, plurican.torsion as torsion\n"
                        "from plurican.torsion import AutAction\n"
-                       "from plurican._lanes import AutAction as defined\n"
+                       "from plurican._actions import AutAction as defined\n"
                        "print(AutAction is defined is torsion.AutAction is plurican.AutAction)")
     assert proc.stdout.decode().strip() == "True"
 
