@@ -5,7 +5,8 @@ A function, class or assigned name at the top level of a module of
 ``src/`` (as a whole word, in any ``.py`` file, comments and docstrings
 included) only at its own definition is dead code, or a helper that only
 tests use and that belongs in ``tests/``.  The package's own hooks,
-``__version__``, ``__getattr__`` and ``__dir__``, are the only exceptions.  Structural only: nothing is run.
+``__version__``, ``__getattr__`` and ``__dir__``, are the only exceptions.
+Structural only: nothing is run.
 """
 
 import ast
