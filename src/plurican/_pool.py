@@ -1,14 +1,6 @@
-"""Validation of the ``workers`` argument.
+"""No code.  Every computation in the package runs in one process, and
+``--workers`` is checked by the command line alone (`cli._run`).
 
-Every computation in the package runs in one process; ``workers`` is still
-accepted and validated so that callers passing it keep working, and the
-output never depends on it.
+The module stays only because ``MODULES`` in `perfbench/tracing.py` imports
+it by name; ROADMAP item 6 deletes it.
 """
-
-from __future__ import annotations
-
-from .errors import check_int
-
-
-def check_workers(workers: int) -> int:
-    return check_int(workers, "workers must be a positive integer", lo=1)

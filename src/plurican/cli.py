@@ -133,7 +133,7 @@ def _parser() -> argparse.ArgumentParser:
     inv.add_argument("--surface", help="catalogue surface name (see 'catalog')")
     inv.add_argument("--pa", type=_integer, help="arithmetic genus of the base")
     inv.add_argument("--k2", type=_integer, help="canonical self-intersection of the base")
-    inv.add_argument("--q", type=_integer, default=0, help="irregularity of the base")
+    inv.add_argument("--q", type=_integer, help="irregularity of the base")
 
     comp = sub.add_parser(
         "components", parents=[common],

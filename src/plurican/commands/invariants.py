@@ -10,11 +10,15 @@ def _surface_input(args) -> tuple[str | None, invariants.SurfaceInvariants]:
     if args.surface is not None:
         if args.pa is not None or args.k2 is not None:
             raise MalformedInputError("give either --surface or --pa/--k2, not both")
+        if args.q is not None:
+            raise MalformedInputError("--q applies to --pa/--k2, not to --surface",
+                                      option="--q")
         entry = invariants.catalog_entry(args.surface)
         return entry.name, entry.invariants
     if args.pa is None or args.k2 is None:
         raise MalformedInputError("need --surface NAME or both --pa and --k2")
-    return None, invariants.SurfaceInvariants.from_pa(args.pa, args.q, args.k2)
+    q = 0 if args.q is None else args.q
+    return None, invariants.SurfaceInvariants.from_pa(args.pa, q, args.k2)
 
 
 def run(args) -> tuple[dict, int]:

@@ -6,8 +6,15 @@ Each recipe is a function here, named in `_RECIPES` after its entry in
 
 from __future__ import annotations
 
+from ..errors import MalformedInputError
+
 
 def run(args) -> tuple[dict, int]:
+    if args.recipe != "cplus":
+        for option, value in (("--d", args.d), ("--m", args.m)):
+            if value is not None:
+                raise MalformedInputError(f"{option} applies to recipe cplus only, "
+                                          f"not to {args.recipe}", option=option)
     payload = _RECIPES[args.recipe](args)
     return {"command": "reproduce", "recipe": args.recipe, **payload}, 0
 
@@ -15,7 +22,7 @@ def run(args) -> tuple[dict, int]:
 def _lemma_ev(args) -> dict:
     from .. import evenclass
 
-    report = evenclass.verify_lemma_ev(workers=args.workers)
+    report = evenclass.verify_lemma_ev()
     return {
         "claim": "eight-point subsets of PG(3, F2) meeting every plane in an "
                  "even number of points fall into exactly two classes under "
@@ -30,7 +37,7 @@ def _camp1_moduli(args) -> dict:
 
     entry = invariants.catalog_entry("campedelli")
     cover = invariants.covering_invariants(entry.invariants, invariants.CoveringParams(2, 1))
-    report = evenclass.verify_lemma_ev(workers=args.workers)
+    report = evenclass.verify_lemma_ev()
     return {
         "claim": "double covers of Campedelli surfaces branched along smooth "
                  "bicanonical curves fill exactly two connected components of "

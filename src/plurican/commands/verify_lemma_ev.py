@@ -6,5 +6,5 @@ from .. import evenclass
 
 
 def run(args) -> tuple[dict, int]:
-    report = evenclass.verify_lemma_ev(workers=args.workers)
+    report = evenclass.verify_lemma_ev()
     return {"command": "verify-lemma-ev", **report.as_json()}, 0

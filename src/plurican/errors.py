@@ -73,9 +73,11 @@ def all_int(values) -> bool:
 
 
 def check_int(x, message: str, lo: int | None = None, hi: int | None = None) -> int:
-    """x if it is an integer in lo..hi (bounds optional), else ValidationError."""
+    """x if it is an integer in lo..hi (bounds optional), else ValidationError
+    with details ``value`` and the bounds given, ``lo`` and ``hi``."""
     if not is_int(x) or (lo is not None and x < lo) or (hi is not None and x > hi):
-        raise ValidationError(f"{message}, got {x!r}")
+        bounds = {name: b for name, b in (("lo", lo), ("hi", hi)) if b is not None}
+        raise ValidationError(f"{message}, got {x!r}", value=x, **bounds)
     return x
 
 

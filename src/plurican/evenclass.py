@@ -133,7 +133,7 @@ def _fail(message: str, **details):
     raise ValidationError("totally even census check failed: " + message, **details)
 
 
-def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
+def verify_lemma_ev() -> LemmaEvReport:
     """Run the census of totally even 8-point sets and check its shape.
 
     Asserts that there are exactly two orbits, that the type I orbit has
@@ -145,16 +145,14 @@ def verify_lemma_ev(workers: int = 1) -> LemmaEvReport:
     census's orbit index, and ``profile_separates_orbits`` reports whether
     the hyperplane profile, the sorted section sizes, is constant on each
     orbit and differs between orbits.  The pass builds no record per set.
-    ``workers`` is validated and otherwise unused: the work is
-    single-process.
     """
-    # only the census needs the group: classify_type alone loads neither
-    from ._pool import check_workers
-    from .glgroup import gl_orbit_census
+    # only the census needs the group: classify_type alone does not load it
+    from . import glgroup
 
-    check_workers(workers)
     sets = enumerate_totally_even(8)
-    census, orbit_of, burnside = gl_orbit_census(K, [s.mask for s in sets])
+    masks = [s.mask for s in sets]
+    census, orbit_of = glgroup._orbit_census(K, masks)
+    burnside = glgroup._burnside_orbit_count(K, masks)
 
     if census.orbit_count != 2:
         _fail(f"expected 2 orbits, found {census.orbit_count}", found=census.orbit_count)

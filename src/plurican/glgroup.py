@@ -40,20 +40,6 @@ from .errors import Record, ValidationError, is_int
 from .f2geom import PointSet, _check_dim, pointset_to_json
 
 
-def _rows_invertible(rows: tuple[int, ...]) -> bool:
-    """Gaussian elimination on packed rows over F2."""
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur == 0:
-            return False
-        basis.append(cur)
-        basis.sort(reverse=True)
-    return True
-
-
 class F2Matrix(Record):
     """An invertible k x k matrix over F2; row i is packed like a point code."""
 
@@ -69,7 +55,8 @@ class F2Matrix(Record):
         top = 1 << self.k
         if any(not is_int(r) or not 0 <= r < top for r in self.rows):
             raise ValidationError(f"row out of range for k={self.k}", rows=self.rows)
-        if not _rows_invertible(self.rows):
+        # invertible exactly when the images of the 2^k codes are distinct
+        if len(set(self.point_permutation())) != top:
             raise ValidationError("matrix is singular over F2", rows=self.rows)
 
     def apply_code(self, code: int) -> int:
@@ -251,34 +238,17 @@ def _orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int]
         if code in orbit_of:
             continue
         orbit = _orbit(code, k, table)
-        stab = orbit[code]
         stray = orbit.keys() - code_set
         if stray:
             raise ValidationError(
                 "input family is not closed under the group action",
                 missing_mask=min(stray),
             )
-        if len(orbit) * stab != order:
-            raise ValidationError(
-                "orbit-stabilizer identity violated; is the group a full group "
-                "without duplicates?",
-                orbit_size=len(orbit),
-                stabilizer_order=stab,
-            )
         # codes ascend and the family is closed, so code is the least mask
         # of its orbit and the orbits come out in representative order
         orbit_of.update(dict.fromkeys(orbit, len(orbits)))
-        orbits.append(Orbit(PointSet(k, code), len(orbit), stab))
+        orbits.append(Orbit(PointSet(k, code), len(orbit), orbit[code]))
     return OrbitCensus(tuple(orbits), order), orbit_of
-
-
-def gl_orbit_census(k: int, masks: list[int]) -> tuple[OrbitCensus, dict[int, int], int]:
-    """Census of a family of set bit masks under GL(k, F2), for callers that
-    hold masks rather than point sets: the :func:`orbit_census`, the orbit
-    index of every mask of the family, and the independent
-    :func:`_burnside_orbit_count` recount."""
-    census, orbit_of = _orbit_census(k, masks)
-    return census, orbit_of, _burnside_orbit_count(k, masks)
 
 
 def _burnside_orbit_count(k: int, masks: list[int]) -> int:

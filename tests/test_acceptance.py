@@ -54,7 +54,7 @@ def _ok(n: int, text: str) -> None:
 
 def test_criterion_1_lemma_ev_census():
     start = time.perf_counter()
-    report = verify_lemma_ev(workers=1)
+    report = verify_lemma_ev()
     elapsed = time.perf_counter() - start
 
     assert report.orbit_count == 2

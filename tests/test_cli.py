@@ -72,6 +72,17 @@ def test_invariants_input_validation(capsys):
     assert data["error"]["kind"] == "validation"
 
 
+def test_invariants_refuses_q_with_a_catalogue_surface(capsys):
+    # the catalogue fixes q; --q applies only to --pa/--k2
+    data = run_cli_malformed(capsys, "invariants", "--surface", "campedelli",
+                             "--d", "2", "--m", "1", "--q", "3")
+    assert data["error"]["message"] == "--q applies to --pa/--k2, not to --surface"
+    assert data["error"]["details"] == {"option": "--q"}
+    code, data = run_cli(capsys, "invariants", "--pa", "37", "--k2", "333", "--q", "3",
+                         "--d", "2", "--m", "3")
+    assert code == 0 and data["input"]["X"]["q"] == 3
+
+
 def test_components_campedelli_torsion(capsys):
     code, data = run_cli(capsys, "components", "--group", "2,2,2", "--d", "2")
     assert code == 0
@@ -474,6 +485,14 @@ def test_reproduce_cplus(capsys):
     assert data["results"]["components"] == 46875
 
 
+@pytest.mark.parametrize("recipe", ["lemma-ev", "camp1-moduli", "campedelli-cover"])
+@pytest.mark.parametrize("option", ["--d", "--m"])
+def test_reproduce_refuses_d_and_m_outside_cplus(capsys, recipe, option):
+    data = run_cli_malformed(capsys, "reproduce", recipe, option, "9")
+    assert data["error"]["message"] == f"{option} applies to recipe cplus only, not to {recipe}"
+    assert data["error"]["details"] == {"option": option}
+
+
 def test_reproduce_cplus_rejects_bad_degree(capsys):
     code, data = run_cli(capsys, "reproduce", "cplus", "--d", "6", "--m", "1")
     assert code == 1
@@ -643,7 +662,8 @@ def test_unwritable_out_is_malformed_input(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")
     assert json.loads(captured.out)["error"] == {
-        "kind": "validation", "message": "d must be a positive integer, got 0"}
+        "kind": "validation", "message": "d must be a positive integer, got 0",
+        "details": {"value": 0, "lo": 1}}
     data = run_cli_malformed(capsys, "components", "--group", "x", "--d", "2",
                              "--out", str(tmp_path))  # a directory
     assert data["error"]["message"].startswith("cannot parse group 'x'")

@@ -53,7 +53,7 @@ TORSION = {"plurican.torsion"}
 ACTIONS = TORSION | {"plurican._actions", "plurican._lanes", "array"}
 INVARIANTS = {"plurican.invariants", "plurican.torsion"}
 ARRANGEMENTS = {"plurican.arrangements", "plurican.f2geom"}
-CENSUS = {"plurican._pool", "plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
+CENSUS = {"plurican.evenclass", "plurican.f2geom", "plurican.glgroup"}
 
 # golden case -> the modules it loads besides CLI
 GOLDEN_LOADS = {

@@ -223,8 +223,9 @@ def test_burnside_disagreement_fails_the_census(monkeypatch):
 
 
 def test_census_of_other_than_two_orbits_fails(monkeypatch):
-    monkeypatch.setattr(glgroup, "gl_orbit_census",
-                        lambda k, masks: (SimpleNamespace(orbit_count=1), None, 1))
+    monkeypatch.setattr(glgroup, "_orbit_census",
+                        lambda k, masks: (SimpleNamespace(orbit_count=1), None))
+    monkeypatch.setattr(glgroup, "_burnside_orbit_count", lambda k, masks: 1)
     with pytest.raises(ValidationError, match="expected 2 orbits, found 1") as err:
         verify_lemma_ev()
     assert err.value.details == {"found": 1}

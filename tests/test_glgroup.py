@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -11,6 +11,7 @@ from _oracles import (
     TYPE_II_REPRESENTATIVE,
     complement_masks,
     enumerate_gl,
+    f2_rank,
     fixed_set_total,
     matrix_apply,
 )
@@ -48,8 +49,6 @@ def test_unsupported_dimension():
     for k in (1, 5, 4.0, True):
         with pytest.raises(ValidationError, match="unsupported dimension"):
             orbit_census(k, [])
-        with pytest.raises(ValidationError, match="unsupported dimension"):
-            glgroup.gl_orbit_census(k, [])
 
 
 def test_sets_of_another_dimension_rejected():
@@ -124,6 +123,18 @@ def test_singular_matrix_rejected():
         F2Matrix(2, (1, 1))
     with pytest.raises(ValidationError):
         F2Matrix(4, (0, 1, 2, 4))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_matrix_is_refused_exactly_when_its_rank_is_below_k(k):
+    # the point-permutation rule against Gaussian elimination (f2_rank)
+    for rows in product(range(1 << k), repeat=k):
+        if f2_rank(rows) == k:
+            assert F2Matrix(k, rows).rows == rows
+        else:
+            with pytest.raises(ValidationError, match="matrix is singular over F2") as err:
+                F2Matrix(k, rows)
+            assert err.value.details == {"rows": rows}
 
 
 def test_identity_action():
@@ -202,12 +213,13 @@ def test_census_closure_violation():
 
 
 def test_census_orbit_stabilizer_check_on_a_table_with_a_duplicate(monkeypatch):
-    # the first row twice: every stabilizer is one too large
+    # the first row twice: every stabilizer is one too large, and the order
+    # counts the duplicate
     table = _gl_table(4)
     monkeypatch.setattr(glgroup, "_gl_table", lambda k: table + table[:16])
-    with pytest.raises(ValidationError, match="full group without duplicates") as err:
+    with pytest.raises(ValidationError, match="orbit-stabilizer identity violated") as err:
         orbit_census(4, hyperplane_complements())
-    assert err.value.details == {"orbit_size": 15, "stabilizer_order": 1345}
+    assert err.value.details == {"orbit_size": 15, "stabilizer_order": 1345, "group_order": 20161}
 
 
 def test_census_record_checks_orbit_stabilizer_and_distinct_representatives():
@@ -448,7 +460,8 @@ def test_census_passes_hold_no_per_element_list(te8):
     _gl_table(4)
     tracemalloc.start()
     try:
-        census, _, burnside = glgroup.gl_orbit_census(4, masks)
+        census = glgroup._orbit_census(4, masks)[0]
+        burnside = glgroup._burnside_orbit_count(4, masks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

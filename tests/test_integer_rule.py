@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import plurican
-from plurican._pool import check_workers
 from plurican.arrangements import ProjLine
 from plurican.errors import ValidationError, all_int, check_int, is_int
 from plurican.evenclass import enumerate_totally_even
@@ -53,6 +52,14 @@ def test_check_int_bounds_and_message():
         with pytest.raises(ValidationError) as exc:
             check_int(bad, "x must be in 1..3", lo=1, hi=3)
         assert str(exc.value) == f"x must be in 1..3, got {bad!r}"
+        assert exc.value.details == {"value": bad, "lo": 1, "hi": 3}
+    # only the bounds given are named
+    with pytest.raises(ValidationError) as exc:
+        check_int(0, "x must be >= 1", lo=1)
+    assert exc.value.details == {"value": 0, "lo": 1}
+    with pytest.raises(ValidationError) as exc:
+        check_int(1.5, "x must be an integer")
+    assert exc.value.details == {"value": 1.5}
 
 
 @pytest.mark.parametrize("call", [
@@ -75,8 +82,6 @@ def test_check_int_bounds_and_message():
     lambda: generic_pluricanonical_smooth(5, 2, 1.0),
     lambda: moduli_dimension(True, SurfaceInvariants(0, 0, 1)),
     lambda: enumerate_totally_even(True),
-    lambda: check_workers(True),
-    lambda: check_workers(1.0),
     lambda: ProjLine(((0.1, 0), 0, 1)),
     lambda: ProjLine(((1, False), 0, 1)),
     lambda: ProjLine((("1/2", 0), 0, 1)),
